@@ -1,0 +1,53 @@
+"""Byte-for-byte goldens for the report and DOT outputs of every fixture.
+
+Each fixture is built, analyzed with no assumptions and with every
+user-action condition assumed, and exported to DOT with and without the
+all-assumed report, all through ``cli_main``. The files under
+``tests/golden/<fixture>/`` must match exactly.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from vulnchain import fsm_from_json
+from vulnchain.cli import cli_main
+
+from tests.helpers import FIXTURES
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+FIXTURE_NAMES = ("minimal", "vulnweb", "teacher")
+
+
+def render(name: str, work: Path) -> dict[str, bytes]:
+    """Every golden output of one fixture, keyed by golden file name."""
+    fsm_path = work / "machine.json"
+    assert cli_main([
+        "build",
+        "--findings", str(FIXTURES / name / "findings.json"),
+        "--crawl", str(FIXTURES / name / "crawl.txt"),
+        "--out", str(fsm_path),
+    ]) == 0
+    assumed = sorted(fsm_from_json(fsm_path.read_bytes()).user_action_condition_ids)
+    assume_args = [arg for cid in assumed for arg in ("--assume", cid)]
+    commands = {
+        "report.json": ["analyze", "--fsm", str(fsm_path)],
+        "report.assumed.json": ["analyze", "--fsm", str(fsm_path), *assume_args],
+        "machine.dot": ["export-dot", "--fsm", str(fsm_path)],
+        "machine.reach.dot": ["export-dot", "--fsm", str(fsm_path),
+                              "--reach", str(work / "report.assumed.json")],
+    }
+    out = {}
+    for filename, argv in commands.items():
+        assert cli_main([*argv, "--out", str(work / filename)]) == 0
+        out[filename] = (work / filename).read_bytes()
+    return out
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_outputs_match_goldens(name, tmp_path, capsys):
+    rendered = render(name, tmp_path)
+    capsys.readouterr()
+    for filename, data in rendered.items():
+        expected = (GOLDEN / name / filename).read_bytes()
+        assert data == expected, f"{name}/{filename} differs from its golden"
