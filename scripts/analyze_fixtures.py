@@ -46,8 +46,8 @@ def main() -> int:
 
     for name in ("minimal", "vulnweb", "teacher"):
         finding_set = parse_findings((FIXTURES / name / "findings.json").read_bytes())
-        tree = parse_crawl_list((FIXTURES / name / "crawl.txt").read_bytes())
-        fsm = build_fsm(finding_set, tree)
+        crawled = parse_crawl_list((FIXTURES / name / "crawl.txt").read_bytes())
+        fsm = build_fsm(finding_set, crawled)
 
         assumptions = AssumptionSet(frozenset(fsm.user_action_condition_ids))
         params = ReachParams(assumptions=assumptions)

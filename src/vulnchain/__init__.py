@@ -6,7 +6,7 @@ reachable only through combinations of vulnerabilities, and emits attack-path
 witnesses plus graph exports.
 """
 
-from .builder import attach_start_state, build_fsm, build_states, derive_edges
+from .builder import attach_start_state, build_fsm, build_states
 from .errors import (
     DuplicateState,
     EmptyCondition,
@@ -15,7 +15,6 @@ from .errors import (
     MalformedUri,
     ResultFsmMismatch,
     SchemaViolation,
-    StateBoundExceeded,
     UnknownAssumptionFlag,
     VulnchainError,
 )
@@ -42,7 +41,6 @@ from .model import (
     PostconditionRef,
     PreconditionRef,
     ReachResult,
-    UriTree,
     normalize_condition,
     normalize_uri,
     state_id,

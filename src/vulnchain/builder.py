@@ -1,13 +1,16 @@
-"""Assembling the machine: states, start wiring and condition indices."""
+"""Assembling the machine: one state per finding plus the synthetic start state.
+
+The condition indices are not built here; :class:`Fsm` derives them from its
+states on first use.
+"""
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Iterable
 
 from .errors import DuplicateState, SchemaViolation
 from .ingest import FindingSet, UriVulnerabilityMap, map_findings_to_uris
-from .model import AttackState, Condition, Fsm, UriTree
+from .model import AttackState, Condition, Fsm
 
 
 def build_states(uri_map: UriVulnerabilityMap) -> tuple[AttackState, ...]:
@@ -32,81 +35,38 @@ def attach_start_state(
     facts: Iterable[Condition],
     *,
     site: str = "",
-    diagnostics: tuple[str, ...] = (),
+    diagnostics: Iterable[str] = (),
 ) -> Fsm:
-    """Add the synthetic start state and build the condition indices.
+    """Assemble the machine: the given states plus the synthetic start state.
 
-    The start state has no preconditions and grants exactly the environment
-    facts; it is implicitly connected to every state whose preconditions are
-    all satisfiable from those facts alone.
+    This is the only way a machine is put together. The start state has no
+    preconditions and grants exactly the environment facts; it is implicitly
+    connected to every state whose preconditions are all satisfiable from
+    those facts alone. States are ordered by id and diagnostics are
+    deduplicated and sorted.
     """
     state_list = list(states)
     if any(s.is_start for s in state_list):
         raise SchemaViolation("a start state is already present")
-    start = AttackState.make_start(facts)
-    fsm = Fsm(
+    return Fsm(
         site=site,
-        states=tuple([start] + sorted(state_list, key=lambda s: s.id)),
-        producers={},
-        consumers={},
-        initial_conditions=frozenset(c.id for c in facts),
-        diagnostics=diagnostics,
-    )
-    return derive_edges(fsm)
-
-
-def derive_edges(fsm: Fsm) -> Fsm:
-    """Populate the producer/consumer indices from the states.
-
-    Idempotent: re-deriving an already-derived machine changes nothing.
-    Consumed conditions with an empty producer set are recorded in the
-    diagnostics list; ones required only through user actions are marked as
-    such, since those are satisfied from the assumption set by design.
-    """
-    condition_ids: set[str] = set(fsm.initial_conditions)
-    producers: dict[str, set[str]] = {}
-    consumers: dict[str, set[str]] = {}
-    only_user_action: dict[str, bool] = {}
-
-    for state in fsm.states:
-        for ref in state.preconditions:
-            cid = ref.condition.id
-            condition_ids.add(cid)
-            consumers.setdefault(cid, set()).add(state.id)
-            only_user_action[cid] = only_user_action.get(cid, True) and ref.requires_user_action
-        for ref in state.postconditions:
-            cid = ref.condition.id
-            condition_ids.add(cid)
-            if not ref.false_positive:
-                producers.setdefault(cid, set()).add(state.id)
-
-    notes = set(fsm.diagnostics)
-    for cid in sorted(condition_ids):
-        if consumers.get(cid) and not producers.get(cid) and cid not in fsm.initial_conditions:
-            suffix = " (user-action)" if only_user_action.get(cid) else ""
-            notes.add(f"no producer for precondition {cid!r}{suffix}")
-
-    return replace(
-        fsm,
-        producers={cid: frozenset(producers.get(cid, ())) for cid in condition_ids},
-        consumers={cid: frozenset(consumers.get(cid, ())) for cid in condition_ids},
-        diagnostics=tuple(sorted(notes)),
+        states=(AttackState.make_start(facts), *sorted(state_list, key=lambda s: s.id)),
+        diagnostics=tuple(sorted(set(diagnostics))),
     )
 
 
-def build_fsm(findings: FindingSet, tree: UriTree | None = None) -> Fsm:
+def build_fsm(findings: FindingSet, crawled: frozenset[str] | None = None) -> Fsm:
     """End-to-end construction from validated inputs.
 
     Pure and deterministic: equal inputs yield machines that serialize
     identically. Crawler/scanner disagreement warnings from the URI mapping
-    land in the machine's diagnostics.
+    are the machine's diagnostics; warnings about the findings' content come
+    from ingestion alone (:attr:`FindingSet.warnings`).
     """
-    uri_map = map_findings_to_uris(findings, tree)
-    states = build_states(uri_map)
-    fsm = attach_start_state(
-        states,
+    uri_map = map_findings_to_uris(findings, crawled)
+    return attach_start_state(
+        build_states(uri_map),
         findings.environment_facts,
         site=findings.site,
         diagnostics=uri_map.warnings,
     )
-    return derive_edges(fsm)

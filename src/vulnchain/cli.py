@@ -103,10 +103,10 @@ def main() -> None:
 
 def _cmd_build(args) -> int:
     finding_set = _in_file(args.findings, parse_findings)
-    tree = _in_file(args.crawl, parse_crawl_list)
+    crawled = _in_file(args.crawl, parse_crawl_list)
     for warning in finding_set.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    fsm = build_fsm(finding_set, tree)
+    fsm = build_fsm(finding_set, crawled)
     for note in fsm.diagnostics:
         print(f"warning: {note}", file=sys.stderr)
     Path(args.out).write_bytes(fsm_to_json(fsm).encode("utf-8"))

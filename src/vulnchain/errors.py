@@ -36,10 +36,6 @@ class InvalidAssumption(VulnchainError):
     """An assumed condition is not a user-action precondition of any state."""
 
 
-class StateBoundExceeded(VulnchainError):
-    """Reachability fired more states than the configured safety bound."""
-
-
 class ResultFsmMismatch(VulnchainError):
     """A reach result references state ids unknown to the given machine."""
 

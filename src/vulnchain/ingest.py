@@ -15,11 +15,11 @@ from typing import Any, Mapping
 from .errors import DuplicateState, EmptyCondition, MalformedUri, SchemaViolation, UnknownAssumptionFlag
 from .model import (
     URI_ALL,
+    URI_NULL,
     Condition,
     Finding,
     PostconditionRef,
     PreconditionRef,
-    UriTree,
     normalize_condition,
     normalize_uri,
 )
@@ -57,23 +57,30 @@ class UriVulnerabilityMap:
 # Crawl lists
 # ---------------------------------------------------------------------------
 
-def parse_crawl_list(document: str | bytes) -> UriTree:
-    """Build a :class:`UriTree` from a newline-separated URI list.
+def parse_crawl_list(document: str | bytes) -> frozenset[str]:
+    """Canonical URIs of the crawled resources plus every directory above
+    them; the root ``/`` is always a member.
 
     Blank lines and ``#`` comments are ignored; duplicates are silently
-    deduplicated. Raises :class:`MalformedUri` carrying the line number.
+    deduplicated. Raises :class:`MalformedUri` carrying the line number,
+    also for the ``ALL URI`` and ``NULL`` sentinels, which name no resource.
     """
     text = _decode(document, what="crawl list")
-    tree = UriTree()
+    crawled = {"/"}
     for lineno, line in enumerate(text.splitlines(), start=1):
         entry = line.strip()
         if not entry or entry.startswith("#"):
             continue
         try:
-            tree.insert(normalize_uri(entry))
+            uri = normalize_uri(entry)
+            if uri.canonical in (URI_ALL, URI_NULL):
+                raise MalformedUri(f"sentinel URI {uri.display()!r} cannot be a crawled resource")
         except MalformedUri as exc:
             raise MalformedUri(f"line {lineno}: {exc}") from exc
-    return tree
+        crawled.add(uri.canonical)
+        names = [seg for seg in uri.path.split("/") if seg]
+        crawled.update("/" + "/".join(names[:depth]) for depth in range(1, len(names)))
+    return frozenset(crawled)
 
 
 # ---------------------------------------------------------------------------
@@ -88,13 +95,7 @@ def parse_findings(document: str | bytes) -> FindingSet:
     URI) pair, and :class:`UnknownAssumptionFlag` if a postcondition carries
     ``requires_user_action``.
     """
-    text = _decode(document, what="findings document")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaViolation(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaViolation("top-level value must be an object")
+    doc = _decode_json_object(document, what="findings document")
     _reject_unknown(doc, {"site", "environment_facts", "findings"}, path="$")
 
     site = _expect(doc, "site", str, path="$")
@@ -189,20 +190,21 @@ def serialize_findings(finding_set: FindingSet) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def map_findings_to_uris(findings: FindingSet, tree: UriTree | None) -> UriVulnerabilityMap:
+def map_findings_to_uris(findings: FindingSet, crawled: frozenset[str] | None) -> UriVulnerabilityMap:
     """Group findings by canonical URI.
 
-    Findings on URIs absent from the crawl tree are kept but flagged with a
-    warning (scanner and crawler disagree); the ``*`` sentinel maps under
-    its reserved key without a warning. With ``tree=None`` no disagreement
-    warnings are produced.
+    Findings on URIs absent from the crawled set (see
+    :func:`parse_crawl_list`) are kept but flagged with a warning (scanner
+    and crawler disagree); the ``*`` sentinel maps under its reserved key
+    without a warning. With ``crawled=None`` no disagreement warnings are
+    produced.
     """
     by_uri: dict[str, list[Finding]] = {}
     missing: set[str] = set()
     for f in findings.findings:
         key = f.uri.canonical
         by_uri.setdefault(key, []).append(f)
-        if tree is not None and key != URI_ALL and key not in tree:
+        if crawled is not None and key != URI_ALL and key not in crawled:
             missing.add(key)
     warnings = tuple(
         f"no crawled resource matches finding URI {key if key else 'NULL'!r}"
@@ -370,6 +372,17 @@ def _decode(document: str | bytes, what: str) -> str:
     return document
 
 
+def _decode_json_object(document: str | bytes, what: str) -> dict:
+    """Decode UTF-8 and JSON and demand an object at the top level."""
+    try:
+        doc = json.loads(_decode(document, what=what))
+    except json.JSONDecodeError as exc:
+        raise SchemaViolation(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaViolation("top-level value must be an object")
+    return doc
+
+
 def _reject_unknown(obj: dict, allowed: set[str], path: str) -> None:
     unknown = sorted(set(obj) - allowed)
     if unknown:
@@ -379,16 +392,17 @@ def _reject_unknown(obj: dict, allowed: set[str], path: str) -> None:
 def _expect(obj: dict, key: str, kind: type, path: str) -> Any:
     if key not in obj:
         raise SchemaViolation(f"missing required field {key!r}", path=path)
-    value = obj[key]
-    if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
-        raise SchemaViolation(f"field {key!r} must be {kind.__name__}", path=path)
-    return value
+    return _typed(obj[key], kind, path, what=f"field {key!r}")
 
 
 def _optional(obj: dict, key: str, kind: type, default: Any, path: str) -> Any:
     if key not in obj:
         return default
-    value = obj[key]
+    return _typed(obj[key], kind, path, what=f"field {key!r}")
+
+
+def _typed(value: Any, kind: type, path: str, what: str = "value") -> Any:
+    """``value`` itself if it is a ``kind`` (a bool never counts as an int)."""
     if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
-        raise SchemaViolation(f"field {key!r} must be {kind.__name__}", path=path)
+        raise SchemaViolation(f"{what} must be {kind.__name__}", path=path)
     return value

@@ -10,6 +10,7 @@ concurrent analyses. Identity rules live here and nowhere else:
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -23,6 +24,8 @@ URI_ALL = "*"
 URI_NULL = ""
 #: Fixed id of the synthetic start state (never collides with hash ids).
 START_STATE_ID = "start"
+
+_CONTROL_CHARS = re.compile(r"[\x00-\x1f\x7f]")
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +124,7 @@ def normalize_uri(raw: str) -> NormalizedUri:
     stripped = raw.strip()
     if not stripped:
         raise MalformedUri("URI is whitespace-only")
-    if any(ord(ch) < 0x20 or ch == "\x7f" for ch in raw):
+    if _CONTROL_CHARS.search(raw):
         raise MalformedUri(f"URI contains control characters: {raw!r}")
 
     lowered = stripped.lower()
@@ -138,7 +141,7 @@ def normalize_uri(raw: str) -> NormalizedUri:
     # second normalization pass, so it is dropped; interior spaces stay.
     path = _decode_path(parts.path).strip()
     query = parts.query.strip()
-    if any(ord(ch) < 0x20 or ch == "\x7f" for ch in path):
+    if _CONTROL_CHARS.search(path):
         raise MalformedUri(f"percent-decoded path contains control characters: {raw!r}")
     if "#" in path or "?" in path:
         raise MalformedUri(f"percent-decoded path cannot be re-split: {raw!r}")
@@ -148,68 +151,6 @@ def normalize_uri(raw: str) -> NormalizedUri:
         path = path[:-1]
     canonical = f"{path}?{query}" if query else path
     return NormalizedUri(raw=raw, canonical=canonical, segments=tuple(path.split("/")))
-
-
-# ---------------------------------------------------------------------------
-# URI tree
-# ---------------------------------------------------------------------------
-
-@dataclass
-class UriNode:
-    """One node of a :class:`UriTree`; directories are implicit parents."""
-
-    path: str
-    name: str
-    is_resource: bool = False
-    children: dict[str, "UriNode"] = field(default_factory=dict)
-
-
-class UriTree:
-    """Hierarchical map of a site's resources, keyed by canonical URI.
-
-    Leaves carry resources; internal nodes are directories. Inserting the
-    same URI twice is a no-op (set semantics).
-    """
-
-    def __init__(self) -> None:
-        self.root = UriNode(path="/", name="")
-        self._index: dict[str, UriNode] = {"/": self.root}
-
-    def __contains__(self, canonical: str) -> bool:
-        return canonical in self._index
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def node(self, canonical: str) -> UriNode:
-        return self._index[canonical]
-
-    def resources(self) -> tuple[str, ...]:
-        return tuple(sorted(p for p, n in self._index.items() if n.is_resource))
-
-    def insert(self, uri: NormalizedUri) -> None:
-        """Add one resource, creating intermediate directories implicitly."""
-        if uri.canonical in (URI_ALL, URI_NULL):
-            raise MalformedUri(f"sentinel URI {uri.display()!r} cannot be a crawled resource")
-        if uri.canonical == "/":
-            self.root.is_resource = True
-            return
-        path, _, query = uri.canonical.partition("?")
-        names = [seg for seg in path.split("/") if seg]
-        if query:
-            names[-1] = f"{names[-1]}?{query}"
-        node = self.root
-        for depth, name in enumerate(names):
-            is_last = depth == len(names) - 1
-            key = uri.canonical if is_last else "/" + "/".join(names[: depth + 1])
-            child = node.children.get(name)
-            if child is None:
-                child = UriNode(path=key, name=name)
-                node.children[name] = child
-                self._index[key] = child
-            if is_last:
-                child.is_resource = True
-            node = child
 
 
 # ---------------------------------------------------------------------------
@@ -350,21 +291,17 @@ class AttackState:
 
 @dataclass(frozen=True)
 class Fsm:
-    """The assembled machine: states plus condition-derived indices.
+    """The assembled machine: the states, one of them the start state.
 
-    ``producers`` maps every condition id to the states granting it through
-    non-false-positive postconditions (the start state counts, for recon
-    facts); ``consumers`` maps every condition id to the states requiring
-    it. Every condition id mentioned anywhere appears in both maps, possibly
-    with an empty set (an unsatisfiable precondition keeps an empty producer
-    set). ``diagnostics`` collects deterministic analysis notes.
+    States link only through their conditions, so every index is derived
+    from them on first use and never stored: ``initial_conditions`` (what
+    the start state grants), ``producers`` and ``consumers`` (see there) and
+    ``edges``. ``diagnostics`` collects deterministic analysis notes.
+    Assemble machines with :func:`vulnchain.builder.attach_start_state`.
     """
 
     site: str
     states: tuple[AttackState, ...]
-    producers: Mapping[str, frozenset[str]]
-    consumers: Mapping[str, frozenset[str]]
-    initial_conditions: frozenset[str]
     diagnostics: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -399,8 +336,40 @@ class Fsm:
         return frozenset(s.id for s in self.states if s.is_goal)
 
     @cached_property
+    def initial_conditions(self) -> frozenset[str]:
+        """Condition ids true before any state fires: the environment facts."""
+        return frozenset(self.start.granted_condition_ids())
+
+    @cached_property
     def condition_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self.producers) | set(self.consumers)))
+        ids: set[str] = set()
+        for s in self.states:
+            ids.update(r.condition.id for r in s.preconditions)
+            ids.update(r.condition.id for r in s.postconditions)
+        return tuple(sorted(ids))
+
+    @cached_property
+    def producers(self) -> Mapping[str, frozenset[str]]:
+        """Condition id -> states granting it through non-false-positive
+        postconditions (the start state grants the environment facts).
+
+        Every condition id appears, possibly with an empty set: an
+        unsatisfiable precondition keeps an empty producer set.
+        """
+        out: dict[str, set[str]] = {cid: set() for cid in self.condition_ids}
+        for s in self.states:
+            for cid in s.granted_condition_ids():
+                out[cid].add(s.id)
+        return {cid: frozenset(v) for cid, v in out.items()}
+
+    @cached_property
+    def consumers(self) -> Mapping[str, frozenset[str]]:
+        """Condition id -> states requiring it; every condition id appears."""
+        out: dict[str, set[str]] = {cid: set() for cid in self.condition_ids}
+        for s in self.states:
+            for r in s.preconditions:
+                out[r.condition.id].add(s.id)
+        return {cid: frozenset(v) for cid, v in out.items()}
 
     @cached_property
     def user_action_condition_ids(self) -> frozenset[str]:

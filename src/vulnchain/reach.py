@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import GoalNotReached, InvalidAssumption, ResultFsmMismatch, StateBoundExceeded
+from .errors import GoalNotReached, InvalidAssumption, ResultFsmMismatch
 from .model import (
     START_STATE_ID,
     AssumptionSet,
@@ -44,11 +44,6 @@ class ReachParams:
 
     semantics: Semantics = Semantics.FIXED_POINT
     assumptions: AssumptionSet = field(default_factory=AssumptionSet)
-    max_states: int = 100_000
-
-    def __post_init__(self) -> None:
-        if self.max_states <= 0:
-            raise ValueError("max_states must be positive")
 
 
 @dataclass(frozen=True)
@@ -78,9 +73,9 @@ def _satisfied(state: AttackState, true: set[str] | frozenset[str], assumed: fro
 def reach(fsm: Fsm, params: ReachParams | None = None) -> ReachResult:
     """Compute the set of visitable states under the chosen semantics.
 
-    Raises :class:`InvalidAssumption` if an assumed condition is not a
-    user-action precondition anywhere in the machine, and
-    :class:`StateBoundExceeded` when more than ``max_states`` states fire.
+    Each state fires at most once, so no run can fire more states than the
+    machine has. Raises :class:`InvalidAssumption` if an assumed condition
+    is not a user-action precondition anywhere in the machine.
     Deterministic: ties are broken by lexicographic state id, so repeated
     runs return identical results including the firing order.
     """
@@ -93,9 +88,9 @@ def reach(fsm: Fsm, params: ReachParams | None = None) -> ReachResult:
             + ", ".join(repr(c) for c in sorted(unknown)))
 
     if params.semantics is Semantics.FIXED_POINT:
-        firing_order, true = _closure_fixed_point(fsm, assumed, params.max_states)
+        firing_order, true = _closure_fixed_point(fsm, assumed)
     else:
-        firing_order, true = _closure_single_descent(fsm, assumed, params.max_states)
+        firing_order, true = _closure_single_descent(fsm, assumed)
 
     visited = frozenset(firing_order)
     provenance: dict[str, set[str]] = {}
@@ -118,12 +113,11 @@ def reach(fsm: Fsm, params: ReachParams | None = None) -> ReachResult:
     )
 
 
-def _closure_fixed_point(fsm: Fsm, assumed: frozenset[str], max_states: int):
+def _closure_fixed_point(fsm: Fsm, assumed: frozenset[str]):
     order = fsm.non_start_states
     firing_order = [START_STATE_ID]
     visited = {START_STATE_ID}
     true = set(fsm.initial_conditions)
-    fires = 0
     # Restart the scan after every fire so the lowest-id ready state always
     # fires first; O(states^2 x conditions) worst case, cheap in practice.
     progressed = True
@@ -132,9 +126,6 @@ def _closure_fixed_point(fsm: Fsm, assumed: frozenset[str], max_states: int):
         for state in order:
             if state.id in visited or not _satisfied(state, true, assumed):
                 continue
-            fires += 1
-            if fires > max_states:
-                raise StateBoundExceeded(f"more than {max_states} states fired")
             visited.add(state.id)
             firing_order.append(state.id)
             true.update(state.granted_condition_ids())
@@ -143,17 +134,13 @@ def _closure_fixed_point(fsm: Fsm, assumed: frozenset[str], max_states: int):
     return firing_order, true
 
 
-def _closure_single_descent(fsm: Fsm, assumed: frozenset[str], max_states: int):
+def _closure_single_descent(fsm: Fsm, assumed: frozenset[str]):
     firing_order = [START_STATE_ID]
     true = set(fsm.initial_conditions)
-    fires = 0
     # One forward pass in id order: each fire grants its postconditions and
     # the descent continues from the next position, never looking back.
     for state in fsm.non_start_states:
         if _satisfied(state, true, assumed):
-            fires += 1
-            if fires > max_states:
-                raise StateBoundExceeded(f"more than {max_states} states fired")
             firing_order.append(state.id)
             true.update(state.granted_condition_ids())
     return firing_order, true

@@ -10,7 +10,9 @@ import json
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .errors import ResultFsmMismatch, SchemaViolation
+from .builder import attach_start_state
+from .errors import MalformedUri, ResultFsmMismatch, SchemaViolation
+from .ingest import _condition, _decode_json_object, _expect, _optional, _reject_unknown, _typed
 from .model import (
     START_STATE_ID,
     AssumptionSet,
@@ -20,12 +22,11 @@ from .model import (
     PostconditionRef,
     PreconditionRef,
     ReachResult,
-    normalize_condition,
     normalize_uri,
 )
 from .reach import ReachParams, Semantics, diff_isolated_vs_chained
 
-FSM_FORMAT_VERSION = 1
+FSM_FORMAT_VERSION = 2
 REPORT_FORMAT_VERSION = 1
 
 
@@ -137,41 +138,40 @@ def _node_label(state: AttackState) -> str:
 # Machine on-disk format
 # ---------------------------------------------------------------------------
 
+def _state_entry(state: AttackState) -> dict[str, Any]:
+    entry: dict[str, Any] = {
+        "id": state.id,
+        "vulnerability": state.vulnerability_name,
+        "uri": state.uri.raw,
+        "is_start": state.is_start,
+        "is_goal": state.is_goal,
+        "preconditions": [
+            {"condition": r.condition.label, "requires_user_action": r.requires_user_action}
+            for r in state.preconditions
+        ],
+        "postconditions": [
+            {"condition": r.condition.label, "false_positive": r.false_positive}
+            for r in state.postconditions
+        ],
+    }
+    if state.source:
+        entry["source"] = state.source
+    if state.label is not None:
+        entry["label"] = state.label
+    return entry
+
+
 def fsm_to_json(fsm: Fsm) -> str:
-    """Serialize the machine so later commands can skip re-ingestion."""
-    start = fsm.start
-    states = []
-    for state in [start] + list(fsm.non_start_states):
-        entry: dict[str, Any] = {
-            "id": state.id,
-            "vulnerability": state.vulnerability_name,
-            "uri": state.uri.raw,
-            "is_start": state.is_start,
-            "is_goal": state.is_goal,
-            "preconditions": [
-                {"condition": r.condition.label, "requires_user_action": r.requires_user_action}
-                for r in state.preconditions
-            ],
-            "postconditions": [
-                {"condition": r.condition.label, "false_positive": r.false_positive}
-                for r in state.postconditions
-            ],
-        }
-        if state.source:
-            entry["source"] = state.source
-        if state.label is not None:
-            entry["label"] = state.label
-        states.append(entry)
+    """Serialize the machine so later commands can skip re-ingestion.
+
+    Only the states, the environment facts and the diagnostics are stored;
+    every index is derived again on load.
+    """
     doc = {
         "format_version": FSM_FORMAT_VERSION,
         "site": fsm.site,
-        "environment_facts": [
-            r.condition.label for r in start.postconditions
-        ],
-        "states": states,
-        "producers": {cid: sorted(v) for cid, v in fsm.producers.items()},
-        "consumers": {cid: sorted(v) for cid, v in fsm.consumers.items()},
-        "initial_conditions": sorted(fsm.initial_conditions),
+        "environment_facts": [r.condition.label for r in fsm.start.postconditions],
+        "states": [_state_entry(s) for s in [fsm.start, *fsm.non_start_states]],
         "diagnostics": list(fsm.diagnostics),
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -180,84 +180,96 @@ def fsm_to_json(fsm: Fsm) -> str:
 def fsm_from_json(document: str | bytes) -> Fsm:
     """Load a machine written by :func:`fsm_to_json`.
 
-    The stored indices are verified against ones re-derived from the states;
-    a mismatch means the file was edited by hand and is rejected.
+    Every field is type-checked where it is read, and errors name the JSON
+    path. The start entry must be exactly the start state of the stored
+    environment facts. The machine is then assembled by
+    :func:`vulnchain.builder.attach_start_state`, like a freshly built one.
+    Files of another ``format_version`` are rejected.
     """
-    from .builder import derive_edges  # local import avoids a cycle
-
-    if isinstance(document, bytes):
-        try:
-            document = document.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise SchemaViolation(f"machine file is not valid UTF-8: {exc}") from exc
-    try:
-        doc = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise SchemaViolation(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaViolation("top-level value must be an object")
-    if doc.get("format_version") != FSM_FORMAT_VERSION:
+    doc = _decode_json_object(document, what="machine file")
+    version = doc.get("format_version")
+    if version != FSM_FORMAT_VERSION:
         raise SchemaViolation(
-            f"unsupported format_version {doc.get('format_version')!r}; "
-            f"expected {FSM_FORMAT_VERSION}")
+            f"unsupported format_version {version!r}; expected {FSM_FORMAT_VERSION} "
+            "(rebuild the machine with 'vulnchain build')")
+    _reject_unknown(doc, {"format_version", "site", "environment_facts", "states", "diagnostics"},
+                    path="$")
+    facts = [
+        _condition(_typed(label, str, f"environment_facts[{i}]"), f"environment_facts[{i}]")
+        for i, label in enumerate(_expect(doc, "environment_facts", list, path="$"))
+    ]
+    diagnostics = [
+        _typed(note, str, f"diagnostics[{i}]")
+        for i, note in enumerate(_expect(doc, "diagnostics", list, path="$"))
+    ]
 
+    seen_refs: dict = {}
     states = []
-    for i, entry in enumerate(doc.get("states", [])):
+    start_entries = []
+    for i, entry in enumerate(_expect(doc, "states", list, path="$")):
         path = f"states[{i}]"
-        if not isinstance(entry, dict):
-            raise SchemaViolation("state must be an object", path=path)
-        pres = tuple(
-            PreconditionRef(
-                condition=normalize_condition(r["condition"]),
-                requires_user_action=bool(r.get("requires_user_action", False)),
-            )
-            for r in entry.get("preconditions", [])
-        )
-        posts = tuple(
-            PostconditionRef(
-                condition=normalize_condition(r["condition"]),
-                false_positive=bool(r.get("false_positive", False)),
-            )
-            for r in entry.get("postconditions", [])
-        )
-        try:
-            states.append(AttackState(
-                id=entry["id"],
-                vulnerability_name=entry.get("vulnerability", ""),
-                uri=normalize_uri(entry["uri"]),
-                preconditions=pres,
-                postconditions=posts,
-                is_goal=bool(entry.get("is_goal", False)),
-                is_start=bool(entry.get("is_start", False)),
-                source=entry.get("source", ""),
-                label=entry.get("label"),
-            ))
-        except KeyError as exc:
-            raise SchemaViolation(f"missing field {exc}", path=path) from exc
+        if _expect(_typed(entry, dict, path), "is_start", bool, path=path):
+            start_entries.append((path, entry))
+        else:
+            states.append(_state_from_entry(entry, path, seen_refs))
+    if len(start_entries) != 1:
+        raise SchemaViolation(f"expected exactly one start state, found {len(start_entries)}",
+                              path="states")
+    path, entry = start_entries[0]
+    if entry != _state_entry(AttackState.make_start(facts)):
+        raise SchemaViolation(
+            "environment_facts do not match the start state's postconditions", path=path)
+    return attach_start_state(
+        states, facts, site=_expect(doc, "site", str, path="$"), diagnostics=diagnostics)
 
-    facts = tuple(normalize_condition(lb) for lb in doc.get("environment_facts", []))
-    start_states = [s for s in states if s.is_start]
-    if len(start_states) == 1:
-        granted = set(start_states[0].granted_condition_ids())
-        if granted != {c.id for c in facts}:
-            raise SchemaViolation(
-                "environment_facts do not match the start state's postconditions")
-    fsm = Fsm(
-        site=doc.get("site", ""),
-        states=tuple(states),
-        producers={},
-        consumers={},
-        initial_conditions=frozenset(c.id for c in facts),
-        diagnostics=tuple(doc.get("diagnostics", [])),
+
+_STATE_KEYS = frozenset({
+    "id", "vulnerability", "uri", "is_start", "is_goal",
+    "preconditions", "postconditions", "source", "label",
+})
+
+
+def _state_from_entry(entry: dict, path: str, seen_refs: dict) -> AttackState:
+    _reject_unknown(entry, _STATE_KEYS, path=path)
+    try:
+        uri = normalize_uri(_expect(entry, "uri", str, path=path))
+    except MalformedUri as exc:
+        raise SchemaViolation(str(exc), path=f"{path}.uri") from exc
+    return AttackState(
+        id=_expect(entry, "id", str, path=path),
+        vulnerability_name=_expect(entry, "vulnerability", str, path=path),
+        uri=uri,
+        preconditions=_refs(entry, "preconditions", PreconditionRef, "requires_user_action",
+                            path, seen_refs),
+        postconditions=_refs(entry, "postconditions", PostconditionRef, "false_positive",
+                             path, seen_refs),
+        is_goal=_expect(entry, "is_goal", bool, path=path),
+        source=_optional(entry, "source", str, "", path=path),
+        label=_optional(entry, "label", str, None, path=path),
     )
-    fsm = derive_edges(fsm)
-    stored_producers = {cid: sorted(v) for cid, v in doc.get("producers", {}).items()}
-    derived_producers = {cid: sorted(v) for cid, v in fsm.producers.items()}
-    stored_consumers = {cid: sorted(v) for cid, v in doc.get("consumers", {}).items()}
-    derived_consumers = {cid: sorted(v) for cid, v in fsm.consumers.items()}
-    if stored_producers != derived_producers or stored_consumers != derived_consumers:
-        raise SchemaViolation("stored condition indices do not match the states")
-    return fsm
+
+
+def _refs(entry: dict, key: str, make: type, flag: str, path: str, seen: dict) -> tuple:
+    """Pre- or postconditions of one state entry, built as ``make(condition,
+    entry[flag])``."""
+    fields = {"condition", flag}
+    refs = []
+    for j, ref in enumerate(_expect(entry, key, list, path=path)):
+        # One cheap shape test per ref; the helpers run only to name the fault.
+        if not (type(ref) is dict and ref.keys() == fields
+                and type(ref["condition"]) is str and type(ref[flag]) is bool):
+            ref_path = f"{path}.{key}[{j}]"
+            _reject_unknown(_typed(ref, dict, ref_path), fields, path=ref_path)
+            _expect(ref, "condition", str, path=ref_path)
+            _expect(ref, flag, bool, path=ref_path)
+        # Refs repeat across states; each distinct one is built once per load.
+        ref_key = (make, ref["condition"], ref[flag])
+        made = seen.get(ref_key)
+        if made is None:
+            condition = _condition(ref["condition"], f"{path}.{key}[{j}]")
+            made = seen[ref_key] = make(condition, ref[flag])
+        refs.append(made)
+    return tuple(refs)
 
 
 # ---------------------------------------------------------------------------
@@ -414,16 +426,8 @@ def report_to_json(report: AnalysisReport) -> str:
 
 
 def report_from_json(document: str | bytes) -> AnalysisReport:
-    if isinstance(document, bytes):
-        try:
-            document = document.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise SchemaViolation(f"report is not valid UTF-8: {exc}") from exc
-    try:
-        doc = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise SchemaViolation(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format_version") != REPORT_FORMAT_VERSION:
+    doc = _decode_json_object(document, what="report")
+    if doc.get("format_version") != REPORT_FORMAT_VERSION:
         raise SchemaViolation("unsupported or missing report format_version")
     try:
         return AnalysisReport(

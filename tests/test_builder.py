@@ -9,7 +9,6 @@ from vulnchain import (
     attach_start_state,
     build_fsm,
     build_states,
-    derive_edges,
     fsm_to_json,
     map_findings_to_uris,
     normalize_condition,
@@ -107,12 +106,9 @@ class TestDeriveEdges:
             assert cid in vulnweb_fsm.producers
             assert cid in vulnweb_fsm.consumers
 
-    def test_unproducible_precondition_diagnosed(self, minimal_fsm):
-        assert any("x2" in note for note in minimal_fsm.diagnostics)
-
-    def test_idempotent(self, vulnweb_fsm):
-        again = derive_edges(vulnweb_fsm)
-        assert again == vulnweb_fsm
+    def test_unproducible_precondition_keeps_empty_producer_set(self, minimal_fsm):
+        assert minimal_fsm.producers["x2"] == frozenset()
+        assert minimal_fsm.consumers["x2"]
 
 
 class TestBuildFsm:

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior over the bundled fixtures."""
 
 import json
+import re
 
 import pytest
 
@@ -53,6 +54,28 @@ class TestBuild:
         captured = capsys.readouterr()
         assert code == 0
         assert "warning:" in captured.err
+
+    def test_unproducible_precondition_warned_once(self, tmp_path, capsys):
+        code = cli_main([
+            "build",
+            "--findings", str(FIXTURES / "minimal" / "findings.json"),
+            "--crawl", str(FIXTURES / "minimal" / "crawl.txt"),
+            "--out", str(tmp_path / "m.json"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 0
+        assert err.count("x2") == 1
+        assert "precondition 'x2' has no producing finding" in err
+
+    def test_user_action_preconditions_not_warned(self, tmp_path, capsys):
+        code = cli_main([
+            "build",
+            "--findings", str(FIXTURES / "vulnweb" / "findings.json"),
+            "--crawl", str(FIXTURES / "vulnweb" / "crawl.txt"),
+            "--out", str(tmp_path / "vw.json"),
+        ])
+        assert code == 0
+        assert capsys.readouterr().err == ""
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code = cli_main([
@@ -117,6 +140,57 @@ class TestAnalyze:
         assert code == 1
         assert "did you mean" in captured.err
         assert "user clicks the link" in captured.err
+
+
+def _set_first_precondition(doc, value):
+    doc["states"][3]["preconditions"][0] = value
+
+
+MALFORMED_MACHINES = {
+    "precondition without condition": (
+        lambda doc: doc["states"][3]["preconditions"][0].pop("condition"),
+        r"states\[3\]\.preconditions\[0\]: missing required field 'condition'"),
+    "numeric condition": (
+        lambda doc: doc["states"][3]["preconditions"][0].update(condition=5),
+        r"states\[3\]\.preconditions\[0\]: field 'condition' must be str"),
+    "numeric environment fact": (
+        lambda doc: doc["environment_facts"].append(7),
+        r"environment_facts\[0\]: value must be str"),
+    "numeric uri": (
+        lambda doc: doc["states"][3].update(uri=42),
+        r"states\[3\]: field 'uri' must be str"),
+    "numeric preconditions": (
+        lambda doc: doc["states"][3].update(preconditions=3),
+        r"states\[3\]: field 'preconditions' must be list"),
+    "number inside preconditions": (
+        lambda doc: _set_first_precondition(doc, 3),
+        r"states\[3\]\.preconditions\[0\]: value must be dict"),
+}
+
+
+class TestMalformedMachine:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MACHINES))
+    def test_exits_1_naming_file_and_path(self, case, built, tmp_path, capsys):
+        tamper, message = MALFORMED_MACHINES[case]
+        doc = json.loads(built["minimal"].read_text())
+        tamper(doc)
+        bad = tmp_path / "bad.fsm.json"
+        bad.write_text(json.dumps(doc))
+        code = cli_main(["analyze", "--fsm", str(bad), "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {bad}: ")
+        assert re.search(message, err), err
+
+    def test_version_1_file_exits_1(self, built, tmp_path, capsys):
+        doc = json.loads(built["minimal"].read_text())
+        doc["format_version"] = 1
+        old = tmp_path / "old.fsm.json"
+        old.write_text(json.dumps(doc))
+        code = cli_main(["analyze", "--fsm", str(old), "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{old}: unsupported format_version 1" in err
 
 
 class TestWhatif:

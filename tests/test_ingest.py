@@ -40,20 +40,17 @@ def _row(vuln="V", uri="/x", pres=(), posts=(), **extra):
 
 class TestParseCrawlList:
     def test_example_tree(self):
-        tree = parse_crawl_list("/login.php\n/index.php\n/Flash/add fla\n")
-        assert len(tree) == 5
-        assert tree.resources() == ("/Flash/add fla", "/index.php", "/login.php")
+        crawled = parse_crawl_list("/login.php\n/index.php\n/Flash/add fla\n")
+        assert crawled == {"/", "/Flash", "/Flash/add fla", "/index.php", "/login.php"}
 
     def test_empty_input(self):
-        assert len(parse_crawl_list("")) == 1
+        assert parse_crawl_list("") == {"/"}
 
     def test_duplicates_deduplicated(self):
-        tree = parse_crawl_list("/a/b\n/a/b\n")
-        assert len(tree) == 3
+        assert len(parse_crawl_list("/a/b\n/a/b\n")) == 3
 
     def test_comments_and_blank_lines_ignored(self):
-        tree = parse_crawl_list("# header\n\n/x\n  \n# trailing\n")
-        assert tree.resources() == ("/x",)
+        assert parse_crawl_list("# header\n\n/x\n  \n# trailing\n") == {"/", "/x"}
 
     def test_malformed_line_number_reported(self):
         with pytest.raises(MalformedUri, match="line 3"):
@@ -214,6 +211,11 @@ class TestMapFindingsToUris:
         assert "/ghost.php" in mapping.by_uri
         assert len(mapping.warnings) == 1
         assert "/ghost.php" in mapping.warnings[0]
+
+    def test_finding_on_a_crawled_directory_does_not_warn(self):
+        fs = parse_findings(_doc([_row(uri="/Flash")]))
+        mapping = map_findings_to_uris(fs, parse_crawl_list("/Flash/add fla\n"))
+        assert mapping.warnings == ()
 
     def test_no_findings_lost_or_duplicated(self, vulnweb_findings, vulnweb_tree):
         mapping = map_findings_to_uris(vulnweb_findings, vulnweb_tree)

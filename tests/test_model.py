@@ -1,4 +1,4 @@
-"""Domain-type behavior: normalization, identity, and the URI tree."""
+"""Domain-type behavior: normalization, identity, and the crawled-URI set."""
 
 import pytest
 
@@ -7,9 +7,9 @@ from vulnchain import (
     MalformedUri,
     URI_ALL,
     URI_NULL,
-    UriTree,
     normalize_condition,
     normalize_uri,
+    parse_crawl_list,
     state_id,
 )
 
@@ -117,41 +117,36 @@ class TestStateId:
 
 
 class TestUriTree:
+    """The crawled-URI set answers membership like a tree of the site:
+    every directory above a crawled resource is a member too."""
+
     def test_directories_created_implicitly(self):
-        tree = UriTree()
-        for raw in ("/login.php", "/index.php", "/Flash/add fla"):
-            tree.insert(normalize_uri(raw))
-        assert "/Flash/add fla" in tree
-        assert "/Flash" in tree
-        assert not tree.node("/Flash").is_resource
-        assert tree.node("/Flash/add fla").is_resource
-        assert len(tree) == 5  # root + 2 leaves + Flash dir + its leaf
+        crawled = parse_crawl_list("/login.php\n/index.php\n/Flash/add fla\n")
+        assert "/Flash/add fla" in crawled
+        assert "/Flash" in crawled
+        assert "/Flash/add" not in crawled
+        assert len(crawled) == 5  # root + 2 leaves + Flash dir + its leaf
 
     def test_empty_tree_has_only_root(self):
-        assert len(UriTree()) == 1
+        assert parse_crawl_list("") == {"/"}
 
     def test_duplicate_insert_is_noop(self):
-        tree = UriTree()
-        tree.insert(normalize_uri("/a/b"))
-        tree.insert(normalize_uri("/a/b"))
-        assert len(tree) == 3  # root, a, b
+        assert parse_crawl_list("/a/b\n/a/b\n") == {"/", "/a", "/a/b"}
 
     def test_root_resource(self):
-        tree = UriTree()
-        tree.insert(normalize_uri("/"))
-        assert len(tree) == 1
-        assert tree.node("/").is_resource
+        assert parse_crawl_list("/\n") == {"/"}
 
     def test_sentinels_rejected(self):
-        tree = UriTree()
-        with pytest.raises(MalformedUri):
-            tree.insert(normalize_uri("ALL URI"))
-        with pytest.raises(MalformedUri):
-            tree.insert(normalize_uri("NULL"))
+        with pytest.raises(MalformedUri, match="sentinel"):
+            parse_crawl_list("ALL URI\n")
+        with pytest.raises(MalformedUri, match="sentinel"):
+            parse_crawl_list("NULL\n")
 
     def test_query_uris_are_distinct_leaves(self):
-        tree = UriTree()
-        tree.insert(normalize_uri("/a/b"))
-        tree.insert(normalize_uri("/a/b?q=1"))
-        assert "/a/b" in tree and "/a/b?q=1" in tree
-        assert len(tree) == 4
+        crawled = parse_crawl_list("/a/b\n/a/b?q=1\n")
+        assert "/a/b" in crawled and "/a/b?q=1" in crawled
+        assert len(crawled) == 4
+
+    def test_query_uri_adds_its_directories_but_not_its_path(self):
+        assert parse_crawl_list("/a/b?q=1\n") == {"/", "/a", "/a/b?q=1"}
+        assert parse_crawl_list("/?q=1\n") == {"/", "/?q=1"}

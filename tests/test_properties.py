@@ -241,7 +241,10 @@ def test_visited_preconditions_were_satisfied(case):
 @settings(max_examples=75, deadline=None)
 def test_machine_serialization_round_trips(case):
     fsm, _ = case
-    assert fsm_from_json(fsm_to_json(fsm)) == fsm
+    text = fsm_to_json(fsm)
+    loaded = fsm_from_json(text)
+    assert loaded == fsm
+    assert fsm_to_json(loaded) == text
 
 
 def test_finding_set_round_trip_under_random_inputs():

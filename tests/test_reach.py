@@ -8,7 +8,6 @@ from vulnchain import (
     InvalidAssumption,
     ReachParams,
     Semantics,
-    StateBoundExceeded,
     attach_start_state,
     collect_goals,
     diff_isolated_vs_chained,
@@ -80,14 +79,6 @@ class TestFixedPoint:
         params = ReachParams(assumptions=AssumptionSet.of("Narrow search space of password."))
         with pytest.raises(InvalidAssumption):
             reach(vulnweb_fsm, params)
-
-    def test_state_bound(self, vulnweb_fsm):
-        with pytest.raises(StateBoundExceeded):
-            reach(vulnweb_fsm, ReachParams(max_states=2))
-
-    def test_bad_params(self):
-        with pytest.raises(ValueError):
-            ReachParams(max_states=0)
 
     def test_cycle_without_entry_never_fires(self):
         fsm = fsm_of(

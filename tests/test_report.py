@@ -1,5 +1,6 @@
 """DOT export, machine serialization, and analysis reports."""
 
+import json
 import re
 
 import pytest
@@ -13,6 +14,7 @@ from vulnchain import (
     extract_witness,
     fsm_from_json,
     fsm_to_json,
+    normalize_condition,
     reach,
     report_from_json,
     report_to_json,
@@ -122,16 +124,52 @@ class TestFsmSerialization:
         fsm = request.getfixturevalue(fixture)
         assert fsm_from_json(fsm_to_json(fsm)) == fsm
 
+    @pytest.mark.parametrize("fixture", ["minimal_fsm", "vulnweb_fsm", "teacher_fsm"])
+    def test_stores_no_derived_indices(self, fixture, request):
+        doc = json.loads(fsm_to_json(request.getfixturevalue(fixture)))
+        assert doc["format_version"] == 2
+        assert set(doc) == {"format_version", "site", "environment_facts", "states", "diagnostics"}
+
     def test_version_checked(self):
         with pytest.raises(SchemaViolation, match="format_version"):
             fsm_from_json('{"format_version": 99}')
 
-    def test_tampered_indices_rejected(self, minimal_fsm):
-        doc = fsm_to_json(minimal_fsm)
-        tampered = doc.replace('"x1": [', '"x1": ["deadbeef0000", ', 1)
-        assert tampered != doc
-        with pytest.raises(SchemaViolation, match="indices"):
-            fsm_from_json(tampered)
+    def test_version_1_rejected(self, minimal_fsm):
+        doc = json.loads(fsm_to_json(minimal_fsm))
+        doc["format_version"] = 1
+        with pytest.raises(SchemaViolation, match="unsupported format_version 1"):
+            fsm_from_json(json.dumps(doc))
+
+    def test_tampered_start_entry_rejected(self):
+        fact = normalize_condition("Server banner exposed")
+        text = fsm_to_json(attach_start_state((), (fact,)))
+        tampers = [
+            lambda start, facts: start["postconditions"].append(
+                {"condition": "extra", "false_positive": False}),
+            lambda start, facts: start["postconditions"][0].update(false_positive=True),
+            lambda start, facts: start["preconditions"].append(
+                {"condition": "x", "requires_user_action": False}),
+            lambda start, facts: start.update(is_goal=True),
+            lambda start, facts: start.update(label="S9"),
+            lambda start, facts: facts.append("another fact"),
+        ]
+        for tamper in tampers:
+            doc = json.loads(text)
+            tamper(doc["states"][0], doc["environment_facts"])
+            with pytest.raises(SchemaViolation, match=r"states\[0\].*environment_facts"):
+                fsm_from_json(json.dumps(doc))
+
+    def test_second_start_entry_rejected(self, minimal_fsm):
+        doc = json.loads(fsm_to_json(minimal_fsm))
+        doc["states"][1]["is_start"] = True
+        with pytest.raises(SchemaViolation, match="exactly one start state, found 2"):
+            fsm_from_json(json.dumps(doc))
+
+    def test_unknown_field_rejected(self, minimal_fsm):
+        doc = json.loads(fsm_to_json(minimal_fsm))
+        doc["states"][2]["producers"] = []
+        with pytest.raises(SchemaViolation, match=r"states\[2\]: unknown fields: producers"):
+            fsm_from_json(json.dumps(doc))
 
 
 class TestToReport:
