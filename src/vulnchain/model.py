@@ -10,7 +10,6 @@ concurrent analyses. Identity rules live here and nowhere else:
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -24,8 +23,6 @@ URI_ALL = "*"
 URI_NULL = ""
 #: Fixed id of the synthetic start state (never collides with hash ids).
 START_STATE_ID = "start"
-
-_CONTROL_CHARS = re.compile(r"[\x00-\x1f\x7f]")
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +121,7 @@ def normalize_uri(raw: str) -> NormalizedUri:
     stripped = raw.strip()
     if not stripped:
         raise MalformedUri("URI is whitespace-only")
-    if _CONTROL_CHARS.search(raw):
+    if any(ord(ch) < 0x20 or ch == "\x7f" for ch in raw):
         raise MalformedUri(f"URI contains control characters: {raw!r}")
 
     lowered = stripped.lower()
@@ -141,7 +138,7 @@ def normalize_uri(raw: str) -> NormalizedUri:
     # second normalization pass, so it is dropped; interior spaces stay.
     path = _decode_path(parts.path).strip()
     query = parts.query.strip()
-    if _CONTROL_CHARS.search(path):
+    if any(ord(ch) < 0x20 or ch == "\x7f" for ch in path):
         raise MalformedUri(f"percent-decoded path contains control characters: {raw!r}")
     if "#" in path or "?" in path:
         raise MalformedUri(f"percent-decoded path cannot be re-split: {raw!r}")

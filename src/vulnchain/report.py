@@ -203,7 +203,6 @@ def fsm_from_json(document: str | bytes) -> Fsm:
         for i, note in enumerate(_expect(doc, "diagnostics", list, path="$"))
     ]
 
-    seen_refs: dict = {}
     states = []
     start_entries = []
     for i, entry in enumerate(_expect(doc, "states", list, path="$")):
@@ -211,14 +210,14 @@ def fsm_from_json(document: str | bytes) -> Fsm:
         if _expect(_typed(entry, dict, path), "is_start", bool, path=path):
             start_entries.append((path, entry))
         else:
-            states.append(_state_from_entry(entry, path, seen_refs))
+            states.append(_state_from_entry(entry, path))
     if len(start_entries) != 1:
         raise SchemaViolation(f"expected exactly one start state, found {len(start_entries)}",
                               path="states")
     path, entry = start_entries[0]
     if entry != _state_entry(AttackState.make_start(facts)):
         raise SchemaViolation(
-            "environment_facts do not match the start state's postconditions", path=path)
+            "start entry does not match the start state of environment_facts", path=path)
     return attach_start_state(
         states, facts, site=_expect(doc, "site", str, path="$"), diagnostics=diagnostics)
 
@@ -229,7 +228,7 @@ _STATE_KEYS = frozenset({
 })
 
 
-def _state_from_entry(entry: dict, path: str, seen_refs: dict) -> AttackState:
+def _state_from_entry(entry: dict, path: str) -> AttackState:
     _reject_unknown(entry, _STATE_KEYS, path=path)
     try:
         uri = normalize_uri(_expect(entry, "uri", str, path=path))
@@ -239,36 +238,23 @@ def _state_from_entry(entry: dict, path: str, seen_refs: dict) -> AttackState:
         id=_expect(entry, "id", str, path=path),
         vulnerability_name=_expect(entry, "vulnerability", str, path=path),
         uri=uri,
-        preconditions=_refs(entry, "preconditions", PreconditionRef, "requires_user_action",
-                            path, seen_refs),
-        postconditions=_refs(entry, "postconditions", PostconditionRef, "false_positive",
-                             path, seen_refs),
+        preconditions=_refs(entry, "preconditions", PreconditionRef, "requires_user_action", path),
+        postconditions=_refs(entry, "postconditions", PostconditionRef, "false_positive", path),
         is_goal=_expect(entry, "is_goal", bool, path=path),
         source=_optional(entry, "source", str, "", path=path),
         label=_optional(entry, "label", str, None, path=path),
     )
 
 
-def _refs(entry: dict, key: str, make: type, flag: str, path: str, seen: dict) -> tuple:
+def _refs(entry: dict, key: str, make: type, flag: str, path: str) -> tuple:
     """Pre- or postconditions of one state entry, built as ``make(condition,
     entry[flag])``."""
-    fields = {"condition", flag}
     refs = []
     for j, ref in enumerate(_expect(entry, key, list, path=path)):
-        # One cheap shape test per ref; the helpers run only to name the fault.
-        if not (type(ref) is dict and ref.keys() == fields
-                and type(ref["condition"]) is str and type(ref[flag]) is bool):
-            ref_path = f"{path}.{key}[{j}]"
-            _reject_unknown(_typed(ref, dict, ref_path), fields, path=ref_path)
-            _expect(ref, "condition", str, path=ref_path)
-            _expect(ref, flag, bool, path=ref_path)
-        # Refs repeat across states; each distinct one is built once per load.
-        ref_key = (make, ref["condition"], ref[flag])
-        made = seen.get(ref_key)
-        if made is None:
-            condition = _condition(ref["condition"], f"{path}.{key}[{j}]")
-            made = seen[ref_key] = make(condition, ref[flag])
-        refs.append(made)
+        ref_path = f"{path}.{key}[{j}]"
+        _reject_unknown(_typed(ref, dict, ref_path), {"condition", flag}, path=ref_path)
+        refs.append(make(_condition(_expect(ref, "condition", str, path=ref_path), ref_path),
+                         _expect(ref, flag, bool, path=ref_path)))
     return tuple(refs)
 
 

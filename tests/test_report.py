@@ -156,7 +156,9 @@ class TestFsmSerialization:
         for tamper in tampers:
             doc = json.loads(text)
             tamper(doc["states"][0], doc["environment_facts"])
-            with pytest.raises(SchemaViolation, match=r"states\[0\].*environment_facts"):
+            with pytest.raises(SchemaViolation,
+                               match=r"states\[0\]: start entry does not match the start "
+                                     "state of environment_facts"):
                 fsm_from_json(json.dumps(doc))
 
     def test_second_start_entry_rejected(self, minimal_fsm):
