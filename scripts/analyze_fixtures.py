@@ -19,7 +19,6 @@ from vulnchain import (  # noqa: E402
     ReachParams,
     build_fsm,
     collect_goals,
-    diff_isolated_vs_chained,
     extract_witness,
     fsm_to_json,
     parse_crawl_list,
@@ -50,12 +49,10 @@ def main() -> int:
         fsm = build_fsm(finding_set, crawled)
 
         assumptions = AssumptionSet(frozenset(fsm.user_action_condition_ids))
-        params = ReachParams(assumptions=assumptions)
-        result = reach(fsm, params)
+        result = reach(fsm, ReachParams(assumptions=assumptions))
         goals = collect_goals(result, fsm)
         witnesses = {g: extract_witness(fsm, result, g) for g in sorted(goals)}
         report = to_report(fsm, result, witnesses)
-        diff = diff_isolated_vs_chained(fsm, params)
 
         (out_dir / f"{name}.fsm.json").write_bytes(fsm_to_json(fsm).encode())
         (out_dir / f"{name}.report.json").write_bytes(report_to_json(report).encode())
@@ -64,9 +61,9 @@ def main() -> int:
         print(f"== {fsm.site} ==")
         print(f"states: {len(fsm.non_start_states)}  goals: {len(fsm.goal_ids)}  "
               f"assumptions granted: {len(assumptions.granted_user_actions)}")
-        print(f"goals reached by chaining: {show(fsm, diff.chained)}")
-        print(f"goals reachable in isolation: {show(fsm, diff.isolated)}")
-        print(f"chaining-only goals: {show(fsm, diff.chained_only)}")
+        print(f"goals reached by chaining: {show(fsm, report.chained_goals)}")
+        print(f"goals reachable in isolation: {show(fsm, report.isolated_goals)}")
+        print(f"chaining-only goals: {show(fsm, report.chained_only_goals)}")
         for goal in sorted(witnesses):
             path = witnesses[goal]
             steps = " -> ".join(fsm.label_of(sid) for sid, _ in path.steps)

@@ -164,8 +164,8 @@ def _cmd_export_dot(args) -> int:
 
 def _cmd_diff_isolated(args) -> int:
     fsm = _load_fsm(args.fsm)
-    params = ReachParams(assumptions=_assumptions(fsm, args.assume))
-    diff = diff_isolated_vs_chained(fsm, params)
+    result = reach(fsm, ReachParams(assumptions=_assumptions(fsm, args.assume)))
+    diff = diff_isolated_vs_chained(fsm, result)
     rows = [
         ("isolated goals", diff.isolated),
         ("chained goals", diff.chained),

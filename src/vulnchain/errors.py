@@ -10,7 +10,7 @@ class EmptyCondition(VulnchainError):
 
 
 class MalformedUri(VulnchainError):
-    """A URI could not be normalized into path segments."""
+    """A URI could not be normalized to its canonical form."""
 
 
 class SchemaViolation(VulnchainError):

@@ -49,9 +49,6 @@ class UriVulnerabilityMap:
     by_uri: Mapping[str, tuple[Finding, ...]]
     warnings: tuple[str, ...] = ()
 
-    def total_findings(self) -> int:
-        return sum(len(v) for v in self.by_uri.values())
-
 
 # ---------------------------------------------------------------------------
 # Crawl lists
@@ -139,20 +136,8 @@ def parse_findings_tsv(document: str | bytes, site: str = "") -> FindingSet:
         vuln, uri_text, pre_cell, post_cell, goal_cell = cells
         if goal_cell.strip() not in ("0", "1"):
             raise SchemaViolation(f"GOAL must be 0 or 1, got {goal_cell!r}", path=path)
-        pres = []
-        for part in _split_cell(pre_cell):
-            flagged = part.startswith("!")
-            pres.append(PreconditionRef(
-                condition=_condition(part[1:] if flagged else part, path),
-                requires_user_action=flagged,
-            ))
-        posts = []
-        for part in _split_cell(post_cell):
-            flagged = part.startswith("?")
-            posts.append(PostconditionRef(
-                condition=_condition(part[1:] if flagged else part, path),
-                false_positive=flagged,
-            ))
+        pres = [PreconditionRef(*_tsv_ref(part, "!", "?", path)) for part in _split_cell(pre_cell)]
+        posts = [PostconditionRef(*_tsv_ref(part, "?", "!", path)) for part in _split_cell(post_cell)]
         findings.append(_build_finding(
             vuln, uri_text, pres, posts,
             is_goal=goal_cell.strip() == "1", source="", label=None, path=path,
@@ -359,6 +344,16 @@ def _condition(label: str, path: str) -> Condition:
         raise SchemaViolation(str(exc), path=path) from exc
 
 
+def _tsv_ref(part: str, flag: str, other: str, path: str) -> tuple[Condition, bool]:
+    """A PRE or POST entry as (condition, flagged); ``other`` is the flag of
+    the other column, which may not start the condition."""
+    flagged = part.startswith(flag)
+    name = part[1:] if flagged else part
+    if name.startswith(other):
+        raise SchemaViolation(f"{part!r}: the {other!r} prefix belongs to the other column", path=path)
+    return _condition(name, path), flagged
+
+
 def _split_cell(cell: str) -> list[str]:
     return [part.strip() for part in cell.split(";") if part.strip()]
 
@@ -387,6 +382,21 @@ def _reject_unknown(obj: dict, allowed: set[str], path: str) -> None:
     unknown = sorted(set(obj) - allowed)
     if unknown:
         raise SchemaViolation(f"unknown fields: {', '.join(unknown)}", path=path)
+
+
+def _child(path: str, key: str) -> str:
+    return key if path == "$" else f"{path}.{key}"
+
+
+def _objects(obj: dict, key: str, keys: set[str], path: str) -> list[tuple[str, dict]]:
+    """``(path, entry)`` for each entry of the list ``obj[key]``; every entry
+    must be an object with no field outside ``keys``."""
+    out = []
+    for i, entry in enumerate(_expect(obj, key, list, path=path)):
+        entry_path = f"{_child(path, key)}[{i}]"
+        _reject_unknown(_typed(entry, dict, entry_path), keys, path=entry_path)
+        out.append((entry_path, entry))
+    return out
 
 
 def _expect(obj: dict, key: str, kind: type, path: str) -> Any:

@@ -69,15 +69,13 @@ class NormalizedUri:
 
     ``canonical`` is the scheme-less, percent-decoded path with any trailing
     slash removed (the root ``/`` is kept) and the query string preserved
-    verbatim. ``segments`` is ``path.split("/")``, so joining them with "/"
-    reproduces the path part of ``canonical``. Two reserved canonicals exist:
-    ``*`` ("ALL URI") and the empty string ("NULL"). Equality is by
-    ``canonical`` only; ``raw`` keeps the input for round-tripping.
+    verbatim. Two reserved canonicals exist: ``*`` ("ALL URI") and the
+    empty string ("NULL"). Equality is by ``canonical`` only; ``raw`` keeps
+    the input for round-tripping.
     """
 
     raw: str = field(compare=False)
     canonical: str
-    segments: tuple[str, ...] = field(compare=False)
 
     @property
     def path(self) -> str:
@@ -117,7 +115,7 @@ def normalize_uri(raw: str) -> NormalizedUri:
     """
     if raw == "":
         # Re-entrant form of the NULL sentinel's canonical.
-        return NormalizedUri(raw="", canonical=URI_NULL, segments=())
+        return NormalizedUri(raw="", canonical=URI_NULL)
     stripped = raw.strip()
     if not stripped:
         raise MalformedUri("URI is whitespace-only")
@@ -126,9 +124,9 @@ def normalize_uri(raw: str) -> NormalizedUri:
 
     lowered = stripped.lower()
     if lowered == "all uri" or stripped == URI_ALL:
-        return NormalizedUri(raw=raw, canonical=URI_ALL, segments=(URI_ALL,))
+        return NormalizedUri(raw=raw, canonical=URI_ALL)
     if lowered == "null":
-        return NormalizedUri(raw=raw, canonical=URI_NULL, segments=())
+        return NormalizedUri(raw=raw, canonical=URI_NULL)
 
     try:
         parts = urlsplit(stripped)
@@ -147,7 +145,7 @@ def normalize_uri(raw: str) -> NormalizedUri:
     while len(path) > 1 and path.endswith("/"):
         path = path[:-1]
     canonical = f"{path}?{query}" if query else path
-    return NormalizedUri(raw=raw, canonical=canonical, segments=tuple(path.split("/")))
+    return NormalizedUri(raw=raw, canonical=canonical)
 
 
 # ---------------------------------------------------------------------------
@@ -433,19 +431,16 @@ class AssumptionSet:
 
 @dataclass(frozen=True)
 class ReachResult:
-    """Closure of a reachability run, with provenance for witnesses.
+    """Closure of a reachability run: every reachability fact about it.
 
     ``true_conditions`` is ``initial ∪ assumptions ∪ granted-by-visited``;
-    false-positive postconditions never appear. ``provenance`` maps each
-    production-or-recon condition to every visited state that granted it
-    (the start state stands in for recon facts); assumed conditions have no
-    provenance entry. ``firing_order`` records first-visit order, start
-    first.
+    false-positive postconditions never appear. ``firing_order`` records
+    first-visit order, start first. Who granted a condition is not stored:
+    it is ``fsm.producers[cid] & visited``.
     """
 
     visited: frozenset[str]
     true_conditions: frozenset[str]
-    provenance: Mapping[str, frozenset[str]]
     firing_order: tuple[str, ...]
     semantics: str
     assumptions: frozenset[str]

@@ -92,21 +92,9 @@ def reach(fsm: Fsm, params: ReachParams | None = None) -> ReachResult:
     else:
         firing_order, true = _closure_single_descent(fsm, assumed)
 
-    visited = frozenset(firing_order)
-    provenance: dict[str, set[str]] = {}
-    for cid in fsm.initial_conditions:
-        provenance.setdefault(cid, set()).add(START_STATE_ID)
-    for sid in visited:
-        state = fsm.by_id[sid]
-        if state.is_start:
-            continue
-        for cid in state.granted_condition_ids():
-            provenance.setdefault(cid, set()).add(sid)
-
     return ReachResult(
-        visited=visited,
+        visited=frozenset(firing_order),
         true_conditions=frozenset(true) | assumed,
-        provenance={cid: frozenset(v) for cid, v in provenance.items()},
         firing_order=tuple(firing_order),
         semantics=params.semantics.value,
         assumptions=assumed,
@@ -162,9 +150,9 @@ def collect_goals(result: ReachResult, fsm: Fsm) -> frozenset[str]:
 def extract_witness(fsm: Fsm, result: ReachResult, goal: str) -> AttackPath:
     """Build a replayable attack path for one reached goal.
 
-    Walks provenance backward from the goal, picking for each needed
-    condition the producer with the earliest firing position (ties by state
-    id), then orders the collected states by firing position. The path is
+    Walks backward from the goal, picking for each needed condition the
+    visited producer with the earliest firing position (ties by state id),
+    then orders the collected states by firing position. The path is
     valid but not guaranteed globally minimal. User-action preconditions are
     preferentially charged to the assumption set when available.
     """
@@ -184,10 +172,8 @@ def extract_witness(fsm: Fsm, result: ReachResult, goal: str) -> AttackPath:
             if ref.requires_user_action and cid in result.assumptions:
                 assumptions_used.add(cid)
                 continue
-            candidates = [
-                sid for sid in result.provenance.get(cid, ())
-                if sid != START_STATE_ID and sid in result.visited
-            ]
+            # Not an initial condition, so the start state never produces it.
+            candidates = fsm.producers.get(cid, frozenset()) & result.visited
             if not candidates:
                 raise ResultFsmMismatch(
                     f"no visited producer for condition {cid!r} needed by {state.id}")
@@ -203,18 +189,18 @@ def extract_witness(fsm: Fsm, result: ReachResult, goal: str) -> AttackPath:
     return AttackPath(goal=goal, steps=steps, assumptions_used=frozenset(assumptions_used))
 
 
-def diff_isolated_vs_chained(fsm: Fsm, params: ReachParams | None = None) -> IsolationDiff:
-    """Compare goals reachable by chaining against single-state firings.
+def diff_isolated_vs_chained(fsm: Fsm, result: ReachResult) -> IsolationDiff:
+    """Compare the goals ``result`` reaches by chaining against single-state
+    firings under the same assumptions; the closure is not run again.
 
     A goal counts as isolated-reachable when it can fire directly from the
     initial conditions (environment facts and assumptions are free; no other
-    state may fire first).
+    state may fire first). Raises :class:`ResultFsmMismatch` like
+    :func:`collect_goals`.
     """
-    params = params or ReachParams()
-    chained = collect_goals(reach(fsm, params), fsm)
-    assumed = params.assumptions.granted_user_actions
+    chained = collect_goals(result, fsm)
     isolated = frozenset(
         s.id for s in fsm.non_start_states
-        if s.is_goal and _satisfied(s, fsm.initial_conditions, assumed)
+        if s.is_goal and _satisfied(s, fsm.initial_conditions, result.assumptions)
     )
     return IsolationDiff(isolated=isolated, chained=chained, chained_only=chained - isolated)

@@ -11,11 +11,11 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from .builder import attach_start_state
-from .errors import MalformedUri, ResultFsmMismatch, SchemaViolation
-from .ingest import _condition, _decode_json_object, _expect, _optional, _reject_unknown, _typed
+from .errors import MalformedUri, SchemaViolation
+from .ingest import (_child, _condition, _decode_json_object, _expect, _objects, _optional,
+                     _reject_unknown, _typed)
 from .model import (
     START_STATE_ID,
-    AssumptionSet,
     AttackPath,
     AttackState,
     Fsm,
@@ -24,7 +24,7 @@ from .model import (
     ReachResult,
     normalize_uri,
 )
-from .reach import ReachParams, Semantics, diff_isolated_vs_chained
+from .reach import Semantics, diff_isolated_vs_chained
 
 FSM_FORMAT_VERSION = 2
 REPORT_FORMAT_VERSION = 1
@@ -74,15 +74,13 @@ def to_dot(fsm: Fsm, result: ReachResult | None = None) -> str:
                     edges.add((s.id, f"out:{cid}", cid, "fp"))
             elif not consumers:
                 edges.add((s.id, f"out:{cid}", cid, "solid"))
+    # A precondition has a drawable source iff some state lists it as a
+    # postcondition, granted or false positive.
+    posted = {r.condition.id for s in fsm.states for r in s.postconditions}
     for s in fsm.states:
         for ref in s.preconditions:
             cid = ref.condition.id
-            has_source = (
-                fsm.producers.get(cid)
-                or any(r.condition.id == cid and r.false_positive
-                       for st in fsm.states for r in st.postconditions)
-            )
-            if not has_source:
+            if cid not in posted:
                 kind = "dashed" if ref.requires_user_action else "solid"
                 edges.add((f"in:{cid}", s.id, cid, kind))
 
@@ -205,9 +203,8 @@ def fsm_from_json(document: str | bytes) -> Fsm:
 
     states = []
     start_entries = []
-    for i, entry in enumerate(_expect(doc, "states", list, path="$")):
-        path = f"states[{i}]"
-        if _expect(_typed(entry, dict, path), "is_start", bool, path=path):
+    for path, entry in _objects(doc, "states", _STATE_KEYS, "$"):
+        if _expect(entry, "is_start", bool, path=path):
             start_entries.append((path, entry))
         else:
             states.append(_state_from_entry(entry, path))
@@ -229,7 +226,6 @@ _STATE_KEYS = frozenset({
 
 
 def _state_from_entry(entry: dict, path: str) -> AttackState:
-    _reject_unknown(entry, _STATE_KEYS, path=path)
     try:
         uri = normalize_uri(_expect(entry, "uri", str, path=path))
     except MalformedUri as exc:
@@ -249,13 +245,11 @@ def _state_from_entry(entry: dict, path: str) -> AttackState:
 def _refs(entry: dict, key: str, make: type, flag: str, path: str) -> tuple:
     """Pre- or postconditions of one state entry, built as ``make(condition,
     entry[flag])``."""
-    refs = []
-    for j, ref in enumerate(_expect(entry, key, list, path=path)):
-        ref_path = f"{path}.{key}[{j}]"
-        _reject_unknown(_typed(ref, dict, ref_path), {"condition", flag}, path=ref_path)
-        refs.append(make(_condition(_expect(ref, "condition", str, path=ref_path), ref_path),
-                         _expect(ref, flag, bool, path=ref_path)))
-    return tuple(refs)
+    return tuple(
+        make(_condition(_expect(ref, "condition", str, path=ref_path), ref_path),
+             _expect(ref, flag, bool, path=ref_path))
+        for ref_path, ref in _objects(entry, key, {"condition", flag}, path)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +313,8 @@ def to_report(
     the output of :func:`vulnchain.reach.extract_witness` per goal.
     """
     witnesses = witnesses or {}
-    unknown = result.visited - set(fsm.by_id)
-    if unknown:
-        raise ResultFsmMismatch(
-            "result references unknown states: " + ", ".join(sorted(unknown)))
-
-    reachable_goals = tuple(sorted(result.visited & fsm.goal_ids))
+    diff = diff_isolated_vs_chained(fsm, result)
+    reachable_goals = tuple(sorted(diff.chained))
     unreachable = []
     for sid in sorted(fsm.goal_ids - result.visited):
         state = fsm.by_id[sid]
@@ -333,11 +323,6 @@ def to_report(
             if r.condition.id not in result.true_conditions
         ))
         unreachable.append(UnreachableGoal(state=sid, label=state.label, missing_conditions=missing))
-
-    diff = diff_isolated_vs_chained(fsm, ReachParams(
-        semantics=Semantics(result.semantics),
-        assumptions=AssumptionSet(result.assumptions),
-    ))
 
     witness_entries = []
     for goal in sorted(witnesses):
@@ -367,7 +352,7 @@ def to_report(
         reachable_goals=reachable_goals,
         unreachable_goals=tuple(unreachable),
         isolated_goals=tuple(sorted(diff.isolated)),
-        chained_goals=tuple(sorted(diff.chained)),
+        chained_goals=reachable_goals,
         chained_only_goals=tuple(sorted(diff.chained_only)),
         witnesses=tuple(witness_entries),
         labels=labels,
@@ -411,44 +396,75 @@ def report_to_json(report: AnalysisReport) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+_REPORT_KEYS = frozenset({
+    "format_version", "site", "semantics", "assumptions", "fsm", "reachable_states",
+    "reachable_goals", "unreachable_goals", "isolated_goals", "chained_goals",
+    "chained_only_goals", "witnesses", "labels",
+})
+
+
 def report_from_json(document: str | bytes) -> AnalysisReport:
+    """Load a report written by :func:`report_to_json`.
+
+    Like :func:`fsm_from_json`, every field is type-checked where it is
+    read, unknown fields are rejected and errors name the JSON path.
+    """
     doc = _decode_json_object(document, what="report")
     if doc.get("format_version") != REPORT_FORMAT_VERSION:
         raise SchemaViolation("unsupported or missing report format_version")
-    try:
-        return AnalysisReport(
-            site=doc["site"],
-            semantics=doc["semantics"],
-            assumptions=tuple(doc["assumptions"]),
-            state_count=doc["fsm"]["states"],
-            edge_count=doc["fsm"]["edges"],
-            goal_count=doc["fsm"]["goals"],
-            reachable_states=tuple(doc["reachable_states"]),
-            reachable_goals=tuple(doc["reachable_goals"]),
-            unreachable_goals=tuple(
-                UnreachableGoal(
-                    state=g["state"],
-                    label=g["label"],
-                    missing_conditions=tuple(g["missing_conditions"]),
-                )
-                for g in doc["unreachable_goals"]
-            ),
-            isolated_goals=tuple(doc["isolated_goals"]),
-            chained_goals=tuple(doc["chained_goals"]),
-            chained_only_goals=tuple(doc["chained_only_goals"]),
-            witnesses=tuple(
-                GoalWitness(
-                    goal=w["goal"],
-                    label=w["label"],
-                    assumptions_used=tuple(w["assumptions_used"]),
-                    steps=tuple(
-                        WitnessStep(state=s["state"], label=s["label"], grants=tuple(s["grants"]))
-                        for s in w["steps"]
-                    ),
-                )
-                for w in doc["witnesses"]
-            ),
-            labels=tuple(sorted(doc["labels"].items())),
-        )
-    except (KeyError, TypeError) as exc:
-        raise SchemaViolation(f"malformed report: {exc}") from exc
+    _reject_unknown(doc, _REPORT_KEYS, path="$")
+    semantics = _expect(doc, "semantics", str, path="$")
+    if semantics not in {s.value for s in Semantics}:
+        raise SchemaViolation(f"unknown semantics {semantics!r}", path="semantics")
+    counts = _expect(doc, "fsm", dict, path="$")
+    _reject_unknown(counts, {"states", "edges", "goals"}, path="fsm")
+    return AnalysisReport(
+        site=_expect(doc, "site", str, path="$"),
+        semantics=semantics,
+        assumptions=_strings(doc, "assumptions", "$"),
+        state_count=_expect(counts, "states", int, path="fsm"),
+        edge_count=_expect(counts, "edges", int, path="fsm"),
+        goal_count=_expect(counts, "goals", int, path="fsm"),
+        reachable_states=_strings(doc, "reachable_states", "$"),
+        reachable_goals=_strings(doc, "reachable_goals", "$"),
+        unreachable_goals=tuple(
+            UnreachableGoal(state=_expect(g, "state", str, path=path), label=_label(g, path),
+                            missing_conditions=_strings(g, "missing_conditions", path))
+            for path, g in _objects(doc, "unreachable_goals",
+                                    {"state", "label", "missing_conditions"}, "$")
+        ),
+        isolated_goals=_strings(doc, "isolated_goals", "$"),
+        chained_goals=_strings(doc, "chained_goals", "$"),
+        chained_only_goals=_strings(doc, "chained_only_goals", "$"),
+        witnesses=tuple(
+            GoalWitness(
+                goal=_expect(w, "goal", str, path=path),
+                label=_label(w, path),
+                assumptions_used=_strings(w, "assumptions_used", path),
+                steps=tuple(
+                    WitnessStep(state=_expect(s, "state", str, path=step_path),
+                                label=_label(s, step_path), grants=_strings(s, "grants", step_path))
+                    for step_path, s in _objects(w, "steps", {"state", "label", "grants"}, path)
+                ),
+            )
+            for path, w in _objects(doc, "witnesses",
+                                    {"goal", "label", "assumptions_used", "steps"}, "$")
+        ),
+        labels=tuple(sorted(
+            (sid, _typed(label, str, f"labels.{sid}"))
+            for sid, label in _expect(doc, "labels", dict, path="$").items()
+        )),
+    )
+
+
+def _strings(obj: dict, key: str, path: str) -> tuple[str, ...]:
+    """The list of strings ``obj[key]`` as a tuple."""
+    return tuple(_typed(v, str, f"{_child(path, key)}[{i}]")
+                 for i, v in enumerate(_expect(obj, key, list, path=path)))
+
+
+def _label(obj: dict, path: str) -> str | None:
+    """``obj["label"]``, which must be present and a string or null."""
+    if "label" in obj and obj["label"] is None:
+        return None
+    return _expect(obj, "label", str, path=path)

@@ -105,11 +105,11 @@ def test_criterion_3_teacher_instance_fidelity(teacher_fsm):
 def test_criterion_4_chaining_amplification(vulnweb_fsm, teacher_fsm):
     with criterion(4, "chaining amplification", 1.0):
         all_assumed = AssumptionSet(frozenset(vulnweb_fsm.user_action_condition_ids))
-        vw = diff_isolated_vs_chained(vulnweb_fsm, ReachParams(assumptions=all_assumed))
+        vw = diff_isolated_vs_chained(vulnweb_fsm, reach(vulnweb_fsm, ReachParams(assumptions=all_assumed)))
         assert vw.isolated == frozenset()
         assert vw.chained == ids_for(vulnweb_fsm, "S4", "S7", "S10")
 
-        t = diff_isolated_vs_chained(teacher_fsm)
+        t = diff_isolated_vs_chained(teacher_fsm, reach(teacher_fsm))
         assert t.isolated == frozenset()
         assert t.chained == ids_for(teacher_fsm, "S7")
 

@@ -2,6 +2,8 @@
 
 import json
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -193,6 +195,51 @@ class TestMalformedMachine:
         assert f"{old}: unsupported format_version 1" in err
 
 
+MALFORMED_REPORTS = {
+    "labels as a list": (
+        lambda doc: doc.update(labels=sorted(doc["labels"].items())),
+        r"\$: field 'labels' must be dict"),
+    "unknown semantics": (
+        lambda doc: doc.update(semantics="bogus"),
+        r"semantics: unknown semantics 'bogus'"),
+    "numeric semantics": (
+        lambda doc: doc.update(semantics=5),
+        r"\$: field 'semantics' must be str"),
+    "assumptions as a string": (
+        lambda doc: doc.update(assumptions="abc"),
+        r"\$: field 'assumptions' must be list"),
+    "reachable_states as a string": (
+        lambda doc: doc.update(reachable_states="start"),
+        r"\$: field 'reachable_states' must be list"),
+    "unknown top-level field": (
+        lambda doc: doc.update(extra=1),
+        r"\$: unknown fields: extra"),
+    "witness step without grants": (
+        lambda doc: doc["witnesses"][0]["steps"][0].pop("grants"),
+        r"witnesses\[0\]\.steps\[0\]: missing required field 'grants'"),
+}
+
+
+class TestMalformedReport:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_REPORTS))
+    def test_exits_1_naming_file_and_path(self, case, built, tmp_path, capsys):
+        tamper, message = MALFORMED_REPORTS[case]
+        report_path = tmp_path / "vw.report.json"
+        assert cli_main(["analyze", "--fsm", str(built["vulnweb"]),
+                         "--out", str(report_path)]) == 0
+        doc = json.loads(report_path.read_text())
+        tamper(doc)
+        bad = tmp_path / "bad.report.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = cli_main(["export-dot", "--fsm", str(built["vulnweb"]),
+                         "--reach", str(bad), "--out", str(tmp_path / "x.dot")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {bad}: ")
+        assert re.search(message, err), err
+
+
 class TestWhatif:
     def test_click_alone(self, built, capsys):
         code = cli_main(["whatif", "--fsm", str(built["vulnweb"]), "--toggle", CLICK])
@@ -296,3 +343,16 @@ class TestUsageErrors:
     def test_help_exits_0(self, capsys):
         assert cli_main(["--help"]) == 0
         assert "vulnchain" in capsys.readouterr().out
+
+
+class TestAnalyzeFixturesScript:
+    def test_writes_every_artifact(self, tmp_path):
+        script = FIXTURES.parent / "scripts" / "analyze_fixtures.py"
+        proc = subprocess.run([sys.executable, str(script), "--out-dir", str(tmp_path)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"{name}.{ext}" for name in ("minimal", "vulnweb", "teacher")
+            for ext in ("fsm.json", "report.json", "dot"))
+        assert "goals reached by chaining: S10 S4 S7" in proc.stdout
+        assert "chaining-only goals: S7" in proc.stdout

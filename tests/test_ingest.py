@@ -178,6 +178,11 @@ class TestTabularAdapter:
         assert {r.condition.id: r.false_positive for r in f.postconditions} == {
             "fp": True, "ok": False}
 
+    @pytest.mark.parametrize("pre, post", [("?a", ""), ("", "!b"), ("!?a", ""), ("", "?!b")])
+    def test_flag_in_the_wrong_column_rejected(self, pre, post):
+        with pytest.raises(SchemaViolation, match="line 2"):
+            parse_findings_tsv(f"VULN\tURI\tPRE\tPOST\tGOAL\nV\t/x\t{pre}\t{post}\t0\n")
+
     def test_header_required(self):
         with pytest.raises(SchemaViolation, match="header"):
             parse_findings_tsv("V\t/x\t\t\t0\n")
@@ -219,7 +224,7 @@ class TestMapFindingsToUris:
 
     def test_no_findings_lost_or_duplicated(self, vulnweb_findings, vulnweb_tree):
         mapping = map_findings_to_uris(vulnweb_findings, vulnweb_tree)
-        assert mapping.total_findings() == len(vulnweb_findings.findings)
+        assert sum(len(fs) for fs in mapping.by_uri.values()) == len(vulnweb_findings.findings)
         flattened = {f.state_id for fs in mapping.by_uri.values() for f in fs}
         assert flattened == {f.state_id for f in vulnweb_findings.findings}
 

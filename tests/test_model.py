@@ -78,11 +78,6 @@ class TestNormalizeUri:
     def test_relative_path_gains_leading_slash(self):
         assert normalize_uri("login/auth.php").canonical == "/login/auth.php"
 
-    def test_segments_rebuild_the_path(self):
-        for raw in ("/", "/a/b", "/a/b?q=1", "ALL URI", "NULL", "/x%20y/z/"):
-            uri = normalize_uri(raw)
-            assert "/".join(uri.segments) == uri.path
-
     def test_idempotent_on_canonical(self):
         for raw in ("/a/b/", "/Flash/add%20fla", "ALL URI", "NULL", "/", "/x?q=%00", "/a%2520b"):
             canonical = normalize_uri(raw).canonical

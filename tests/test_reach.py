@@ -1,5 +1,7 @@
 """Reachability semantics, goal collection, witnesses, and the isolation diff."""
 
+import importlib
+
 import pytest
 
 from vulnchain import (
@@ -13,6 +15,7 @@ from vulnchain import (
     diff_isolated_vs_chained,
     extract_witness,
     reach,
+    to_report,
 )
 
 from tests.helpers import (
@@ -20,6 +23,7 @@ from tests.helpers import (
     fsm_of,
     ids_for,
     labels_of,
+    load_fsm,
     replay_witness,
     single_finding,
 )
@@ -205,13 +209,13 @@ class TestExtractWitness:
 class TestDiffIsolatedVsChained:
     def test_vulnweb_amplification(self, vulnweb_fsm):
         diff = diff_isolated_vs_chained(
-            vulnweb_fsm, ReachParams(assumptions=_all_assumptions(vulnweb_fsm)))
+            vulnweb_fsm, reach(vulnweb_fsm, ReachParams(assumptions=_all_assumptions(vulnweb_fsm))))
         assert diff.isolated == frozenset()
         assert diff.chained == ids_for(vulnweb_fsm, "S4", "S7", "S10")
         assert diff.chained_only == diff.chained
 
     def test_teacher_amplification(self, teacher_fsm):
-        diff = diff_isolated_vs_chained(teacher_fsm)
+        diff = diff_isolated_vs_chained(teacher_fsm, reach(teacher_fsm))
         assert diff.isolated == frozenset()
         assert diff.chained == ids_for(teacher_fsm, "S7")
         assert diff.chained_only == diff.chained
@@ -219,7 +223,7 @@ class TestDiffIsolatedVsChained:
     def test_precondition_free_goal_is_isolated(self):
         f = single_finding("V", "/x", posts=("done",), is_goal=True, label="S1")
         fsm = fsm_of(f)
-        diff = diff_isolated_vs_chained(fsm)
+        diff = diff_isolated_vs_chained(fsm, reach(fsm))
         assert diff.isolated == diff.chained == {f.state_id}
         assert diff.chained_only == frozenset()
 
@@ -227,5 +231,28 @@ class TestDiffIsolatedVsChained:
         from vulnchain import normalize_condition
         f = single_finding("V", "/x", pres=("banner",), is_goal=True, label="S1")
         fsm = fsm_of(f, facts=(normalize_condition("banner"),))
-        diff = diff_isolated_vs_chained(fsm)
+        diff = diff_isolated_vs_chained(fsm, reach(fsm))
         assert diff.isolated == {f.state_id}
+
+    def test_paper_dfs_result_gives_its_own_goals_as_chained(self, vulnweb_fsm):
+        result = reach(vulnweb_fsm, ReachParams(
+            semantics=Semantics.PAPER_DFS, assumptions=_all_assumptions(vulnweb_fsm)))
+        diff = diff_isolated_vs_chained(vulnweb_fsm, result)
+        assert diff.chained == collect_goals(result, vulnweb_fsm)
+        assert diff.chained == ids_for(vulnweb_fsm, "S4", "S10")
+
+    @pytest.mark.parametrize("name", ["minimal", "vulnweb", "teacher"])
+    def test_consumers_never_recompute_the_closure(self, name, monkeypatch):
+        # The package re-exports the function ``reach`` under the module's name.
+        reach_module = importlib.import_module("vulnchain.reach")
+        fsm = load_fsm(name)
+        result = reach(fsm, ReachParams(assumptions=_all_assumptions(fsm)))
+
+        def refuse(*args):
+            raise AssertionError("the closure was computed again")
+
+        monkeypatch.setattr(reach_module, "_closure_fixed_point", refuse)
+        monkeypatch.setattr(reach_module, "_closure_single_descent", refuse)
+        report = to_report(fsm, result)
+        diff = diff_isolated_vs_chained(fsm, result)
+        assert report.chained_goals == report.reachable_goals == tuple(sorted(diff.chained))
