@@ -1,9 +1,10 @@
-"""Byte-for-byte goldens for the report and DOT outputs of every fixture.
+"""Byte-for-byte goldens for the machine, report and DOT outputs of every fixture.
 
-Each fixture is built, analyzed with no assumptions and with every
-user-action condition assumed, and exported to DOT with and without the
-all-assumed report, all through ``cli_main``. The files under
-``tests/golden/<fixture>/`` must match exactly.
+Each fixture is built (the machine file and the warnings ``build`` prints to
+stderr are kept), analyzed with no assumptions and with every user-action
+condition assumed, and exported to DOT with and without the all-assumed
+report, all through ``cli_main``. The files under ``tests/golden/<fixture>/``
+must match exactly.
 """
 
 from pathlib import Path
@@ -19,15 +20,20 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 FIXTURE_NAMES = ("minimal", "vulnweb", "teacher")
 
 
-def render(name: str, work: Path) -> dict[str, bytes]:
+def render(name: str, work: Path, capsys) -> dict[str, bytes]:
     """Every golden output of one fixture, keyed by golden file name."""
     fsm_path = work / "machine.json"
+    capsys.readouterr()
     assert cli_main([
         "build",
         "--findings", str(FIXTURES / name / "findings.json"),
         "--crawl", str(FIXTURES / name / "crawl.txt"),
         "--out", str(fsm_path),
     ]) == 0
+    out = {
+        "build.stderr": capsys.readouterr().err.encode("utf-8"),
+        "machine.json": fsm_path.read_bytes(),
+    }
     assumed = sorted(fsm_from_json(fsm_path.read_bytes()).user_action_condition_ids)
     assume_args = [arg for cid in assumed for arg in ("--assume", cid)]
     commands = {
@@ -37,7 +43,6 @@ def render(name: str, work: Path) -> dict[str, bytes]:
         "machine.reach.dot": ["export-dot", "--fsm", str(fsm_path),
                               "--reach", str(work / "report.assumed.json")],
     }
-    out = {}
     for filename, argv in commands.items():
         assert cli_main([*argv, "--out", str(work / filename)]) == 0
         out[filename] = (work / filename).read_bytes()
@@ -46,7 +51,7 @@ def render(name: str, work: Path) -> dict[str, bytes]:
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_outputs_match_goldens(name, tmp_path, capsys):
-    rendered = render(name, tmp_path)
+    rendered = render(name, tmp_path, capsys)
     capsys.readouterr()
     for filename, data in rendered.items():
         expected = (GOLDEN / name / filename).read_bytes()
