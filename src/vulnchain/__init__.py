@@ -6,7 +6,7 @@ reachable only through combinations of vulnerabilities, and emits attack-path
 witnesses plus graph exports.
 """
 
-from .builder import attach_start_state, build_fsm, build_states
+from .builder import attach_start_state, build_fsm
 from .errors import (
     DuplicateState,
     EmptyCondition,
@@ -20,8 +20,6 @@ from .errors import (
 )
 from .ingest import (
     FindingSet,
-    UriVulnerabilityMap,
-    map_findings_to_uris,
     parse_crawl_list,
     parse_findings,
     parse_findings_tsv,
@@ -35,7 +33,6 @@ from .model import (
     AttackPath,
     AttackState,
     Condition,
-    Finding,
     Fsm,
     NormalizedUri,
     PostconditionRef,

@@ -1,4 +1,4 @@
-"""Assembling the machine: one state per finding plus the synthetic start state.
+"""Assembling the machine: the findings as states plus the synthetic start state.
 
 The condition indices are not built here; :class:`Fsm` derives them from its
 states on first use.
@@ -8,26 +8,9 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import DuplicateState, SchemaViolation
-from .ingest import FindingSet, UriVulnerabilityMap, map_findings_to_uris
-from .model import AttackState, Condition, Fsm
-
-
-def build_states(uri_map: UriVulnerabilityMap) -> tuple[AttackState, ...]:
-    """One :class:`AttackState` per finding, sorted by id; no start state yet.
-
-    Raises :class:`DuplicateState` defensively; ingestion should already
-    have rejected repeated (vulnerability, URI) pairs.
-    """
-    states: dict[str, AttackState] = {}
-    for key in sorted(uri_map.by_uri):
-        for finding in uri_map.by_uri[key]:
-            state = AttackState.from_finding(finding)
-            if state.id in states:
-                raise DuplicateState(
-                    f"{state.vulnerability_name} @ {state.uri.display()} already present")
-            states[state.id] = state
-    return tuple(states[sid] for sid in sorted(states))
+from .errors import SchemaViolation
+from .ingest import FindingSet
+from .model import URI_ALL, AttackState, Condition, Fsm
 
 
 def attach_start_state(
@@ -56,17 +39,24 @@ def attach_start_state(
 
 
 def build_fsm(findings: FindingSet, crawled: frozenset[str] | None = None) -> Fsm:
-    """End-to-end construction from validated inputs.
+    """End-to-end construction from validated inputs: one state per finding.
 
     Pure and deterministic: equal inputs yield machines that serialize
-    identically. Crawler/scanner disagreement warnings from the URI mapping
-    are the machine's diagnostics; warnings about the findings' content come
-    from ingestion alone (:attr:`FindingSet.warnings`).
+    identically. The machine's diagnostics warn about each finding URI that
+    is not in ``crawled`` (see :func:`vulnchain.ingest.parse_crawl_list`):
+    scanner and crawler disagree, but the finding is kept. The ``*``
+    sentinel never warns, and ``crawled=None`` gives no warnings. Warnings
+    about the findings' content come from ingestion alone
+    (:attr:`FindingSet.warnings`).
     """
-    uri_map = map_findings_to_uris(findings, crawled)
+    missing = set() if crawled is None else {
+        f.uri.canonical for f in findings.findings
+        if f.uri.canonical != URI_ALL and f.uri.canonical not in crawled
+    }
     return attach_start_state(
-        build_states(uri_map),
+        findings.findings,
         findings.environment_facts,
         site=findings.site,
-        diagnostics=uri_map.warnings,
+        diagnostics=(f"no crawled resource matches finding URI {key if key else 'NULL'!r}"
+                     for key in missing),
     )

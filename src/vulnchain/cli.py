@@ -110,8 +110,7 @@ def _cmd_build(args) -> int:
     for note in fsm.diagnostics:
         print(f"warning: {note}", file=sys.stderr)
     Path(args.out).write_bytes(fsm_to_json(fsm).encode("utf-8"))
-    print(f"states: {len(fsm.non_start_states)}, edges: "
-          f"{len(fsm.edges) + len(fsm.unconditional_start_targets)}, "
+    print(f"states: {len(fsm.non_start_states)}, edges: {fsm.edge_count}, "
           f"goals: {len(fsm.goal_ids)}")
     return 0
 
@@ -151,9 +150,15 @@ def _cmd_export_dot(args) -> int:
     result = None
     if args.reach:
         report = _in_file(args.reach, report_from_json)
+        assumed = set()
+        for i, text in enumerate(report.assumptions):
+            try:
+                assumed.add(_match_condition(fsm, text))
+            except VulnchainError as exc:
+                raise type(exc)(f"{args.reach}: assumptions[{i}]: {exc}") from exc
         params = ReachParams(
             semantics=Semantics(report.semantics),
-            assumptions=_assumptions(fsm, list(report.assumptions)),
+            assumptions=AssumptionSet(frozenset(assumed)),
         )
         result = reach(fsm, params)
         if tuple(sorted(result.visited)) != report.reachable_states:

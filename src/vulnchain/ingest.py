@@ -10,14 +10,14 @@ from __future__ import annotations
 import json
 import string
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any
 
 from .errors import DuplicateState, EmptyCondition, MalformedUri, SchemaViolation, UnknownAssumptionFlag
 from .model import (
     URI_ALL,
     URI_NULL,
+    AttackState,
     Condition,
-    Finding,
     PostconditionRef,
     PreconditionRef,
     normalize_condition,
@@ -33,20 +33,13 @@ class FindingSet:
 
     ``environment_facts`` are conditions true before any state fires (server
     versions and similar discoveries); they may coincide with postconditions.
+    Each finding is already the machine state it becomes.
     ``warnings`` are deterministic validation notes, recomputed from content.
     """
 
     site: str
     environment_facts: tuple[Condition, ...] = ()
-    findings: tuple[Finding, ...] = ()
-    warnings: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class UriVulnerabilityMap:
-    """Findings grouped by canonical URI; values preserve finding order."""
-
-    by_uri: Mapping[str, tuple[Finding, ...]]
+    findings: tuple[AttackState, ...] = ()
     warnings: tuple[str, ...] = ()
 
 
@@ -148,67 +141,45 @@ def parse_findings_tsv(document: str | bytes, site: str = "") -> FindingSet:
 def serialize_findings(finding_set: FindingSet) -> str:
     """Canonical JSON form; ``parse_findings`` of the output reproduces the
     input :class:`FindingSet` exactly."""
-    doc: dict[str, Any] = {
+    doc = {
         "site": finding_set.site,
         "environment_facts": [c.label for c in finding_set.environment_facts],
-        "findings": [],
+        "findings": [_finding_entry(f) for f in finding_set.findings],
     }
-    for f in finding_set.findings:
-        item: dict[str, Any] = {
-            "vulnerability": f.vulnerability_name,
-            "uri": f.uri.raw,
-            "preconditions": [
-                {"condition": r.condition.label, "requires_user_action": r.requires_user_action}
-                for r in f.preconditions
-            ],
-            "postconditions": [
-                {"condition": r.condition.label, "false_positive": r.false_positive}
-                for r in f.postconditions
-            ],
-            "is_goal": f.is_goal,
-        }
-        if f.source:
-            item["source"] = f.source
-        if f.label is not None:
-            item["label"] = f.label
-        doc["findings"].append(item)
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def map_findings_to_uris(findings: FindingSet, crawled: frozenset[str] | None) -> UriVulnerabilityMap:
-    """Group findings by canonical URI.
-
-    Findings on URIs absent from the crawled set (see
-    :func:`parse_crawl_list`) are kept but flagged with a warning (scanner
-    and crawler disagree); the ``*`` sentinel maps under its reserved key
-    without a warning. With ``crawled=None`` no disagreement warnings are
-    produced.
-    """
-    by_uri: dict[str, list[Finding]] = {}
-    missing: set[str] = set()
-    for f in findings.findings:
-        key = f.uri.canonical
-        by_uri.setdefault(key, []).append(f)
-        if crawled is not None and key != URI_ALL and key not in crawled:
-            missing.add(key)
-    warnings = tuple(
-        f"no crawled resource matches finding URI {key if key else 'NULL'!r}"
-        for key in sorted(missing)
-    )
-    return UriVulnerabilityMap(
-        by_uri={k: tuple(v) for k, v in by_uri.items()},
-        warnings=warnings,
-    )
+def _finding_entry(state: AttackState) -> dict[str, Any]:
+    """The finding object of one state, as the findings JSON and the machine
+    file both store it."""
+    entry: dict[str, Any] = {
+        "vulnerability": state.vulnerability_name,
+        "uri": state.uri.raw,
+        "preconditions": [
+            {"condition": r.condition.label, "requires_user_action": r.requires_user_action}
+            for r in state.preconditions
+        ],
+        "postconditions": [
+            {"condition": r.condition.label, "false_positive": r.false_positive}
+            for r in state.postconditions
+        ],
+        "is_goal": state.is_goal,
+    }
+    if state.source:
+        entry["source"] = state.source
+    if state.label is not None:
+        entry["label"] = state.label
+    return entry
 
 
 # ---------------------------------------------------------------------------
 # Shared assembly and validation
 # ---------------------------------------------------------------------------
 
-def _assemble(site: str, facts: dict[str, Condition], findings: list[Finding]) -> FindingSet:
+def _assemble(site: str, facts: dict[str, Condition], findings: list[AttackState]) -> FindingSet:
     seen: dict[str, str] = {}
     for f in findings:
-        sid = f.state_id
+        sid = f.id
         desc = f"{f.vulnerability_name} @ {f.uri.display()}"
         if sid in seen:
             raise DuplicateState(f"{desc} repeats {seen[sid]}")
@@ -226,7 +197,7 @@ def _assemble(site: str, facts: dict[str, Condition], findings: list[Finding]) -
     )
 
 
-def _content_warnings(facts: tuple[Condition, ...], findings: tuple[Finding, ...]) -> tuple[str, ...]:
+def _content_warnings(facts: tuple[Condition, ...], findings: tuple[AttackState, ...]) -> tuple[str, ...]:
     warnings: list[str] = []
 
     producible = {c.id for c in facts}
@@ -268,7 +239,7 @@ def _content_warnings(facts: tuple[Condition, ...], findings: tuple[Finding, ...
     return tuple(warnings)
 
 
-def _parse_finding_object(item: Any, path: str) -> Finding:
+def _parse_finding_object(item: Any, path: str) -> AttackState:
     if not isinstance(item, dict):
         raise SchemaViolation("finding must be an object", path=path)
     _reject_unknown(
@@ -318,13 +289,13 @@ def _parse_finding_object(item: Any, path: str) -> Finding:
     )
 
 
-def _build_finding(vuln, uri_text, pres, posts, *, is_goal, source, label, path) -> Finding:
+def _build_finding(vuln, uri_text, pres, posts, *, is_goal, source, label, path) -> AttackState:
     try:
         uri = normalize_uri(uri_text)
     except MalformedUri as exc:
         raise SchemaViolation(str(exc), path=path) from exc
     try:
-        return Finding(
+        return AttackState(
             vulnerability_name=vuln,
             uri=uri,
             preconditions=tuple(pres),

@@ -1,4 +1,4 @@
-"""Core domain types: conditions, URIs, findings, machine states and results.
+"""Core domain types: conditions, URIs, machine states and results.
 
 Everything here is immutable after construction and safe to share between
 concurrent analyses. Identity rules live here and nowhere else:
@@ -149,7 +149,7 @@ def normalize_uri(raw: str) -> NormalizedUri:
 
 
 # ---------------------------------------------------------------------------
-# Findings and condition references
+# Condition references
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -177,40 +177,6 @@ def _check_no_duplicate_conditions(refs, kind: str, owner: str) -> None:
         seen.add(cid)
 
 
-@dataclass(frozen=True)
-class Finding:
-    """One scanner-reported vulnerability on one URI.
-
-    Pre/postcondition lists are stored sorted by condition id (canonical
-    ordering); no condition id may repeat within either list.
-    """
-
-    vulnerability_name: str
-    uri: NormalizedUri
-    preconditions: tuple[PreconditionRef, ...] = ()
-    postconditions: tuple[PostconditionRef, ...] = ()
-    is_goal: bool = False
-    source: str = ""
-    label: str | None = None
-
-    def __post_init__(self) -> None:
-        if not self.vulnerability_name.strip():
-            raise SchemaViolation("vulnerability name must be non-empty")
-        object.__setattr__(
-            self, "preconditions",
-            tuple(sorted(self.preconditions, key=lambda r: r.condition.id)))
-        object.__setattr__(
-            self, "postconditions",
-            tuple(sorted(self.postconditions, key=lambda r: r.condition.id)))
-        owner = f"{self.vulnerability_name} @ {self.uri.display()}"
-        _check_no_duplicate_conditions(self.preconditions, "precondition", owner)
-        _check_no_duplicate_conditions(self.postconditions, "postcondition", owner)
-
-    @property
-    def state_id(self) -> str:
-        return state_id(self.vulnerability_name, self.uri)
-
-
 def state_id(vulnerability_name: str, uri: NormalizedUri) -> str:
     """Stable opaque id for a (vulnerability, canonical URI) pair.
 
@@ -228,9 +194,15 @@ def state_id(vulnerability_name: str, uri: NormalizedUri) -> str:
 
 @dataclass(frozen=True)
 class AttackState:
-    """A node of the machine: a (vulnerability, URI) pair plus conditions."""
+    """A node of the machine: one vulnerability on one URI, plus conditions.
 
-    id: str
+    ``id`` is derived, never given: :func:`state_id` of the (vulnerability,
+    URI) pair, or ``START_STATE_ID`` for the start state. Pre/postcondition
+    lists are stored sorted by condition id (canonical ordering); no
+    condition id may repeat within either list.
+    """
+
+    id: str = field(init=False)
     vulnerability_name: str
     uri: NormalizedUri
     preconditions: tuple[PreconditionRef, ...] = ()
@@ -240,18 +212,21 @@ class AttackState:
     source: str = ""
     label: str | None = None
 
-    @classmethod
-    def from_finding(cls, finding: Finding) -> "AttackState":
-        return cls(
-            id=finding.state_id,
-            vulnerability_name=finding.vulnerability_name,
-            uri=finding.uri,
-            preconditions=finding.preconditions,
-            postconditions=finding.postconditions,
-            is_goal=finding.is_goal,
-            source=finding.source,
-            label=finding.label,
-        )
+    def __post_init__(self) -> None:
+        if not self.is_start and not self.vulnerability_name.strip():
+            raise SchemaViolation("vulnerability name must be non-empty")
+        object.__setattr__(
+            self, "preconditions",
+            tuple(sorted(self.preconditions, key=lambda r: r.condition.id)))
+        object.__setattr__(
+            self, "postconditions",
+            tuple(sorted(self.postconditions, key=lambda r: r.condition.id)))
+        owner = f"{self.vulnerability_name} @ {self.uri.display()}"
+        _check_no_duplicate_conditions(self.preconditions, "precondition", owner)
+        _check_no_duplicate_conditions(self.postconditions, "postcondition", owner)
+        object.__setattr__(
+            self, "id",
+            START_STATE_ID if self.is_start else state_id(self.vulnerability_name, self.uri))
 
     @classmethod
     def make_start(cls, facts: Iterable[Condition]) -> "AttackState":
@@ -262,7 +237,6 @@ class AttackState:
             PostconditionRef(condition=unique[cid]) for cid in sorted(unique)
         )
         return cls(
-            id=START_STATE_ID,
             vulnerability_name="",
             uri=normalize_uri("/"),
             postconditions=posts,
@@ -387,6 +361,12 @@ class Fsm:
                 for consumer in self.consumers.get(cid, ()):
                     out.add((s.id, consumer, cid))
         return tuple(sorted(out))
+
+    @cached_property
+    def edge_count(self) -> int:
+        """Labeled condition edges plus the plain start edges to
+        precondition-free states."""
+        return len(self.edges) + len(self.unconditional_start_targets)
 
     @cached_property
     def start_successors(self) -> tuple[str, ...]:

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from .builder import attach_start_state
-from .errors import MalformedUri, SchemaViolation
-from .ingest import (_child, _condition, _decode_json_object, _expect, _objects, _optional,
-                     _reject_unknown, _typed)
+from .errors import SchemaViolation
+from .ingest import (_build_finding, _child, _condition, _decode_json_object, _expect,
+                     _finding_entry, _objects, _optional, _reject_unknown, _typed)
 from .model import (
     START_STATE_ID,
     AttackPath,
@@ -22,7 +22,6 @@ from .model import (
     PostconditionRef,
     PreconditionRef,
     ReachResult,
-    normalize_uri,
 )
 from .reach import Semantics, diff_isolated_vs_chained
 
@@ -104,9 +103,9 @@ def to_dot(fsm: Fsm, result: ReachResult | None = None) -> str:
             styles.append("bold")
         if styles:
             attrs.append(f'style="{",".join(styles)}"')
-        lines.append(f'  "{state.id}" [{", ".join(attrs)}];')
+        lines.append(f'  "{_esc(state.id)}" [{", ".join(attrs)}];')
     for node in point_nodes:
-        lines.append(f'  "{node}" [shape=point];')
+        lines.append(f'  "{_esc(node)}" [shape=point];')
 
     for src, dst, label, kind in sorted(edges):
         attrs = []
@@ -118,7 +117,7 @@ def to_dot(fsm: Fsm, result: ReachResult | None = None) -> str:
         elif kind == "dashed":
             attrs.append("style=dashed")
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f'  "{src}" -> "{dst}"{suffix};')
+        lines.append(f'  "{_esc(src)}" -> "{_esc(dst)}"{suffix};')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -137,26 +136,7 @@ def _node_label(state: AttackState) -> str:
 # ---------------------------------------------------------------------------
 
 def _state_entry(state: AttackState) -> dict[str, Any]:
-    entry: dict[str, Any] = {
-        "id": state.id,
-        "vulnerability": state.vulnerability_name,
-        "uri": state.uri.raw,
-        "is_start": state.is_start,
-        "is_goal": state.is_goal,
-        "preconditions": [
-            {"condition": r.condition.label, "requires_user_action": r.requires_user_action}
-            for r in state.preconditions
-        ],
-        "postconditions": [
-            {"condition": r.condition.label, "false_positive": r.false_positive}
-            for r in state.postconditions
-        ],
-    }
-    if state.source:
-        entry["source"] = state.source
-    if state.label is not None:
-        entry["label"] = state.label
-    return entry
+    return {"id": state.id, "is_start": state.is_start, **_finding_entry(state)}
 
 
 def fsm_to_json(fsm: Fsm) -> str:
@@ -179,10 +159,11 @@ def fsm_from_json(document: str | bytes) -> Fsm:
     """Load a machine written by :func:`fsm_to_json`.
 
     Every field is type-checked where it is read, and errors name the JSON
-    path. The start entry must be exactly the start state of the stored
-    environment facts. The machine is then assembled by
-    :func:`vulnchain.builder.attach_start_state`, like a freshly built one.
-    Files of another ``format_version`` are rejected.
+    path. Each state is validated by the same constructor as a finding, and
+    its stored ``id`` must be the derived one. The start entry must be
+    exactly the start state of the stored environment facts. The machine is
+    then assembled by :func:`vulnchain.builder.attach_start_state`, like a
+    freshly built one. Files of another ``format_version`` are rejected.
     """
     doc = _decode_json_object(document, what="machine file")
     version = doc.get("format_version")
@@ -202,12 +183,17 @@ def fsm_from_json(document: str | bytes) -> Fsm:
     ]
 
     states = []
+    paths: dict[str, str] = {}  # state id -> path of its entry
     start_entries = []
     for path, entry in _objects(doc, "states", _STATE_KEYS, "$"):
         if _expect(entry, "is_start", bool, path=path):
             start_entries.append((path, entry))
-        else:
-            states.append(_state_from_entry(entry, path))
+            continue
+        state = _state_from_entry(entry, path)
+        if state.id in paths:
+            raise SchemaViolation(f"same vulnerability and URI as {paths[state.id]}", path=path)
+        paths[state.id] = path
+        states.append(state)
     if len(start_entries) != 1:
         raise SchemaViolation(f"expected exactly one start state, found {len(start_entries)}",
                               path="states")
@@ -226,20 +212,22 @@ _STATE_KEYS = frozenset({
 
 
 def _state_from_entry(entry: dict, path: str) -> AttackState:
-    try:
-        uri = normalize_uri(_expect(entry, "uri", str, path=path))
-    except MalformedUri as exc:
-        raise SchemaViolation(str(exc), path=f"{path}.uri") from exc
-    return AttackState(
-        id=_expect(entry, "id", str, path=path),
-        vulnerability_name=_expect(entry, "vulnerability", str, path=path),
-        uri=uri,
-        preconditions=_refs(entry, "preconditions", PreconditionRef, "requires_user_action", path),
-        postconditions=_refs(entry, "postconditions", PostconditionRef, "false_positive", path),
+    stored_id = _expect(entry, "id", str, path=path)
+    state = _build_finding(
+        _expect(entry, "vulnerability", str, path=path),
+        _expect(entry, "uri", str, path=path),
+        _refs(entry, "preconditions", PreconditionRef, "requires_user_action", path),
+        _refs(entry, "postconditions", PostconditionRef, "false_positive", path),
         is_goal=_expect(entry, "is_goal", bool, path=path),
         source=_optional(entry, "source", str, "", path=path),
         label=_optional(entry, "label", str, None, path=path),
+        path=path,
     )
+    if stored_id != state.id:
+        raise SchemaViolation(
+            f"id {stored_id!r} differs from {state.id!r}, the id of its vulnerability and URI",
+            path=f"{path}.id")
+    return state
 
 
 def _refs(entry: dict, key: str, make: type, flag: str, path: str) -> tuple:
@@ -346,7 +334,7 @@ def to_report(
         semantics=result.semantics,
         assumptions=tuple(sorted(result.assumptions)),
         state_count=len(fsm.non_start_states),
-        edge_count=len(fsm.edges) + len(fsm.unconditional_start_targets),
+        edge_count=fsm.edge_count,
         goal_count=len(fsm.goal_ids),
         reachable_states=tuple(sorted(result.visited)),
         reachable_goals=reachable_goals,

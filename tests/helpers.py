@@ -13,8 +13,8 @@ from pathlib import Path
 from vulnchain import (
     AssumptionSet,
     AttackPath,
+    AttackState,
     Condition,
-    Finding,
     FindingSet,
     Fsm,
     PostconditionRef,
@@ -79,7 +79,7 @@ def random_finding_set(
             PostconditionRef(condition=c, false_positive=rng.random() < 0.2)
             for c in rng.sample(pool, k=rng.randint(0, min(3, n_conds)))
         )
-        findings.append(Finding(
+        findings.append(AttackState(
             vulnerability_name=f"v{i:02d}",
             uri=normalize_uri(f"/r{i:02d}"),
             preconditions=pres,
@@ -172,7 +172,7 @@ def replay_witness(fsm: Fsm, path: AttackPath) -> bool:
     return bool(path.steps) and path.steps[-1][0] == path.goal
 
 
-def single_finding(vuln: str, uri: str, pres=(), posts=(), *, is_goal=False, label=None) -> Finding:
+def single_finding(vuln: str, uri: str, pres=(), posts=(), *, is_goal=False, label=None) -> AttackState:
     """Terse constructor for hand-built machines in tests.
 
     ``pres`` items may be "cond" or "!cond" (user action); ``posts`` items
@@ -192,7 +192,7 @@ def single_finding(vuln: str, uri: str, pres=(), posts=(), *, is_goal=False, lab
             condition=normalize_condition(text[1:] if fp else text),
             false_positive=fp,
         ))
-    return Finding(
+    return AttackState(
         vulnerability_name=vuln,
         uri=normalize_uri(uri),
         preconditions=tuple(pre_refs),
@@ -202,5 +202,5 @@ def single_finding(vuln: str, uri: str, pres=(), posts=(), *, is_goal=False, lab
     )
 
 
-def fsm_of(*findings: Finding, facts: tuple[Condition, ...] = (), site: str = "test") -> Fsm:
+def fsm_of(*findings: AttackState, facts: tuple[Condition, ...] = (), site: str = "test") -> Fsm:
     return build_fsm(FindingSet(site=site, environment_facts=facts, findings=tuple(findings)))

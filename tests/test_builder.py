@@ -3,14 +3,12 @@
 import pytest
 
 from vulnchain import (
-    DuplicateState,
     FindingSet,
     START_STATE_ID,
+    VulnchainError,
     attach_start_state,
     build_fsm,
-    build_states,
     fsm_to_json,
-    map_findings_to_uris,
     normalize_condition,
 )
 
@@ -18,29 +16,28 @@ from tests.helpers import fsm_of, ids_for, labels_of, load_finding_set, single_f
 
 
 class TestBuildStates:
+    """Each finding is the state it becomes: build_fsm adds only the start."""
+
     @pytest.mark.parametrize("name,count", [("minimal", 4), ("vulnweb", 10), ("teacher", 7)])
     def test_one_state_per_finding(self, name, count):
-        mapping = map_findings_to_uris(load_finding_set(name), None)
-        states = build_states(mapping)
+        findings = load_finding_set(name).findings
+        states = build_fsm(load_finding_set(name)).non_start_states
         assert len(states) == count
+        assert set(states) == set(findings)
         assert not any(s.is_start for s in states)
 
     def test_empty_map(self):
-        mapping = map_findings_to_uris(FindingSet(site="x"), None)
-        assert build_states(mapping) == ()
+        assert build_fsm(FindingSet(site="x")).non_start_states == ()
 
     def test_flags_carried_over(self):
-        mapping = map_findings_to_uris(load_finding_set("vulnweb"), None)
-        by_label = {s.label: s for s in build_states(mapping)}
+        by_label = {s.label: s for s in build_fsm(load_finding_set("vulnweb")).non_start_states}
         assert by_label["S4"].is_goal
         assert any(r.requires_user_action for r in by_label["S6"].preconditions)
 
     def test_duplicate_defensive_check(self):
         f = single_finding("V", "/x")
-        mapping = map_findings_to_uris(FindingSet(site="x", findings=(f,)), None)
-        doubled = type(mapping)(by_uri={"/x": (f, f)}, warnings=())
-        with pytest.raises(DuplicateState):
-            build_states(doubled)
+        with pytest.raises(VulnchainError, match="duplicate state id"):
+            build_fsm(FindingSet(site="x", findings=(f, f)))
 
 
 class TestAttachStartState:
@@ -68,7 +65,7 @@ class TestAttachStartState:
         fact = normalize_condition("banner")
         f = single_finding("V", "/x", pres=("banner",), label="S1")
         fsm = attach_start_state((next(iter(fsm_of(f).non_start_states)),), (fact,))
-        assert set(fsm.start_successors) == {f.state_id}
+        assert set(fsm.start_successors) == {f.id}
 
     def test_rejects_second_start(self, minimal_fsm):
         with pytest.raises(Exception, match="start state"):

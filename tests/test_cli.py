@@ -167,6 +167,26 @@ MALFORMED_MACHINES = {
     "number inside preconditions": (
         lambda doc: _set_first_precondition(doc, 3),
         r"states\[3\]\.preconditions\[0\]: value must be dict"),
+    "repeated precondition": (
+        lambda doc: doc["states"][3]["preconditions"].append(
+            dict(doc["states"][3]["preconditions"][0])),
+        r"states\[3\]: B @ /b1: duplicate precondition condition 'x1'"),
+    "repeated postcondition": (
+        lambda doc: doc["states"][2]["postconditions"].append(
+            dict(doc["states"][2]["postconditions"][1])),
+        r"states\[2\]: A @ /a1: duplicate postcondition condition 'x2'"),
+    "tampered id": (
+        lambda doc: doc["states"][3].update(id="000000000000"),
+        r"states\[3\]\.id: id '000000000000' differs from '77a0f1bf1be5'"),
+    "same vulnerability and URI under a second id": (
+        lambda doc: doc["states"].append(dict(doc["states"][3], id="ffffffffffff")),
+        r"states\[5\]\.id: id 'ffffffffffff' differs from '77a0f1bf1be5'"),
+    "blank vulnerability": (
+        lambda doc: doc["states"][3].update(vulnerability="  "),
+        r"states\[3\]: vulnerability name must be non-empty"),
+    "verbatim repeated entry": (
+        lambda doc: doc["states"].append(doc["states"][3]),
+        r"states\[5\]: same vulnerability and URI as states\[3\]"),
 }
 
 
@@ -217,6 +237,12 @@ MALFORMED_REPORTS = {
     "witness step without grants": (
         lambda doc: doc["witnesses"][0]["steps"][0].pop("grants"),
         r"witnesses\[0\]\.steps\[0\]: missing required field 'grants'"),
+    "assumption unknown to the machine": (
+        lambda doc: doc.update(assumptions=[CLICK, "no such action"]),
+        r"assumptions\[1\]: 'no such action' is not a user-action precondition"),
+    "blank assumption": (
+        lambda doc: doc.update(assumptions=["  "]),
+        r"assumptions\[0\]: condition label is empty or whitespace-only"),
 }
 
 

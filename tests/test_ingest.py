@@ -1,6 +1,7 @@
 """Crawl-list and findings-document parsing, validation, and round trips."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -9,7 +10,7 @@ from vulnchain import (
     MalformedUri,
     SchemaViolation,
     UnknownAssumptionFlag,
-    map_findings_to_uris,
+    build_fsm,
     parse_crawl_list,
     parse_findings,
     parse_findings_tsv,
@@ -193,9 +194,12 @@ class TestTabularAdapter:
 
 
 class TestMapFindingsToUris:
+    """Findings on URIs the crawl does not list are kept as states and warned
+    about in the machine's diagnostics."""
+
     def test_vulnweb_tally(self, vulnweb_findings, vulnweb_tree):
-        mapping = map_findings_to_uris(vulnweb_findings, vulnweb_tree)
-        counts = {uri: len(fs) for uri, fs in mapping.by_uri.items()}
+        fsm = build_fsm(vulnweb_findings, vulnweb_tree)
+        counts = Counter(s.uri.canonical for s in fsm.non_start_states)
         assert counts == {
             "/login.php": 4,   # S1, S5, S6, S7
             "/index.php": 1,
@@ -203,32 +207,28 @@ class TestMapFindingsToUris:
             "*": 1,
             "/Flash/add fla": 2,
         }
-        assert mapping.warnings == ()
+        assert fsm.diagnostics == ()
 
     def test_empty_finding_set(self):
-        fs = parse_findings(_doc())
-        mapping = map_findings_to_uris(fs, load_tree("minimal"))
-        assert mapping.by_uri == {}
+        fsm = build_fsm(parse_findings(_doc()), load_tree("minimal"))
+        assert fsm.non_start_states == ()
+        assert fsm.diagnostics == ()
 
     def test_uri_absent_from_tree_warns_but_keeps(self):
-        fs = parse_findings(_doc([_row(uri="/ghost.php")]))
-        mapping = map_findings_to_uris(fs, load_tree("minimal"))
-        assert "/ghost.php" in mapping.by_uri
-        assert len(mapping.warnings) == 1
-        assert "/ghost.php" in mapping.warnings[0]
+        fsm = build_fsm(parse_findings(_doc([_row(uri="/ghost.php")])), load_tree("minimal"))
+        assert [s.uri.canonical for s in fsm.non_start_states] == ["/ghost.php"]
+        assert fsm.diagnostics == ("no crawled resource matches finding URI '/ghost.php'",)
 
     def test_finding_on_a_crawled_directory_does_not_warn(self):
         fs = parse_findings(_doc([_row(uri="/Flash")]))
-        mapping = map_findings_to_uris(fs, parse_crawl_list("/Flash/add fla\n"))
-        assert mapping.warnings == ()
+        assert build_fsm(fs, parse_crawl_list("/Flash/add fla\n")).diagnostics == ()
 
     def test_no_findings_lost_or_duplicated(self, vulnweb_findings, vulnweb_tree):
-        mapping = map_findings_to_uris(vulnweb_findings, vulnweb_tree)
-        assert sum(len(fs) for fs in mapping.by_uri.values()) == len(vulnweb_findings.findings)
-        flattened = {f.state_id for fs in mapping.by_uri.values() for f in fs}
-        assert flattened == {f.state_id for f in vulnweb_findings.findings}
+        fsm = build_fsm(vulnweb_findings, vulnweb_tree)
+        assert len(fsm.non_start_states) == len(vulnweb_findings.findings)
+        assert {s.id for s in fsm.non_start_states} == {f.id for f in vulnweb_findings.findings}
 
     def test_warnings_deterministic(self, vulnweb_findings):
-        a = map_findings_to_uris(vulnweb_findings, load_tree("minimal"))
-        b = map_findings_to_uris(vulnweb_findings, load_tree("minimal"))
-        assert a.warnings == b.warnings and a.warnings != ()
+        a = build_fsm(vulnweb_findings, load_tree("minimal"))
+        b = build_fsm(vulnweb_findings, load_tree("minimal"))
+        assert a.diagnostics == b.diagnostics and a.diagnostics != ()

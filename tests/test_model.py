@@ -1,10 +1,16 @@
 """Domain-type behavior: normalization, identity, and the crawled-URI set."""
 
+import inspect
+from dataclasses import replace
+
 import pytest
 
 from vulnchain import (
+    START_STATE_ID,
+    AttackState,
     EmptyCondition,
     MalformedUri,
+    SchemaViolation,
     URI_ALL,
     URI_NULL,
     normalize_condition,
@@ -97,18 +103,31 @@ class TestNormalizeUri:
 class TestStateId:
     def test_injective_over_the_ten_state_instance(self):
         findings = load_finding_set("vulnweb").findings
-        ids = {f.state_id for f in findings}
+        ids = {f.id for f in findings}
         assert len(ids) == 10
 
     def test_four_distinct_states_for_shared_vulnerability(self):
         # Vulnerability A affects two URIs, B and C one each: 2 + 1 + 1 states.
         findings = load_finding_set("minimal").findings
-        assert len({f.state_id for f in findings}) == 4
+        assert len({f.id for f in findings}) == 4
 
     def test_stable_and_case_insensitive_on_name(self):
         uri = normalize_uri("/login.php")
         assert state_id("Weak password", uri) == state_id("weak  PASSWORD", uri)
         assert state_id("Weak password", uri) != state_id("Weak password", normalize_uri("/x"))
+
+    def test_state_id_is_derived_never_given(self):
+        assert "id" not in inspect.signature(AttackState).parameters
+        state = AttackState(vulnerability_name="Weak password", uri=normalize_uri("/login.php"))
+        assert state.id == state_id("Weak password", normalize_uri("/login.php"))
+        moved = replace(state, uri=normalize_uri("/x"))
+        assert moved.id == state_id("Weak password", normalize_uri("/x"))
+        assert AttackState.make_start(()).id == START_STATE_ID
+
+    def test_blank_vulnerability_only_for_the_start_state(self):
+        with pytest.raises(SchemaViolation, match="vulnerability name must be non-empty"):
+            AttackState(vulnerability_name=" ", uri=normalize_uri("/x"))
+        assert AttackState.make_start(()).vulnerability_name == ""
 
 
 class TestUriTree:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from vulnchain import (
     AssumptionSet,
-    Finding,
+    AttackState,
     FindingSet,
     PostconditionRef,
     PreconditionRef,
@@ -55,7 +55,7 @@ def machines(draw, max_states=8, max_conditions=12):
             PostconditionRef(condition=c, false_positive=draw(st.booleans()))
             for c in post_conds
         )
-        findings.append(Finding(
+        findings.append(AttackState(
             vulnerability_name=f"v{i:02d}",
             uri=normalize_uri(f"/r{i:02d}"),
             preconditions=pres,

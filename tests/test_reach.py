@@ -120,11 +120,11 @@ class TestPaperDfs:
         consumer = single_finding("aa-consumer", "/aa", pres=("c",), label="S1")
         fsm = fsm_of(enabler, consumer)
         order = [s.id for s in fsm.non_start_states]
-        assert order[0] == consumer.state_id  # ids hash deterministically
+        assert order[0] == consumer.id  # ids hash deterministically
         dfs = reach(fsm, ReachParams(semantics=Semantics.PAPER_DFS))
         fp = reach(fsm)
-        assert consumer.state_id not in dfs.visited
-        assert consumer.state_id in fp.visited
+        assert consumer.id not in dfs.visited
+        assert consumer.id in fp.visited
         assert dfs.visited < fp.visited
 
     def test_deterministic(self, vulnweb_fsm):
@@ -224,7 +224,7 @@ class TestDiffIsolatedVsChained:
         f = single_finding("V", "/x", posts=("done",), is_goal=True, label="S1")
         fsm = fsm_of(f)
         diff = diff_isolated_vs_chained(fsm, reach(fsm))
-        assert diff.isolated == diff.chained == {f.state_id}
+        assert diff.isolated == diff.chained == {f.id}
         assert diff.chained_only == frozenset()
 
     def test_goal_fireable_from_facts_counts_as_isolated(self):
@@ -232,7 +232,7 @@ class TestDiffIsolatedVsChained:
         f = single_finding("V", "/x", pres=("banner",), is_goal=True, label="S1")
         fsm = fsm_of(f, facts=(normalize_condition("banner"),))
         diff = diff_isolated_vs_chained(fsm, reach(fsm))
-        assert diff.isolated == {f.state_id}
+        assert diff.isolated == {f.id}
 
     def test_paper_dfs_result_gives_its_own_goals_as_chained(self, vulnweb_fsm):
         result = reach(vulnweb_fsm, ReachParams(

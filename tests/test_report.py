@@ -114,8 +114,18 @@ class TestToDot:
         dot = to_dot(fsm)
         dashed = [e for e in _edges(dot) if "style=dashed" in e[2]]
         assert len(dashed) == 1
-        assert dashed[0][0] == producer.state_id
-        assert dashed[0][1] == consumer.state_id
+        assert dashed[0][0] == producer.id
+        assert dashed[0][1] == consumer.id
+
+
+    def test_quotes_and_backslashes_in_node_names_are_escaped(self):
+        fsm = fsm_of(single_finding("V", "/x", pres=('say "hi"',), posts=("c:\\tmp",)))
+        (state,) = fsm.non_start_states
+        dot = to_dot(fsm)
+        assert '  "in:say \\"hi\\"" [shape=point];' in dot.splitlines()
+        assert f'  "in:say \\"hi\\"" -> "{state.id}" [label="say \\"hi\\""];' in dot
+        assert f'  "{state.id}" -> "out:c:\\\\tmp" [label="c:\\\\tmp"];' in dot
+        assert '"in:say "hi""' not in dot
 
 
 class TestFsmSerialization:
@@ -123,6 +133,15 @@ class TestFsmSerialization:
     def test_round_trip(self, fixture, request):
         fsm = request.getfixturevalue(fixture)
         assert fsm_from_json(fsm_to_json(fsm)) == fsm
+
+    def test_out_of_order_refs_resave_in_canonical_order(self, minimal_fsm):
+        text = fsm_to_json(minimal_fsm)
+        doc = json.loads(text)
+        for entry in doc["states"]:
+            entry["preconditions"].reverse()
+            entry["postconditions"].reverse()
+        assert json.dumps(doc, indent=2, sort_keys=True) + "\n" != text
+        assert fsm_to_json(fsm_from_json(json.dumps(doc))) == text
 
     @pytest.mark.parametrize("fixture", ["minimal_fsm", "vulnweb_fsm", "teacher_fsm"])
     def test_stores_no_derived_indices(self, fixture, request):
