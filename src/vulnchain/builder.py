@@ -49,14 +49,11 @@ def build_fsm(findings: FindingSet, crawled: frozenset[str] | None = None) -> Fs
     about the findings' content come from ingestion alone
     (:attr:`FindingSet.warnings`).
     """
-    missing = set() if crawled is None else {
-        f.uri.canonical for f in findings.findings
+    diagnostics = () if crawled is None else (
+        f"no crawled resource matches finding URI {f.uri.display()!r}"
+        for f in findings.findings
         if f.uri.canonical != URI_ALL and f.uri.canonical not in crawled
-    }
-    return attach_start_state(
-        findings.findings,
-        findings.environment_facts,
-        site=findings.site,
-        diagnostics=(f"no crawled resource matches finding URI {key if key else 'NULL'!r}"
-                     for key in missing),
     )
+    return attach_start_state(
+        findings.findings, findings.environment_facts,
+        site=findings.site, diagnostics=diagnostics)

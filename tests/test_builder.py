@@ -20,10 +20,10 @@ class TestBuildStates:
 
     @pytest.mark.parametrize("name,count", [("minimal", 4), ("vulnweb", 10), ("teacher", 7)])
     def test_one_state_per_finding(self, name, count):
-        findings = load_finding_set(name).findings
-        states = build_fsm(load_finding_set(name)).non_start_states
+        finding_set = load_finding_set(name)
+        states = build_fsm(finding_set).non_start_states
         assert len(states) == count
-        assert set(states) == set(findings)
+        assert set(states) == set(finding_set.findings)
         assert not any(s.is_start for s in states)
 
     def test_empty_map(self):
