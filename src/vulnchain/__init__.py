@@ -22,7 +22,6 @@ from .ingest import (
     FindingSet,
     parse_crawl_list,
     parse_findings,
-    parse_findings_tsv,
     serialize_findings,
 )
 from .model import (

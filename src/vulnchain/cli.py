@@ -14,11 +14,12 @@ from pathlib import Path
 from typing import Sequence
 
 from .builder import build_fsm
-from .errors import InvalidAssumption, VulnchainError
+from .errors import InvalidAssumption, SchemaViolation, VulnchainError
 from .ingest import parse_crawl_list, parse_findings
-from .model import AssumptionSet, Fsm, normalize_condition
+from .model import AssumptionSet, Fsm, ReachResult, normalize_condition
 from .reach import ReachParams, Semantics, collect_goals, diff_isolated_vs_chained, extract_witness, reach
-from .report import fsm_from_json, fsm_to_json, report_from_json, report_to_json, to_dot, to_report
+from .report import (AnalysisReport, fsm_from_json, fsm_to_json, report_from_json, report_to_json,
+                     to_dot, to_report)
 
 
 class _UsageError(Exception):
@@ -149,20 +150,7 @@ def _cmd_export_dot(args) -> int:
     fsm = _load_fsm(args.fsm)
     result = None
     if args.reach:
-        report = _in_file(args.reach, report_from_json)
-        assumed = set()
-        for i, text in enumerate(report.assumptions):
-            try:
-                assumed.add(_match_condition(fsm, text))
-            except VulnchainError as exc:
-                raise type(exc)(f"{args.reach}: assumptions[{i}]: {exc}") from exc
-        params = ReachParams(
-            semantics=Semantics(report.semantics),
-            assumptions=AssumptionSet(frozenset(assumed)),
-        )
-        result = reach(fsm, params)
-        if tuple(sorted(result.visited)) != report.reachable_states:
-            raise VulnchainError("report does not match this machine")
+        result = _in_file(args.reach, lambda data: _replay_report(fsm, report_from_json(data)))
     Path(args.out).write_bytes(to_dot(fsm, result).encode("utf-8"))
     return 0
 
@@ -196,6 +184,25 @@ def _in_file(path: str, parser):
 
 def _load_fsm(path: str) -> Fsm:
     return _in_file(path, fsm_from_json)
+
+
+def _replay_report(fsm: Fsm, report: AnalysisReport) -> ReachResult:
+    """Re-run the reach a report records; it must visit the states the
+    report lists."""
+    assumed = set()
+    for i, text in enumerate(report.assumptions):
+        try:
+            assumed.add(_match_condition(fsm, text))
+        except VulnchainError as exc:
+            raise type(exc)(f"assumptions[{i}]: {exc}") from exc
+    params = ReachParams(
+        semantics=Semantics(report.semantics),
+        assumptions=AssumptionSet(frozenset(assumed)),
+    )
+    result = reach(fsm, params)
+    if tuple(sorted(result.visited)) != report.reachable_states:
+        raise SchemaViolation("report does not match this machine", path="reachable_states")
+    return result
 
 
 def _match_condition(fsm: Fsm, text: str) -> str:

@@ -28,8 +28,9 @@ class UnknownAssumptionFlag(SchemaViolation):
     """``requires_user_action`` appeared on a postcondition."""
 
 
-class DuplicateState(VulnchainError):
-    """Two findings share the same (vulnerability, canonical URI) pair."""
+class DuplicateState(SchemaViolation):
+    """Two findings, or two states of a machine file, share the same
+    (vulnerability, canonical URI) pair; ``path`` names the later entry."""
 
 
 class InvalidAssumption(VulnchainError):

@@ -1,8 +1,9 @@
 """Loading and validating crawl lists and normalized scanner findings.
 
-Two input formats are supported: the canonical findings JSON document and a
-minimal tab-separated adapter. Native formats of individual scanners are out
-of scope; normalize them into one of these first.
+Findings come in one format, the canonical findings JSON document. Native
+formats of individual scanners are out of scope; normalize them into it
+first. The helpers here own every loader rule, and the machine and report
+loaders in :mod:`vulnchain.report` use them too.
 """
 
 from __future__ import annotations
@@ -10,7 +11,8 @@ from __future__ import annotations
 import json
 import string
 from dataclasses import dataclass
-from typing import Any
+from functools import cached_property
+from typing import Any, Iterable
 
 from .errors import DuplicateState, EmptyCondition, MalformedUri, SchemaViolation, UnknownAssumptionFlag
 from .model import (
@@ -24,7 +26,9 @@ from .model import (
     normalize_uri,
 )
 
-_TSV_HEADER = ("VULN", "URI", "PRE", "POST", "GOAL")
+_FINDING_KEYS = frozenset({
+    "vulnerability", "uri", "preconditions", "postconditions", "is_goal", "source", "label",
+})
 
 
 @dataclass(frozen=True)
@@ -34,13 +38,16 @@ class FindingSet:
     ``environment_facts`` are conditions true before any state fires (server
     versions and similar discoveries); they may coincide with postconditions.
     Each finding is already the machine state it becomes.
-    ``warnings`` are deterministic validation notes, recomputed from content.
     """
 
     site: str
     environment_facts: tuple[Condition, ...] = ()
     findings: tuple[AttackState, ...] = ()
-    warnings: tuple[str, ...] = ()
+
+    @cached_property
+    def warnings(self) -> tuple[str, ...]:
+        """Deterministic validation notes, derived from the content."""
+        return _content_warnings(self.environment_facts, self.findings)
 
 
 # ---------------------------------------------------------------------------
@@ -87,55 +94,16 @@ def parse_findings(document: str | bytes) -> FindingSet:
     """
     doc = _decode_json_object(document, what="findings document")
     _reject_unknown(doc, {"site", "environment_facts", "findings"}, path="$")
-
     site = _expect(doc, "site", str, path="$")
-    raw_facts = _expect(doc, "environment_facts", list, path="$")
-    raw_findings = _expect(doc, "findings", list, path="$")
-
-    facts: dict[str, Condition] = {}
-    for i, item in enumerate(raw_facts):
-        path = f"environment_facts[{i}]"
-        if not isinstance(item, str):
-            raise SchemaViolation("environment fact must be a string", path=path)
-        cond = _condition(item, path)
-        facts.setdefault(cond.id, cond)
-
-    findings = []
-    for i, item in enumerate(raw_findings):
-        findings.append(_parse_finding_object(item, path=f"findings[{i}]"))
-
-    return _assemble(site, facts, findings)
-
-
-def parse_findings_tsv(document: str | bytes, site: str = "") -> FindingSet:
-    """Parse the tab-separated adapter format.
-
-    Columns are VULN, URI, PRE, POST, GOAL. PRE and POST cells are
-    ";"-joined condition lists; a ``!`` prefix marks a user-action
-    precondition and a ``?`` prefix marks a false-positive postcondition.
-    GOAL is 0 or 1. The format carries no environment facts or labels.
-    """
-    text = _decode(document, what="findings table")
-    rows = [line for line in text.splitlines() if line.strip()]
-    if not rows or tuple(rows[0].rstrip("\n").split("\t")) != _TSV_HEADER:
-        raise SchemaViolation(f"first line must be the header {chr(9).join(_TSV_HEADER)!r}")
-
-    findings = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        path = f"line {lineno}"
-        cells = row.split("\t")
-        if len(cells) != len(_TSV_HEADER):
-            raise SchemaViolation(f"expected {len(_TSV_HEADER)} columns, got {len(cells)}", path=path)
-        vuln, uri_text, pre_cell, post_cell, goal_cell = cells
-        if goal_cell.strip() not in ("0", "1"):
-            raise SchemaViolation(f"GOAL must be 0 or 1, got {goal_cell!r}", path=path)
-        pres = [PreconditionRef(*_tsv_ref(part, "!", "?", path)) for part in _split_cell(pre_cell)]
-        posts = [PostconditionRef(*_tsv_ref(part, "?", "!", path)) for part in _split_cell(post_cell)]
-        findings.append(_build_finding(
-            vuln, uri_text, pres, posts,
-            is_goal=goal_cell.strip() == "1", source="", label=None, path=path,
-        ))
-    return _assemble(site, {}, findings)
+    facts = _environment_facts(doc)
+    entries = [(path, _parse_finding_object(item, path))
+               for path, item in _objects(doc, "findings", _FINDING_KEYS, "$")]
+    _reject_duplicate_states(entries)
+    findings = sorted(
+        (f for _, f in entries),
+        key=lambda f: (" ".join(f.vulnerability_name.split()).lower(), f.uri.canonical),
+    )
+    return FindingSet(site=site, environment_facts=facts, findings=tuple(findings))
 
 
 def serialize_findings(finding_set: FindingSet) -> str:
@@ -173,28 +141,28 @@ def _finding_entry(state: AttackState) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Shared assembly and validation
+# Shared validation
 # ---------------------------------------------------------------------------
 
-def _assemble(site: str, facts: dict[str, Condition], findings: list[AttackState]) -> FindingSet:
-    seen: dict[str, str] = {}
-    for f in findings:
-        sid = f.id
-        desc = f"{f.vulnerability_name} @ {f.uri.display()}"
-        if sid in seen:
-            raise DuplicateState(f"{desc} repeats {seen[sid]}")
-        seen[sid] = desc
-    ordered = tuple(sorted(
-        findings,
-        key=lambda f: (" ".join(f.vulnerability_name.split()).lower(), f.uri.canonical),
-    ))
-    fact_tuple = tuple(facts[c] for c in sorted(facts))
-    return FindingSet(
-        site=site,
-        environment_facts=fact_tuple,
-        findings=ordered,
-        warnings=_content_warnings(fact_tuple, ordered),
-    )
+def _environment_facts(doc: dict) -> tuple[Condition, ...]:
+    """``doc["environment_facts"]`` as conditions sorted by id, one per id
+    (the first label wins)."""
+    facts: dict[str, Condition] = {}
+    for i, label in enumerate(_expect(doc, "environment_facts", list, path="$")):
+        path = f"environment_facts[{i}]"
+        cond = _condition(_typed(label, str, path), path)
+        facts.setdefault(cond.id, cond)
+    return tuple(facts[cid] for cid in sorted(facts))
+
+
+def _reject_duplicate_states(entries: Iterable[tuple[str, AttackState]]) -> None:
+    """Raise :class:`DuplicateState` at the later of two ``(path, state)``
+    entries for the same vulnerability and URI, naming the earlier one."""
+    first: dict[str, str] = {}
+    for path, state in entries:
+        if state.id in first:
+            raise DuplicateState(f"same vulnerability and URI as {first[state.id]}", path=path)
+        first[state.id] = path
 
 
 def _content_warnings(facts: tuple[Condition, ...], findings: tuple[AttackState, ...]) -> tuple[str, ...]:
@@ -239,14 +207,7 @@ def _content_warnings(facts: tuple[Condition, ...], findings: tuple[AttackState,
     return tuple(warnings)
 
 
-def _parse_finding_object(item: Any, path: str) -> AttackState:
-    if not isinstance(item, dict):
-        raise SchemaViolation("finding must be an object", path=path)
-    _reject_unknown(
-        item,
-        {"vulnerability", "uri", "preconditions", "postconditions", "is_goal", "source", "label"},
-        path=path,
-    )
+def _parse_finding_object(item: dict, path: str) -> AttackState:
     vuln = _expect(item, "vulnerability", str, path=path)
     uri_text = _expect(item, "uri", str, path=path)
     raw_pres = _optional(item, "preconditions", list, [], path=path)
@@ -278,13 +239,11 @@ def _parse_finding_object(item: Any, path: str) -> AttackState:
         ))
 
     label = item.get("label")
-    if label is not None and not isinstance(label, str):
-        raise SchemaViolation("label must be a string", path=path)
     return _build_finding(
         vuln, uri_text, pres, posts,
         is_goal=_optional(item, "is_goal", bool, False, path=path),
         source=_optional(item, "source", str, "", path=path),
-        label=label,
+        label=None if label is None else _typed(label, str, path, what="field 'label'"),
         path=path,
     )
 
@@ -315,20 +274,6 @@ def _condition(label: str, path: str) -> Condition:
         raise SchemaViolation(str(exc), path=path) from exc
 
 
-def _tsv_ref(part: str, flag: str, other: str, path: str) -> tuple[Condition, bool]:
-    """A PRE or POST entry as (condition, flagged); ``other`` is the flag of
-    the other column, which may not start the condition."""
-    flagged = part.startswith(flag)
-    name = part[1:] if flagged else part
-    if name.startswith(other):
-        raise SchemaViolation(f"{part!r}: the {other!r} prefix belongs to the other column", path=path)
-    return _condition(name, path), flagged
-
-
-def _split_cell(cell: str) -> list[str]:
-    return [part.strip() for part in cell.split(";") if part.strip()]
-
-
 def _decode(document: str | bytes, what: str) -> str:
     if isinstance(document, bytes):
         try:
@@ -342,8 +287,10 @@ def _decode_json_object(document: str | bytes, what: str) -> dict:
     """Decode UTF-8 and JSON and demand an object at the top level."""
     try:
         doc = json.loads(_decode(document, what=what))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
         raise SchemaViolation(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaViolation("not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise SchemaViolation("top-level value must be an object")
     return doc
@@ -383,7 +330,13 @@ def _optional(obj: dict, key: str, kind: type, default: Any, path: str) -> Any:
 
 
 def _typed(value: Any, kind: type, path: str, what: str = "value") -> Any:
-    """``value`` itself if it is a ``kind`` (a bool never counts as an int)."""
+    """``value`` itself if it is a ``kind``. A bool never counts as an int,
+    and a str must be encodable as UTF-8, so a lone surrogate is rejected."""
     if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
         raise SchemaViolation(f"{what} must be {kind.__name__}", path=path)
+    if kind is str and not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise SchemaViolation(f"{what} contains a lone surrogate", path=path) from None
     return value

@@ -12,8 +12,9 @@ from typing import Any, Mapping
 
 from .builder import attach_start_state
 from .errors import SchemaViolation
-from .ingest import (_build_finding, _child, _condition, _decode_json_object, _expect,
-                     _finding_entry, _objects, _optional, _reject_unknown, _typed)
+from .ingest import (_FINDING_KEYS, _build_finding, _child, _condition, _decode_json_object,
+                     _environment_facts, _expect, _finding_entry, _objects, _optional,
+                     _reject_duplicate_states, _reject_unknown, _typed)
 from .model import (
     START_STATE_ID,
     AttackPath,
@@ -160,40 +161,35 @@ def fsm_from_json(document: str | bytes) -> Fsm:
 
     Every field is type-checked where it is read, and errors name the JSON
     path. Each state is validated by the same constructor as a finding, and
-    its stored ``id`` must be the derived one. The start entry must be
-    exactly the start state of the stored environment facts. The machine is
-    then assembled by :func:`vulnchain.builder.attach_start_state`, like a
-    freshly built one. Files of another ``format_version`` are rejected.
+    its stored ``id`` must be the derived one; a repeated vulnerability and
+    URI is rejected by the same check as a repeated finding. The start entry
+    must be exactly the start state of the stored environment facts. The
+    machine is then assembled by :func:`vulnchain.builder.attach_start_state`,
+    like a freshly built one. Files of another ``format_version`` are
+    rejected.
     """
     doc = _decode_json_object(document, what="machine file")
-    version = doc.get("format_version")
+    version = _optional(doc, "format_version", int, None, path="$")
     if version != FSM_FORMAT_VERSION:
         raise SchemaViolation(
             f"unsupported format_version {version!r}; expected {FSM_FORMAT_VERSION} "
             "(rebuild the machine with 'vulnchain build')")
     _reject_unknown(doc, {"format_version", "site", "environment_facts", "states", "diagnostics"},
                     path="$")
-    facts = [
-        _condition(_typed(label, str, f"environment_facts[{i}]"), f"environment_facts[{i}]")
-        for i, label in enumerate(_expect(doc, "environment_facts", list, path="$"))
-    ]
+    facts = _environment_facts(doc)
     diagnostics = [
         _typed(note, str, f"diagnostics[{i}]")
         for i, note in enumerate(_expect(doc, "diagnostics", list, path="$"))
     ]
 
     states = []
-    paths: dict[str, str] = {}  # state id -> path of its entry
     start_entries = []
     for path, entry in _objects(doc, "states", _STATE_KEYS, "$"):
         if _expect(entry, "is_start", bool, path=path):
             start_entries.append((path, entry))
-            continue
-        state = _state_from_entry(entry, path)
-        if state.id in paths:
-            raise SchemaViolation(f"same vulnerability and URI as {paths[state.id]}", path=path)
-        paths[state.id] = path
-        states.append(state)
+        else:
+            states.append((path, _state_from_entry(entry, path)))
+    _reject_duplicate_states(states)
     if len(start_entries) != 1:
         raise SchemaViolation(f"expected exactly one start state, found {len(start_entries)}",
                               path="states")
@@ -202,13 +198,11 @@ def fsm_from_json(document: str | bytes) -> Fsm:
         raise SchemaViolation(
             "start entry does not match the start state of environment_facts", path=path)
     return attach_start_state(
-        states, facts, site=_expect(doc, "site", str, path="$"), diagnostics=diagnostics)
+        (state for _, state in states), facts,
+        site=_expect(doc, "site", str, path="$"), diagnostics=diagnostics)
 
 
-_STATE_KEYS = frozenset({
-    "id", "vulnerability", "uri", "is_start", "is_goal",
-    "preconditions", "postconditions", "source", "label",
-})
+_STATE_KEYS = _FINDING_KEYS | {"id", "is_start"}
 
 
 def _state_from_entry(entry: dict, path: str) -> AttackState:
@@ -398,7 +392,7 @@ def report_from_json(document: str | bytes) -> AnalysisReport:
     read, unknown fields are rejected and errors name the JSON path.
     """
     doc = _decode_json_object(document, what="report")
-    if doc.get("format_version") != REPORT_FORMAT_VERSION:
+    if _optional(doc, "format_version", int, None, path="$") != REPORT_FORMAT_VERSION:
         raise SchemaViolation("unsupported or missing report format_version")
     _reject_unknown(doc, _REPORT_KEYS, path="$")
     semantics = _expect(doc, "semantics", str, path="$")

@@ -33,6 +33,19 @@ def built(tmp_path):
     return out
 
 
+MALFORMED_FINDINGS = {
+    "lone surrogate in vulnerability": (
+        lambda doc: doc["findings"][1].update(vulnerability="A\ud800"),
+        "findings[1]: field 'vulnerability' contains a lone surrogate"),
+    "lone surrogate in label": (
+        lambda doc: doc["findings"][1].update(label="\ud800"),
+        "findings[1]: field 'label' contains a lone surrogate"),
+    "repeated finding": (
+        lambda doc: doc["findings"].append(doc["findings"][0]),
+        "findings[4]: same vulnerability and URI as findings[0]"),
+}
+
+
 class TestBuild:
     def test_summary_line(self, tmp_path, capsys):
         code = cli_main([
@@ -78,6 +91,19 @@ class TestBuild:
         ])
         assert code == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_FINDINGS))
+    def test_malformed_findings_exit_1_naming_file_and_path(self, case, tmp_path, capsys):
+        tamper, message = MALFORMED_FINDINGS[case]
+        doc = json.loads((FIXTURES / "minimal" / "findings.json").read_text())
+        tamper(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = cli_main(["build", "--findings", str(bad),
+                         "--crawl", str(FIXTURES / "minimal" / "crawl.txt"),
+                         "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code = cli_main([
@@ -187,6 +213,15 @@ MALFORMED_MACHINES = {
     "verbatim repeated entry": (
         lambda doc: doc["states"].append(doc["states"][3]),
         r"states\[5\]: same vulnerability and URI as states\[3\]"),
+    "lone surrogate in vulnerability": (
+        lambda doc: doc["states"][3].update(vulnerability="B\ud800"),
+        r"states\[3\]: field 'vulnerability' contains a lone surrogate"),
+    "lone surrogate in label": (
+        lambda doc: doc["states"][3].update(label="\ud800"),
+        r"states\[3\]: field 'label' contains a lone surrogate"),
+    "float format_version": (
+        lambda doc: doc.update(format_version=2.0),
+        r"\$: field 'format_version' must be int"),
 }
 
 
@@ -243,6 +278,9 @@ MALFORMED_REPORTS = {
     "blank assumption": (
         lambda doc: doc.update(assumptions=["  "]),
         r"assumptions\[0\]: condition label is empty or whitespace-only"),
+    "boolean format_version": (
+        lambda doc: doc.update(format_version=True),
+        r"\$: field 'format_version' must be int"),
 }
 
 
@@ -264,6 +302,35 @@ class TestMalformedReport:
         assert code == 1
         assert err.startswith(f"error: {bad}: ")
         assert re.search(message, err), err
+
+
+#: JSON that json.dumps cannot write: nesting deeper than the interpreter's
+#: recursion limit, and an integer longer than its int-conversion limit.
+OVERSIZED_JSON = {
+    "deep nesting": ('{"a": ' * 5000 + "1" + "}" * 5000, "nested too deeply"),
+    "long integer": ("1" * 5000, "Exceeds the limit"),
+}
+
+
+class TestOversizedJson:
+    @pytest.mark.parametrize("case", sorted(OVERSIZED_JSON))
+    @pytest.mark.parametrize("kind", ["findings", "machine", "report"])
+    def test_exits_1_naming_file(self, kind, case, built, tmp_path, capsys):
+        value, message = OVERSIZED_JSON[case]
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"format_version": 2, "site": ' + value + "}")
+        argv = {
+            "findings": ["build", "--findings", str(bad),
+                         "--crawl", str(FIXTURES / "minimal" / "crawl.txt")],
+            "machine": ["analyze", "--fsm", str(bad)],
+            "report": ["export-dot", "--fsm", str(built["minimal"]), "--reach", str(bad)],
+        }[kind]
+        capsys.readouterr()
+        code = cli_main([*argv, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {bad}: not valid JSON: ")
+        assert message in err
 
 
 class TestWhatif:
@@ -330,9 +397,12 @@ class TestExportDot:
         report_path = tmp_path / "t.report.json"
         assert cli_main(["analyze", "--fsm", str(built["teacher"]),
                          "--out", str(report_path)]) == 0
+        capsys.readouterr()
         code = cli_main(["export-dot", "--fsm", str(built["vulnweb"]),
                          "--reach", str(report_path), "--out", str(tmp_path / "x.dot")])
         assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {report_path}: reachable_states: report does not match this machine\n")
 
 
 class TestDiffIsolated:

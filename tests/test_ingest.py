@@ -13,11 +13,10 @@ from vulnchain import (
     build_fsm,
     parse_crawl_list,
     parse_findings,
-    parse_findings_tsv,
     serialize_findings,
 )
 
-from tests.helpers import FIXTURES, load_finding_set, load_tree
+from tests.helpers import load_finding_set, load_tree
 
 
 def _doc(findings=(), facts=(), site="test"):
@@ -96,8 +95,20 @@ class TestParseFindings:
 
     def test_duplicate_state_rejected(self):
         doc = _doc([_row(vuln="V", uri="/x"), _row(vuln="v", uri="/x/")])
-        with pytest.raises(DuplicateState):
+        with pytest.raises(DuplicateState,
+                           match=r"^findings\[1\]: same vulnerability and URI as findings\[0\]$"):
             parse_findings(doc)
+
+    def test_label_may_be_null_but_not_a_lone_surrogate(self):
+        assert parse_findings(_doc([_row(label=None)])).findings[0].label is None
+        with pytest.raises(SchemaViolation,
+                           match=r"findings\[0\]: field 'label' contains a lone surrogate"):
+            parse_findings(_doc([_row(label="\udc80")]))
+
+    def test_environment_facts_one_per_id_first_label_wins(self):
+        fs = parse_findings(_doc(facts=["Zeta", "alpha", "ZETA"]))
+        assert [(c.id, c.label) for c in fs.environment_facts] == [
+            ("alpha", "alpha"), ("zeta", "Zeta")]
 
     def test_user_action_flag_on_postcondition_rejected(self):
         doc = _doc([_row(posts=[{"condition": "c", "requires_user_action": True}])])
@@ -153,44 +164,6 @@ class TestRoundTrip:
     def test_serialize_deterministic(self):
         fs = load_finding_set("vulnweb")
         assert serialize_findings(fs) == serialize_findings(fs)
-
-
-class TestTabularAdapter:
-    def test_tsv_matches_json_fixture(self):
-        tsv = (FIXTURES / "minimal" / "findings.tsv").read_bytes()
-        from_tsv = parse_findings_tsv(tsv, site="minimal")
-        from_json = load_finding_set("minimal")
-        # TSV carries no labels; compare everything else per finding.
-        assert len(from_tsv.findings) == len(from_json.findings)
-        for a, b in zip(from_tsv.findings, from_json.findings):
-            assert a.vulnerability_name == b.vulnerability_name
-            assert a.uri == b.uri
-            assert a.preconditions == b.preconditions
-            assert a.postconditions == b.postconditions
-            assert a.is_goal == b.is_goal
-        assert from_tsv.warnings == from_json.warnings
-
-    def test_flags(self):
-        fs = parse_findings_tsv("VULN\tURI\tPRE\tPOST\tGOAL\nV\t/x\t!click;have creds\t?fp;ok\t1\n")
-        (f,) = fs.findings
-        assert f.is_goal
-        assert {r.condition.id: r.requires_user_action for r in f.preconditions} == {
-            "click": True, "have creds": False}
-        assert {r.condition.id: r.false_positive for r in f.postconditions} == {
-            "fp": True, "ok": False}
-
-    @pytest.mark.parametrize("pre, post", [("?a", ""), ("", "!b"), ("!?a", ""), ("", "?!b")])
-    def test_flag_in_the_wrong_column_rejected(self, pre, post):
-        with pytest.raises(SchemaViolation, match="line 2"):
-            parse_findings_tsv(f"VULN\tURI\tPRE\tPOST\tGOAL\nV\t/x\t{pre}\t{post}\t0\n")
-
-    def test_header_required(self):
-        with pytest.raises(SchemaViolation, match="header"):
-            parse_findings_tsv("V\t/x\t\t\t0\n")
-
-    def test_bad_goal_cell(self):
-        with pytest.raises(SchemaViolation, match="GOAL"):
-            parse_findings_tsv("VULN\tURI\tPRE\tPOST\tGOAL\nV\t/x\t\t\tmaybe\n")
 
 
 class TestMapFindingsToUris:
