@@ -139,7 +139,7 @@ def _cmd_whatif(args) -> int:
         toggled.symmetric_difference_update({cid})
     base = reach(fsm, ReachParams())
     alt = reach(fsm, ReachParams(assumptions=AssumptionSet(frozenset(toggled))))
-    print("assumptions:", _fmt_ids(sorted(toggled)) or "(none)")
+    print("assumptions:", " ".join(sorted(toggled)) or "(none)")
     print("states:", _fmt_delta(fsm, alt.visited, base.visited))
     goals = fsm.goal_ids
     print("goals:", _fmt_delta(fsm, alt.visited & goals, base.visited & goals))
@@ -200,7 +200,7 @@ def _replay_report(fsm: Fsm, report: AnalysisReport) -> ReachResult:
         assumptions=AssumptionSet(frozenset(assumed)),
     )
     result = reach(fsm, params)
-    if tuple(sorted(result.visited)) != report.reachable_states:
+    if sorted(result.visited) != report.reachable_states:
         raise SchemaViolation("report does not match this machine", path="reachable_states")
     return result
 
@@ -222,10 +222,6 @@ def _match_condition(fsm: Fsm, text: str) -> str:
 
 def _assumptions(fsm: Fsm, texts: list[str]) -> AssumptionSet:
     return AssumptionSet(frozenset(_match_condition(fsm, t) for t in texts))
-
-
-def _fmt_ids(ids) -> str:
-    return " ".join(ids)
 
 
 def _fmt_delta(fsm: Fsm, new: frozenset[str], old: frozenset[str]) -> str:

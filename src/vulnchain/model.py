@@ -405,9 +405,6 @@ class AssumptionSet:
     def of(cls, *labels: str) -> "AssumptionSet":
         return cls(frozenset(normalize_condition(lb).id for lb in labels))
 
-    def __bool__(self) -> bool:
-        return bool(self.granted_user_actions)
-
 
 @dataclass(frozen=True)
 class ReachResult:

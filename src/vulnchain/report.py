@@ -7,7 +7,7 @@ written with sorted keys, and files end with a single newline.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Mapping
 
 from .builder import attach_start_state
@@ -239,49 +239,27 @@ def _refs(entry: dict, key: str, make: type, flag: str, path: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class UnreachableGoal:
-    state: str
-    label: str | None
-    missing_conditions: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class WitnessStep:
-    state: str
-    label: str | None
-    grants: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class GoalWitness:
-    goal: str
-    label: str | None
-    assumptions_used: tuple[str, ...]
-    steps: tuple[WitnessStep, ...]
-
-
-@dataclass(frozen=True)
 class AnalysisReport:
-    """Machine-readable outcome of one analysis run.
+    """Machine-readable outcome of one analysis run, in the shape of its
+    file: each field is one top-level key and holds that key's JSON value.
 
-    ``state_count`` excludes the start state; ``edge_count`` counts labeled
-    condition edges plus the plain start edges to precondition-free states.
+    ``fsm["states"]`` excludes the start state; ``fsm["edges"]`` counts
+    labeled condition edges plus the plain start edges to precondition-free
+    states.
     """
 
     site: str
     semantics: str
-    assumptions: tuple[str, ...]
-    state_count: int
-    edge_count: int
-    goal_count: int
-    reachable_states: tuple[str, ...]
-    reachable_goals: tuple[str, ...]
-    unreachable_goals: tuple[UnreachableGoal, ...]
-    isolated_goals: tuple[str, ...]
-    chained_goals: tuple[str, ...]
-    chained_only_goals: tuple[str, ...]
-    witnesses: tuple[GoalWitness, ...]
-    labels: tuple[tuple[str, str], ...]
+    assumptions: list[str]
+    fsm: dict[str, int]
+    reachable_states: list[str]
+    reachable_goals: list[str]
+    unreachable_goals: list[dict[str, Any]]
+    isolated_goals: list[str]
+    chained_goals: list[str]
+    chained_only_goals: list[str]
+    witnesses: list[dict[str, Any]]
+    labels: dict[str, str]
 
 
 def to_report(
@@ -294,102 +272,49 @@ def to_report(
     ``witnesses`` maps reachable goal ids to extracted attack paths; pass
     the output of :func:`vulnchain.reach.extract_witness` per goal.
     """
-    witnesses = witnesses or {}
     diff = diff_isolated_vs_chained(fsm, result)
-    reachable_goals = tuple(sorted(diff.chained))
-    unreachable = []
-    for sid in sorted(fsm.goal_ids - result.visited):
-        state = fsm.by_id[sid]
-        missing = tuple(sorted(
-            r.condition.id for r in state.preconditions
-            if r.condition.id not in result.true_conditions
-        ))
-        unreachable.append(UnreachableGoal(state=sid, label=state.label, missing_conditions=missing))
-
-    witness_entries = []
-    for goal in sorted(witnesses):
-        path = witnesses[goal]
-        steps = tuple(
-            WitnessStep(state=sid, label=fsm.by_id[sid].label, grants=grants)
-            for sid, grants in path.steps
-        )
-        witness_entries.append(GoalWitness(
-            goal=goal,
-            label=fsm.by_id[goal].label,
-            assumptions_used=tuple(sorted(path.assumptions_used)),
-            steps=steps,
-        ))
-
-    labels = tuple(sorted(
-        (s.id, s.label) for s in fsm.states if s.label is not None
-    ))
     return AnalysisReport(
         site=fsm.site,
         semantics=result.semantics,
-        assumptions=tuple(sorted(result.assumptions)),
-        state_count=len(fsm.non_start_states),
-        edge_count=fsm.edge_count,
-        goal_count=len(fsm.goal_ids),
-        reachable_states=tuple(sorted(result.visited)),
-        reachable_goals=reachable_goals,
-        unreachable_goals=tuple(unreachable),
-        isolated_goals=tuple(sorted(diff.isolated)),
-        chained_goals=reachable_goals,
-        chained_only_goals=tuple(sorted(diff.chained_only)),
-        witnesses=tuple(witness_entries),
-        labels=labels,
+        assumptions=sorted(result.assumptions),
+        fsm={"states": len(fsm.non_start_states), "edges": fsm.edge_count,
+             "goals": len(fsm.goal_ids)},
+        reachable_states=sorted(result.visited),
+        reachable_goals=sorted(diff.chained),
+        unreachable_goals=[
+            {"state": sid, "label": fsm.by_id[sid].label, "missing_conditions": sorted(
+                r.condition.id for r in fsm.by_id[sid].preconditions
+                if r.condition.id not in result.true_conditions)}
+            for sid in sorted(fsm.goal_ids - result.visited)
+        ],
+        isolated_goals=sorted(diff.isolated),
+        chained_goals=sorted(diff.chained),
+        chained_only_goals=sorted(diff.chained_only),
+        witnesses=[
+            {"goal": goal, "label": fsm.by_id[goal].label,
+             "assumptions_used": sorted(path.assumptions_used),
+             "steps": [{"state": sid, "label": fsm.by_id[sid].label, "grants": list(grants)}
+                       for sid, grants in path.steps]}
+            for goal, path in sorted((witnesses or {}).items())
+        ],
+        labels={s.id: s.label for s in fsm.states if s.label is not None},
     )
 
 
 def report_to_json(report: AnalysisReport) -> str:
-    doc = {
-        "format_version": REPORT_FORMAT_VERSION,
-        "site": report.site,
-        "semantics": report.semantics,
-        "assumptions": list(report.assumptions),
-        "fsm": {
-            "states": report.state_count,
-            "edges": report.edge_count,
-            "goals": report.goal_count,
-        },
-        "reachable_states": list(report.reachable_states),
-        "reachable_goals": list(report.reachable_goals),
-        "unreachable_goals": [
-            {"state": g.state, "label": g.label, "missing_conditions": list(g.missing_conditions)}
-            for g in report.unreachable_goals
-        ],
-        "isolated_goals": list(report.isolated_goals),
-        "chained_goals": list(report.chained_goals),
-        "chained_only_goals": list(report.chained_only_goals),
-        "witnesses": [
-            {
-                "goal": w.goal,
-                "label": w.label,
-                "assumptions_used": list(w.assumptions_used),
-                "steps": [
-                    {"state": s.state, "label": s.label, "grants": list(s.grants)}
-                    for s in w.steps
-                ],
-            }
-            for w in report.witnesses
-        ],
-        "labels": {sid: label for sid, label in report.labels},
-    }
+    doc = {"format_version": REPORT_FORMAT_VERSION, **vars(report)}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-_REPORT_KEYS = frozenset({
-    "format_version", "site", "semantics", "assumptions", "fsm", "reachable_states",
-    "reachable_goals", "unreachable_goals", "isolated_goals", "chained_goals",
-    "chained_only_goals", "witnesses", "labels",
-})
+_REPORT_KEYS = {"format_version"} | {f.name for f in fields(AnalysisReport)}
 
 
 def report_from_json(document: str | bytes) -> AnalysisReport:
     """Load a report written by :func:`report_to_json`.
 
-    Like :func:`fsm_from_json`, every field is type-checked where it is
-    read, unknown fields are rejected and errors name the JSON path.
+    Like :func:`fsm_from_json`, every field is type-checked, unknown fields
+    are rejected and errors name the JSON path. The checked document, less
+    its ``format_version``, is the report.
     """
     doc = _decode_json_object(document, what="report")
     if _optional(doc, "format_version", int, None, path="$") != REPORT_FORMAT_VERSION:
@@ -400,53 +325,41 @@ def report_from_json(document: str | bytes) -> AnalysisReport:
         raise SchemaViolation(f"unknown semantics {semantics!r}", path="semantics")
     counts = _expect(doc, "fsm", dict, path="$")
     _reject_unknown(counts, {"states", "edges", "goals"}, path="fsm")
-    return AnalysisReport(
-        site=_expect(doc, "site", str, path="$"),
-        semantics=semantics,
-        assumptions=_strings(doc, "assumptions", "$"),
-        state_count=_expect(counts, "states", int, path="fsm"),
-        edge_count=_expect(counts, "edges", int, path="fsm"),
-        goal_count=_expect(counts, "goals", int, path="fsm"),
-        reachable_states=_strings(doc, "reachable_states", "$"),
-        reachable_goals=_strings(doc, "reachable_goals", "$"),
-        unreachable_goals=tuple(
-            UnreachableGoal(state=_expect(g, "state", str, path=path), label=_label(g, path),
-                            missing_conditions=_strings(g, "missing_conditions", path))
-            for path, g in _objects(doc, "unreachable_goals",
-                                    {"state", "label", "missing_conditions"}, "$")
-        ),
-        isolated_goals=_strings(doc, "isolated_goals", "$"),
-        chained_goals=_strings(doc, "chained_goals", "$"),
-        chained_only_goals=_strings(doc, "chained_only_goals", "$"),
-        witnesses=tuple(
-            GoalWitness(
-                goal=_expect(w, "goal", str, path=path),
-                label=_label(w, path),
-                assumptions_used=_strings(w, "assumptions_used", path),
-                steps=tuple(
-                    WitnessStep(state=_expect(s, "state", str, path=step_path),
-                                label=_label(s, step_path), grants=_strings(s, "grants", step_path))
-                    for step_path, s in _objects(w, "steps", {"state", "label", "grants"}, path)
-                ),
-            )
-            for path, w in _objects(doc, "witnesses",
-                                    {"goal", "label", "assumptions_used", "steps"}, "$")
-        ),
-        labels=tuple(sorted(
-            (sid, _typed(label, str, f"labels.{sid}"))
-            for sid, label in _expect(doc, "labels", dict, path="$").items()
-        )),
-    )
+    _expect(doc, "site", str, path="$")
+    _strings(doc, "assumptions", "$")
+    for key in ("states", "edges", "goals"):
+        _expect(counts, key, int, path="fsm")
+    _strings(doc, "reachable_states", "$")
+    _strings(doc, "reachable_goals", "$")
+    for path, goal in _objects(doc, "unreachable_goals",
+                               {"state", "label", "missing_conditions"}, "$"):
+        _expect(goal, "state", str, path=path)
+        _label(goal, path)
+        _strings(goal, "missing_conditions", path)
+    for key in ("isolated_goals", "chained_goals", "chained_only_goals"):
+        _strings(doc, key, "$")
+    for path, witness in _objects(doc, "witnesses",
+                                  {"goal", "label", "assumptions_used", "steps"}, "$"):
+        _expect(witness, "goal", str, path=path)
+        _label(witness, path)
+        _strings(witness, "assumptions_used", path)
+        for step_path, step in _objects(witness, "steps", {"state", "label", "grants"}, path):
+            _expect(step, "state", str, path=step_path)
+            _label(step, step_path)
+            _strings(step, "grants", step_path)
+    for sid, label in _expect(doc, "labels", dict, path="$").items():
+        _typed(label, str, f"labels.{sid}")
+    del doc["format_version"]
+    return AnalysisReport(**doc)
 
 
-def _strings(obj: dict, key: str, path: str) -> tuple[str, ...]:
-    """The list of strings ``obj[key]`` as a tuple."""
-    return tuple(_typed(v, str, f"{_child(path, key)}[{i}]")
-                 for i, v in enumerate(_expect(obj, key, list, path=path)))
+def _strings(obj: dict, key: str, path: str) -> None:
+    """Check that ``obj[key]`` is a list of strings."""
+    for i, v in enumerate(_expect(obj, key, list, path=path)):
+        _typed(v, str, f"{_child(path, key)}[{i}]")
 
 
-def _label(obj: dict, path: str) -> str | None:
-    """``obj["label"]``, which must be present and a string or null."""
-    if "label" in obj and obj["label"] is None:
-        return None
-    return _expect(obj, "label", str, path=path)
+def _label(obj: dict, path: str) -> None:
+    """Check that ``obj["label"]`` is present and a string or null."""
+    if "label" not in obj or obj["label"] is not None:
+        _expect(obj, "label", str, path=path)

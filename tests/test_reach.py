@@ -255,4 +255,4 @@ class TestDiffIsolatedVsChained:
         monkeypatch.setattr(reach_module, "_closure_single_descent", refuse)
         report = to_report(fsm, result)
         diff = diff_isolated_vs_chained(fsm, result)
-        assert report.chained_goals == report.reachable_goals == tuple(sorted(diff.chained))
+        assert report.chained_goals == report.reachable_goals == sorted(diff.chained)

@@ -2,10 +2,13 @@
 
 import json
 import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from vulnchain import (
+    AnalysisReport,
     AssumptionSet,
     ReachParams,
     SchemaViolation,
@@ -23,6 +26,9 @@ from vulnchain import (
 )
 
 from tests.helpers import fsm_of, labels_of, single_finding
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_REPORTS = sorted(GOLDEN.glob("*/report*.json"))
 
 EDGE_RE = re.compile(r'^\s*"(?P<src>[^"]+)" -> "(?P<dst>[^"]+)"(?: \[(?P<attrs>[^\]]*)\])?;$')
 
@@ -198,36 +204,36 @@ class TestToReport:
         result = reach(vulnweb_fsm)
         report = to_report(vulnweb_fsm, result)
         labels = labels_of(vulnweb_fsm)
-        unreachable = {labels[g.state]: g for g in report.unreachable_goals}
+        unreachable = {labels[g["state"]]: g for g in report.unreachable_goals}
         assert set(unreachable) == {"S7"}
-        missing = unreachable["S7"].missing_conditions
+        missing = unreachable["S7"]["missing_conditions"]
         assert "user fills up the login form on the third-party web page." in missing
         assert "user redirected to a third-party web page." in missing
 
     def test_reachable_plus_unreachable_covers_all_goals(self, vulnweb_fsm):
         report = to_report(vulnweb_fsm, reach(vulnweb_fsm))
-        goals = set(report.reachable_goals) | {g.state for g in report.unreachable_goals}
+        goals = set(report.reachable_goals) | {g["state"] for g in report.unreachable_goals}
         assert goals == set(vulnweb_fsm.goal_ids)
-        assert report.goal_count == 3
+        assert report.fsm["goals"] == 3
 
     def test_teacher_witness_length(self, teacher_fsm):
         result = reach(teacher_fsm)
         (goal,) = collect_goals(result, teacher_fsm)
         report = to_report(
             teacher_fsm, result, {goal: extract_witness(teacher_fsm, result, goal)})
-        assert [w.goal for w in report.witnesses] == [goal]
-        assert len(report.witnesses[0].steps) >= 4
+        assert [w["goal"] for w in report.witnesses] == [goal]
+        assert len(report.witnesses[0]["steps"]) >= 4
 
     def test_empty_machine_report(self):
         fsm = attach_start_state((), ())
         report = to_report(fsm, reach(fsm))
-        assert report.state_count == 0
-        assert report.goal_count == 0
-        assert report.reachable_states == ("start",)
+        assert report.fsm["states"] == 0
+        assert report.fsm["goals"] == 0
+        assert report.reachable_states == ["start"]
 
     def test_isolation_diff_included(self, teacher_fsm):
         report = to_report(teacher_fsm, reach(teacher_fsm))
-        assert report.isolated_goals == ()
+        assert report.isolated_goals == []
         assert len(report.chained_goals) == 1
         assert report.chained_only_goals == report.chained_goals
 
@@ -235,7 +241,7 @@ class TestToReport:
         assumed = frozenset(vulnweb_fsm.user_action_condition_ids)
         result = reach(vulnweb_fsm, ReachParams(assumptions=AssumptionSet(assumed)))
         report = to_report(vulnweb_fsm, result)
-        assert report.assumptions == tuple(sorted(assumed))
+        assert report.assumptions == sorted(assumed)
         assert report.semantics == "fixed-point"
 
 
@@ -248,6 +254,15 @@ class TestReportSerialization:
         }
         report = to_report(vulnweb_fsm, result, witnesses)
         assert report_from_json(report_to_json(report)) == report
+
+    @pytest.mark.parametrize("golden", GOLDEN_REPORTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+    def test_golden_round_trip(self, golden):
+        data = golden.read_bytes()
+        assert report_to_json(report_from_json(data)).encode("utf-8") == data
+
+    def test_fields_are_the_file_keys(self):
+        doc = json.loads((GOLDEN / "vulnweb" / "report.json").read_bytes())
+        assert {f.name for f in fields(AnalysisReport)} == set(doc) - {"format_version"}
 
     def test_deterministic(self, teacher_fsm):
         report = to_report(teacher_fsm, reach(teacher_fsm))
