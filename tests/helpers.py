@@ -135,6 +135,24 @@ def closure_by_exhaustion(fsm: Fsm, assumed: frozenset[str] = frozenset()):
     return visited, true | set(assumed)
 
 
+def firing_order_by_restart_scan(fsm: Fsm, assumed: frozenset[str] = frozenset()):
+    """Lowest-id-first closure by naive rescanning: after every fire, scan
+    the unfired states in id order again and fire the first ready one.
+    Returns (firing order starting with the start state, true condition ids)."""
+    order = [fsm.start.id]
+    true = set(fsm.initial_conditions)
+    unfired = sorted((s for s in fsm.states if not s.is_start), key=lambda s: s.id)
+    while True:
+        ready = next((s for s in unfired if _fireable(s, true, assumed)), None)
+        if ready is None:
+            return order, true | set(assumed)
+        unfired.remove(ready)
+        order.append(ready.id)
+        for ref in ready.postconditions:
+            if not ref.false_positive:
+                true.add(ref.condition.id)
+
+
 def union_over_all_firing_sequences(fsm: Fsm, assumed: frozenset[str] = frozenset()) -> set[str]:
     """Union of visited sets over every maximal firing sequence. Exponential;
     only call on tiny machines."""

@@ -1,6 +1,7 @@
 """Reachability semantics, goal collection, witnesses, and the isolation diff."""
 
 import importlib
+import random
 
 import pytest
 
@@ -11,6 +12,7 @@ from vulnchain import (
     ReachParams,
     Semantics,
     attach_start_state,
+    build_fsm,
     collect_goals,
     diff_isolated_vs_chained,
     extract_witness,
@@ -20,10 +22,13 @@ from vulnchain import (
 
 from tests.helpers import (
     closure_by_exhaustion,
+    firing_order_by_restart_scan,
     fsm_of,
     ids_for,
     labels_of,
     load_fsm,
+    random_assumptions,
+    random_finding_set,
     replay_witness,
     single_finding,
 )
@@ -68,6 +73,18 @@ class TestFixedPoint:
             result = reach(fsm)
             assert result.visited == expected_visited
             assert result.true_conditions == expected_true
+
+    def test_firing_order_matches_restart_scan_oracle(self):
+        # Witnesses and goldens depend on the firing order, not only on the
+        # visited set, so the order itself is checked on a random corpus.
+        rng = random.Random(7)
+        for _ in range(3000):
+            fsm = build_fsm(random_finding_set(rng, 12, 10))
+            assumptions = random_assumptions(rng, fsm)
+            result = reach(fsm, ReachParams(assumptions=assumptions))
+            order, true = firing_order_by_restart_scan(fsm, assumptions.granted_user_actions)
+            assert result.firing_order == tuple(order)
+            assert result.true_conditions == true
 
     def test_idempotent(self, vulnweb_fsm):
         params = ReachParams(assumptions=_all_assumptions(vulnweb_fsm))
