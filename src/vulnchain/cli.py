@@ -120,7 +120,7 @@ def _cmd_analyze(args) -> int:
     fsm = _load_fsm(args.fsm)
     params = ReachParams(
         semantics=Semantics(args.semantics),
-        assumptions=_assumptions(fsm, args.assume),
+        assumptions=_assumptions(fsm, args.assume, "--assume"),
     )
     result = reach(fsm, params)
     reached = collect_goals(result, fsm)
@@ -134,8 +134,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_whatif(args) -> int:
     fsm = _load_fsm(args.fsm)
     toggled: set[str] = set()
-    for cond in args.toggle:
-        cid = _match_condition(fsm, cond)
+    for cid in _match_conditions(fsm, args.toggle, "--toggle"):
         toggled.symmetric_difference_update({cid})
     base = reach(fsm, ReachParams())
     alt = reach(fsm, ReachParams(assumptions=AssumptionSet(frozenset(toggled))))
@@ -157,7 +156,7 @@ def _cmd_export_dot(args) -> int:
 
 def _cmd_diff_isolated(args) -> int:
     fsm = _load_fsm(args.fsm)
-    result = reach(fsm, ReachParams(assumptions=_assumptions(fsm, args.assume)))
+    result = reach(fsm, ReachParams(assumptions=_assumptions(fsm, args.assume, "--assume")))
     diff = diff_isolated_vs_chained(fsm, result)
     rows = [
         ("isolated goals", diff.isolated),
@@ -189,15 +188,9 @@ def _load_fsm(path: str) -> Fsm:
 def _replay_report(fsm: Fsm, report: AnalysisReport) -> ReachResult:
     """Re-run the reach a report records; it must visit the states the
     report lists."""
-    assumed = set()
-    for i, text in enumerate(report.assumptions):
-        try:
-            assumed.add(_match_condition(fsm, text))
-        except VulnchainError as exc:
-            raise type(exc)(f"assumptions[{i}]: {exc}") from exc
     params = ReachParams(
         semantics=Semantics(report.semantics),
-        assumptions=AssumptionSet(frozenset(assumed)),
+        assumptions=_assumptions(fsm, report.assumptions, "assumptions"),
     )
     result = reach(fsm, params)
     if sorted(result.visited) != report.reachable_states:
@@ -220,8 +213,20 @@ def _match_condition(fsm: Fsm, text: str) -> str:
     raise InvalidAssumption(f"{cid!r} is not a user-action precondition of any state{hint}")
 
 
-def _assumptions(fsm: Fsm, texts: list[str]) -> AssumptionSet:
-    return AssumptionSet(frozenset(_match_condition(fsm, t) for t in texts))
+def _match_conditions(fsm: Fsm, texts: list[str], name: str) -> list[str]:
+    """Resolve each text with :func:`_match_condition`; an error names the
+    offending entry as ``name[i]``."""
+    out = []
+    for i, text in enumerate(texts):
+        try:
+            out.append(_match_condition(fsm, text))
+        except VulnchainError as exc:
+            raise type(exc)(f"{name}[{i}]: {exc}") from exc
+    return out
+
+
+def _assumptions(fsm: Fsm, texts: list[str], name: str) -> AssumptionSet:
+    return AssumptionSet(frozenset(_match_conditions(fsm, texts, name)))
 
 
 def _fmt_delta(fsm: Fsm, new: frozenset[str], old: frozenset[str]) -> str:

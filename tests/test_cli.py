@@ -425,6 +425,39 @@ class TestDiffIsolated:
         assert "chained goals: S10 S4 S7" in out
 
 
+#: Subcommand arguments after ``--fsm`` -> the whole error line.
+BAD_ASSUMPTION_ARGS = {
+    "analyze blank": (
+        ["analyze", "--assume", "", "--out", "r.json"],
+        "--assume[0]: condition label is empty or whitespace-only"),
+    "analyze unknown": (
+        ["analyze", "--assume", CLICK, "--assume", "nope", "--out", "r.json"],
+        "--assume[1]: 'nope' is not a user-action precondition of any state"),
+    "whatif blank": (
+        ["whatif", "--toggle", "  "],
+        "--toggle[0]: condition label is empty or whitespace-only"),
+    "whatif unknown": (
+        ["whatif", "--toggle", CLICK, "--toggle", "nope"],
+        "--toggle[1]: 'nope' is not a user-action precondition of any state"),
+    "diff-isolated blank": (
+        ["diff-isolated", "--assume", ""],
+        "--assume[0]: condition label is empty or whitespace-only"),
+    "diff-isolated unknown": (
+        ["diff-isolated", "--assume", "nope"],
+        "--assume[0]: 'nope' is not a user-action precondition of any state"),
+}
+
+
+class TestAssumptionArguments:
+    @pytest.mark.parametrize("case", sorted(BAD_ASSUMPTION_ARGS))
+    def test_error_names_the_argument(self, case, built, tmp_path, monkeypatch, capsys):
+        args, message = BAD_ASSUMPTION_ARGS[case]
+        monkeypatch.chdir(tmp_path)
+        code = cli_main([args[0], "--fsm", str(built["vulnweb"]), *args[1:]])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestUsageErrors:
     def test_unknown_flag_exits_1(self, capsys):
         assert cli_main(["analyze", "--bogus"]) == 1

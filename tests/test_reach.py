@@ -16,6 +16,7 @@ from vulnchain import (
     collect_goals,
     diff_isolated_vs_chained,
     extract_witness,
+    normalize_condition,
     reach,
     to_report,
 )
@@ -121,6 +122,57 @@ class TestFixedPoint:
         )
         result = reach(fsm, ReachParams(assumptions=AssumptionSet.of("c")))
         assert _visited_labels(fsm, result) == {"start", "S1"}
+
+
+def _state(name, pres=(), posts=()):
+    return single_finding(name, f"/{name.lower()}", pres=pres, posts=posts, label=name)
+
+
+class TestFiringOrder:
+    """Exact firing orders where a condition turns true more than once, is
+    true from the start, or is never granted at all."""
+
+    def test_environment_fact_granted_again(self):
+        a = _state("A", posts=("e", "x"))
+        b = _state("B", pres=("e", "x"))
+        e = _state("E", pres=("e",))
+        fsm = fsm_of(a, b, e, facts=(normalize_condition("e"),))
+        assert e.id < a.id
+        assert reach(fsm).firing_order == ("start", e.id, a.id, b.id)
+
+    def test_assumed_user_action_granted_again(self):
+        # C1 is ready from the start and fires before P grants "u". C2 still
+        # waits for "x" after P grants "u". C3 is ready before P grants "u"
+        # and still fires only once.
+        c1 = _state("C1", pres=("!u",))
+        c2 = _state("C2", pres=("!u", "x"))
+        c3 = _state("C3", pres=("!u", "y"))
+        y = _state("Y", posts=("y",))
+        p = _state("P", pres=("y",), posts=("u",))
+        x = _state("X", pres=("u",), posts=("x",))
+        fsm = fsm_of(c1, c2, c3, y, p, x)
+        assert c1.id < p.id and c2.id < x.id
+        result = reach(fsm, ReachParams(assumptions=AssumptionSet.of("u")))
+        assert result.firing_order == ("start", c1.id, y.id, p.id, x.id, c2.id, c3.id)
+
+    def test_false_positive_grant_never_unlocks(self):
+        f = _state("F", posts=("?f",))
+        g = _state("G", posts=("g",))
+        c = _state("C", pres=("f", "g"))
+        fsm = fsm_of(f, g, c)
+        assert g.id < f.id
+        assert reach(fsm).firing_order == ("start", g.id, f.id)
+
+    def test_condition_granted_by_two_states(self):
+        # "c" turns true once; C still waits for "d", which D grants only
+        # after both A and B have fired.
+        a = _state("A", posts=("c", "a2"))
+        b = _state("B", posts=("c", "b2"))
+        d = _state("D", pres=("a2", "b2"), posts=("d",))
+        c = _state("C", pres=("c", "d"))
+        fsm = fsm_of(a, b, c, d)
+        assert b.id < a.id and c.id < d.id
+        assert reach(fsm).firing_order == ("start", b.id, a.id, d.id, c.id)
 
 
 class TestPaperDfs:
