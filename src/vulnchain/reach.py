@@ -9,7 +9,8 @@ Two semantics are provided:
   off at its consumers, and a state with nothing left joins a min-heap of
   ready ids. The lowest-id ready state always fires first, which fixes the
   firing order that witnesses and reports depend on. The cost is linear in
-  states plus edges, plus one heap operation per fired state.
+  states plus edges, plus one heap pop and at most one push per fired
+  state.
 * ``paper-dfs``: a single recursive descent that scans the states once in
   id order, firing and granting as it goes, and never revisits positions it
   has already passed. Conditions enabled late in the descent cannot unlock
