@@ -201,6 +201,10 @@ MALFORMED_MACHINES = {
         lambda doc: doc["states"][2]["postconditions"].append(
             dict(doc["states"][2]["postconditions"][1])),
         r"states\[2\]: A @ /a1: duplicate postcondition condition 'x2'"),
+    "blank condition and non-bool flag": (
+        lambda doc: doc["states"][3]["preconditions"][0].update(
+            condition="  ", requires_user_action="yes"),
+        r"states\[3\]\.preconditions\[0\]: condition label is empty or whitespace-only"),
     "tampered id": (
         lambda doc: doc["states"][3].update(id="000000000000"),
         r"states\[3\]\.id: id '000000000000' differs from '77a0f1bf1be5'"),

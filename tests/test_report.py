@@ -149,6 +149,22 @@ class TestFsmSerialization:
         assert json.dumps(doc, indent=2, sort_keys=True) + "\n" != text
         assert fsm_to_json(fsm_from_json(json.dumps(doc))) == text
 
+    def test_condition_spelled_two_ways_keeps_each_label(self):
+        spellings = ("SQL  Injection", "sql injection")
+        fsm = fsm_of(
+            *(single_finding("Producer", f"/p{i}", posts=[text], label=text)
+              for i, text in enumerate(spellings)),
+            *(single_finding("Consumer", f"/c{i}", pres=[text], label=text)
+              for i, text in enumerate(spellings)),
+        )
+        text = fsm_to_json(fsm)
+        loaded = fsm_from_json(text)
+        assert fsm_to_json(loaded) == text
+        for state in loaded.non_start_states:
+            (ref,) = state.preconditions or state.postconditions
+            assert ref.condition.id == "sql injection"
+            assert ref.condition.label == state.label
+
     @pytest.mark.parametrize("fixture", ["minimal_fsm", "vulnweb_fsm", "teacher_fsm"])
     def test_stores_no_derived_indices(self, fixture, request):
         doc = json.loads(fsm_to_json(request.getfixturevalue(fixture)))
