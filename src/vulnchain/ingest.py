@@ -297,8 +297,8 @@ def _decode_json_object(document: str | bytes, what: str) -> dict:
 
 
 def _reject_unknown(obj: dict, allowed: set[str], path: str) -> None:
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
+    if not obj.keys() <= allowed:
+        unknown = sorted(set(obj) - allowed)
         raise SchemaViolation(f"unknown fields: {', '.join(unknown)}", path=path)
 
 
@@ -332,7 +332,8 @@ def _optional(obj: dict, key: str, kind: type, default: Any, path: str) -> Any:
 def _typed(value: Any, kind: type, path: str, what: str = "value") -> Any:
     """``value`` itself if it is a ``kind``. A bool never counts as an int,
     and a str must be encodable as UTF-8, so a lone surrogate is rejected."""
-    if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+    if type(value) is not kind and (
+            not isinstance(value, kind) or (kind is not bool and isinstance(value, bool))):
         raise SchemaViolation(f"{what} must be {kind.__name__}", path=path)
     if kind is str and not value.isascii():
         try:

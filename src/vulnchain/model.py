@@ -10,6 +10,7 @@ concurrent analyses. Identity rules live here and nowhere else:
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -91,14 +92,23 @@ class NormalizedUri:
         return self.canonical
 
 
-def _decode_path(path: str) -> str:
+_CONTROL_CHARS = re.compile(r"[\x00-\x1f\x7f]")
+#: Percent-decoding passes allowed per path; bounds work on hostile input.
+_MAX_DECODES = 16
+
+
+def _decode_path(path: str, raw: str) -> str:
     # Decode percent-escapes to a fixed point so re-normalizing a canonical
-    # path can never change it again ("%2520" -> "%20" -> " ").
-    for _ in range(16):
+    # path can never change it again ("%2520" -> "%20" -> " "). A path that
+    # is still changing after the last allowed pass has no canonical form.
+    for _ in range(_MAX_DECODES):
         decoded = unquote(path)
         if decoded == path:
             return path
         path = decoded
+    if unquote(path) != path:
+        raise MalformedUri(
+            f"percent-escapes nested more than {_MAX_DECODES} levels deep: {raw!r}")
     return path
 
 
@@ -110,8 +120,9 @@ def normalize_uri(raw: str) -> NormalizedUri:
     paths gain a leading slash; fragments are discarded.
 
     Raises :class:`MalformedUri` for whitespace-only input, control
-    characters, or paths whose percent-decoded form cannot be re-parsed
-    (decoded ``#`` or ``?`` inside the path).
+    characters, percent-escapes nested more than 16 levels deep, or paths
+    whose percent-decoded form cannot be re-parsed (decoded ``#`` or ``?``
+    inside the path).
     """
     if raw == "":
         # Re-entrant form of the NULL sentinel's canonical.
@@ -119,7 +130,7 @@ def normalize_uri(raw: str) -> NormalizedUri:
     stripped = raw.strip()
     if not stripped:
         raise MalformedUri("URI is whitespace-only")
-    if any(ord(ch) < 0x20 or ch == "\x7f" for ch in raw):
+    if _CONTROL_CHARS.search(raw):
         raise MalformedUri(f"URI contains control characters: {raw!r}")
 
     lowered = stripped.lower()
@@ -134,9 +145,9 @@ def normalize_uri(raw: str) -> NormalizedUri:
         raise MalformedUri(f"cannot split URI {raw!r}: {exc}") from exc
     # Leading/trailing whitespace on the path or query would not survive a
     # second normalization pass, so it is dropped; interior spaces stay.
-    path = _decode_path(parts.path).strip()
+    path = _decode_path(parts.path, raw).strip()
     query = parts.query.strip()
-    if any(ord(ch) < 0x20 or ch == "\x7f" for ch in path):
+    if _CONTROL_CHARS.search(path):
         raise MalformedUri(f"percent-decoded path contains control characters: {raw!r}")
     if "#" in path or "?" in path:
         raise MalformedUri(f"percent-decoded path cannot be re-split: {raw!r}")
@@ -365,8 +376,17 @@ class Fsm:
     @cached_property
     def edge_count(self) -> int:
         """Labeled condition edges plus the plain start edges to
-        precondition-free states."""
-        return len(self.edges) + len(self.unconditional_start_targets)
+        precondition-free states: the sum over states ``s`` and the
+        condition ids ``cid`` that ``s`` grants of ``len(consumers[cid])``,
+        plus ``len(unconditional_start_targets)``.
+
+        A state grants each condition at most once, so this counts
+        ``edges`` without building it.
+        """
+        consumers = self.consumers
+        labeled = sum(
+            len(consumers[cid]) for s in self.states for cid in s.granted_condition_ids())
+        return labeled + len(self.unconditional_start_targets)
 
     @cached_property
     def start_successors(self) -> tuple[str, ...]:
@@ -421,6 +441,11 @@ class ReachResult:
     firing_order: tuple[str, ...]
     semantics: str
     assumptions: frozenset[str]
+
+    @cached_property
+    def firing_position(self) -> Mapping[str, int]:
+        """Visited state id -> its index in ``firing_order``."""
+        return {sid: i for i, sid in enumerate(self.firing_order)}
 
 
 @dataclass(frozen=True)

@@ -181,7 +181,7 @@ def extract_witness(fsm: Fsm, result: ReachResult, goal: str) -> AttackPath:
     if goal not in result.visited or goal not in fsm.by_id:
         raise GoalNotReached(f"goal {goal!r} is not in the visited set")
 
-    position = {sid: i for i, sid in enumerate(result.firing_order)}
+    position = result.firing_position
     collected = {goal}
     assumptions_used: set[str] = set()
     frontier = [goal]

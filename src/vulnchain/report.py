@@ -167,6 +167,10 @@ def fsm_from_json(document: str | bytes) -> Fsm:
     machine is then assembled by :func:`vulnchain.builder.attach_start_state`,
     like a freshly built one. Files of another ``format_version`` are
     rejected.
+
+    Condition texts recur across states, so each distinct text is
+    normalized once per call and the immutable refs are shared: every ref
+    entry is still checked, and a text's label is kept as written.
     """
     doc = _decode_json_object(document, what="machine file")
     version = _optional(doc, "format_version", int, None, path="$")
@@ -184,11 +188,12 @@ def fsm_from_json(document: str | bytes) -> Fsm:
 
     states = []
     start_entries = []
+    shared: dict = {}
     for path, entry in _objects(doc, "states", _STATE_KEYS, "$"):
         if _expect(entry, "is_start", bool, path=path):
             start_entries.append((path, entry))
         else:
-            states.append((path, _state_from_entry(entry, path)))
+            states.append((path, _state_from_entry(entry, path, shared)))
     _reject_duplicate_states(states)
     if len(start_entries) != 1:
         raise SchemaViolation(f"expected exactly one start state, found {len(start_entries)}",
@@ -205,13 +210,13 @@ def fsm_from_json(document: str | bytes) -> Fsm:
 _STATE_KEYS = _FINDING_KEYS | {"id", "is_start"}
 
 
-def _state_from_entry(entry: dict, path: str) -> AttackState:
+def _state_from_entry(entry: dict, path: str, shared: dict) -> AttackState:
     stored_id = _expect(entry, "id", str, path=path)
     state = _build_finding(
         _expect(entry, "vulnerability", str, path=path),
         _expect(entry, "uri", str, path=path),
-        _refs(entry, "preconditions", PreconditionRef, "requires_user_action", path),
-        _refs(entry, "postconditions", PostconditionRef, "false_positive", path),
+        _refs(entry, "preconditions", PreconditionRef, "requires_user_action", path, shared),
+        _refs(entry, "postconditions", PostconditionRef, "false_positive", path, shared),
         is_goal=_expect(entry, "is_goal", bool, path=path),
         source=_optional(entry, "source", str, "", path=path),
         label=_optional(entry, "label", str, None, path=path),
@@ -224,14 +229,27 @@ def _state_from_entry(entry: dict, path: str) -> AttackState:
     return state
 
 
-def _refs(entry: dict, key: str, make: type, flag: str, path: str) -> tuple:
+def _refs(entry: dict, key: str, make: type, flag: str, path: str, shared: dict) -> tuple:
     """Pre- or postconditions of one state entry, built as ``make(condition,
-    entry[flag])``."""
-    return tuple(
-        make(_condition(_expect(ref, "condition", str, path=ref_path), ref_path),
-             _expect(ref, flag, bool, path=ref_path))
-        for ref_path, ref in _objects(entry, key, {"condition", flag}, path)
-    )
+    entry[flag])``.
+
+    ``shared`` maps each raw condition text to its condition and each
+    ``(make, text, flag value)`` to its ref, so a repeated text is
+    normalized once and a repeated ref built once. The checks still run in
+    order for every entry: the condition's type, its text, then the flag.
+    """
+    refs = []
+    for ref_path, ref in _objects(entry, key, {"condition", flag}, path):
+        text = _expect(ref, "condition", str, path=ref_path)
+        condition = shared.get(text)
+        if condition is None:
+            condition = shared[text] = _condition(text, ref_path)
+        value = _expect(ref, flag, bool, path=ref_path)
+        made = shared.get((make, text, value))
+        if made is None:
+            made = shared[make, text, value] = make(condition, value)
+        refs.append(made)
+    return tuple(refs)
 
 
 # ---------------------------------------------------------------------------

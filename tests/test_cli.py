@@ -33,6 +33,9 @@ def built(tmp_path):
     return out
 
 
+#: Decodes to "/a%41" in 16 passes, and to "/aA" in one more.
+NESTED_16 = "/a%" + "25" * 16 + "41"
+
 MALFORMED_FINDINGS = {
     "lone surrogate in vulnerability": (
         lambda doc: doc["findings"][1].update(vulnerability="A\ud800"),
@@ -43,6 +46,9 @@ MALFORMED_FINDINGS = {
     "repeated finding": (
         lambda doc: doc["findings"].append(doc["findings"][0]),
         "findings[4]: same vulnerability and URI as findings[0]"),
+    "percent-escapes nested 16 levels deep": (
+        lambda doc: doc["findings"][1].update(uri=NESTED_16),
+        f"findings[1]: percent-escapes nested more than 16 levels deep: {NESTED_16!r}"),
 }
 
 

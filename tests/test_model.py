@@ -89,6 +89,11 @@ class TestNormalizeUri:
             canonical = normalize_uri(raw).canonical
             assert normalize_uri(canonical).canonical == canonical
 
+    def test_fifteen_nested_percent_escapes_decode_to_a_fixed_point(self):
+        uri = normalize_uri("/a%" + "25" * 15 + "41")
+        assert uri.canonical == "/aA"
+        assert normalize_uri(uri.canonical).canonical == "/aA"
+
     def test_malformed(self):
         with pytest.raises(MalformedUri):
             normalize_uri("   ")
@@ -96,6 +101,8 @@ class TestNormalizeUri:
             normalize_uri("/a\x00b")
         with pytest.raises(MalformedUri):
             normalize_uri("/a%23b")  # decoded '#' cannot be re-split
+        with pytest.raises(MalformedUri):
+            normalize_uri("/a%" + "25" * 16 + "41")  # not a fixed point after 16 decodes
         with pytest.raises(MalformedUri):
             normalize_uri("http://[")  # unbalanced IPv6 authority
 

@@ -1,6 +1,7 @@
 """DOT export, machine serialization, and analysis reports."""
 
 import json
+import random
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -13,6 +14,7 @@ from vulnchain import (
     ReachParams,
     SchemaViolation,
     attach_start_state,
+    build_fsm,
     collect_goals,
     extract_witness,
     fsm_from_json,
@@ -25,7 +27,7 @@ from vulnchain import (
     to_report,
 )
 
-from tests.helpers import fsm_of, labels_of, single_finding
+from tests.helpers import fsm_of, labels_of, random_finding_set, single_finding
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_REPORTS = sorted(GOLDEN.glob("*/report*.json"))
@@ -252,6 +254,20 @@ class TestToReport:
         assert report.isolated_goals == []
         assert len(report.chained_goals) == 1
         assert report.chained_only_goals == report.chained_goals
+
+    def test_edge_count_matches_the_edges_on_a_random_corpus(self):
+        rng = random.Random(11)
+        for _ in range(1000):
+            fsm = build_fsm(random_finding_set(rng))
+            assert fsm.edge_count == len(fsm.edges) + len(fsm.unconditional_start_targets)
+
+    @pytest.mark.parametrize("name", ["minimal", "vulnweb", "teacher"])
+    def test_loaded_machine_reports_without_listing_its_edges(self, name):
+        fsm = fsm_from_json((GOLDEN / name / "machine.json").read_bytes())
+        report = to_report(fsm, reach(fsm))
+        assert "edges" not in fsm.__dict__
+        golden = json.loads((GOLDEN / name / "report.json").read_bytes())
+        assert report.fsm["edges"] == golden["fsm"]["edges"]
 
     def test_assumptions_echoed(self, vulnweb_fsm):
         assumed = frozenset(vulnweb_fsm.user_action_condition_ids)

@@ -1,18 +1,25 @@
-"""The fixed-point closure does work linear in states plus edges.
+"""The read side does work that scales with the machine, not with repeats.
 
-Wall time on a shared host is too noisy to gate on, so the closure's work
-is counted instead: every state it reads from ``fsm.non_start_states``,
-every precondition ref it iterates, every consumer entry it reads from
-``fsm.consumers`` and every heap push. The counters are installed on one
-built machine, after its indices are derived, so only the closure is
-counted. The bound is one constant for every shape and size; a closure
-that rescans states it has already visited, or a consumer's preconditions
-on every grant, exceeds it already at the smallest size.
+Wall time on a shared host is too noisy to gate on, so work is counted
+instead. The fixed-point closure is linear in states plus edges: every
+state it reads from ``fsm.non_start_states``, every precondition ref it
+iterates, every consumer entry it reads from ``fsm.consumers`` and every
+heap push is counted. The counters are installed on one built machine,
+after its indices are derived, so only the closure is counted. The bound is
+one constant for every shape and size; a closure that rescans states it has
+already visited, or a consumer's preconditions on every grant, exceeds it
+already at the smallest size.
+
+The witnesses of one result read its firing order once in all, and loading
+a machine file normalizes each distinct condition text and builds each
+distinct ref once.
 """
 
+import dataclasses
 import functools
 import heapq
 import importlib
+import json
 import types
 from collections.abc import Mapping
 
@@ -27,6 +34,10 @@ from vulnchain import (
     PreconditionRef,
     ReachParams,
     attach_start_state,
+    collect_goals,
+    extract_witness,
+    fsm_from_json,
+    fsm_to_json,
     reach,
 )
 
@@ -78,13 +89,15 @@ def _cond(name: str) -> Condition:
     return Condition(id=name, label=name)
 
 
-def _state(i: int, pres=(), ua_pres=(), posts=()) -> AttackState:
+def _state(i: int, pres=(), ua_pres=(), posts=(), fp_posts=(), is_goal=False) -> AttackState:
     return AttackState(
         vulnerability_name=f"v{i}",
         uri=NormalizedUri(raw=f"/r{i}", canonical=f"/r{i}"),
         preconditions=tuple(PreconditionRef(_cond(c)) for c in pres)
         + tuple(PreconditionRef(_cond(c), requires_user_action=True) for c in ua_pres),
-        postconditions=tuple(PostconditionRef(_cond(c)) for c in posts),
+        postconditions=tuple(PostconditionRef(_cond(c)) for c in posts)
+        + tuple(PostconditionRef(_cond(c), false_positive=True) for c in fp_posts),
+        is_goal=is_goal,
     )
 
 
@@ -152,3 +165,62 @@ def test_closure_work_is_linear_in_states_plus_edges(shape, monkeypatch):
         assert work <= BOUND * size, (
             f"{shape.__name__} at {n} states: {work} operations for "
             f"{size} states + edges ({work / size:.2f} each, bound {BOUND})")
+
+
+def test_witnesses_read_the_firing_order_once():
+    n = 4_000
+    states = [_state(i, pres=(f"c{i}",), posts=(f"c{i + 1}",), is_goal=i % 100 == 99)
+              for i in range(n)]
+    fsm = attach_start_state(states, [_cond("c0")])
+    _cond.cache_clear()
+    counter = Counter()
+    result = reach(fsm)
+    result = dataclasses.replace(
+        result, firing_order=CountingTuple(result.firing_order, counter))
+    goals = sorted(collect_goals(result, fsm))
+    assert len(goals) == n // 100
+    for goal in goals:
+        extract_witness(fsm, result, goal)
+    assert counter.n <= len(result.firing_order), (
+        f"{len(goals)} witnesses read {counter.n} firing-order entries "
+        f"of {len(result.firing_order)}")
+
+
+def _counting(make, counter: Counter):
+    def counted(*args, **kwargs):
+        counter.n += 1
+        return make(*args, **kwargs)
+    return counted
+
+
+def test_machine_load_work_scales_with_distinct_refs(monkeypatch):
+    """2,000 states draw their refs from seven conditions, three user
+    actions and five false positives, so nearly every ref repeats one seen
+    earlier in the file."""
+    states = [_state(i, pres=(f"c{i % 7}",), ua_pres=(f"u{i % 3}",),
+                     posts=(f"c{(i + 1) % 7}",), fp_posts=(f"f{i % 5}",))
+              for i in range(2_000)]
+    text = fsm_to_json(attach_start_state(states, [_cond("c0")]))
+    _cond.cache_clear()
+    doc = json.loads(text)
+    flags = {"preconditions": "requires_user_action", "postconditions": "false_positive"}
+    triples = {(key, ref["condition"], ref[flag])
+               for entry in doc["states"] if not entry["is_start"]
+               for key, flag in flags.items() for ref in entry[key]}
+    texts = {cond for _, cond, _ in triples}
+
+    ingest_module = importlib.import_module("vulnchain.ingest")
+    report_module = importlib.import_module("vulnchain.report")
+    normalized, constructed = Counter(), Counter()
+    monkeypatch.setattr(ingest_module, "normalize_condition",
+                        _counting(ingest_module.normalize_condition, normalized))
+    for name in ("PreconditionRef", "PostconditionRef"):
+        monkeypatch.setattr(report_module, name,
+                            _counting(getattr(report_module, name), constructed))
+    loaded = fsm_from_json(text)
+
+    assert fsm_to_json(loaded) == text
+    assert normalized.n <= len(texts) + len(doc["environment_facts"]), (
+        f"{normalized.n} normalizations for {len(texts)} distinct texts")
+    assert constructed.n <= len(triples), (
+        f"{constructed.n} refs built for {len(triples)} distinct refs")
