@@ -8,9 +8,11 @@ the package's worklist, so they stay independent of the code they check.
 from __future__ import annotations
 
 import random
+import string
 from pathlib import Path
 
 from vulnchain import (
+    START_STATE_ID,
     AssumptionSet,
     AttackPath,
     AttackState,
@@ -19,6 +21,7 @@ from vulnchain import (
     Fsm,
     PostconditionRef,
     PreconditionRef,
+    ReachResult,
     build_fsm,
     normalize_condition,
     normalize_uri,
@@ -26,6 +29,7 @@ from vulnchain import (
     parse_findings,
     serialize_findings,
 )
+from vulnchain.report import _esc, _node_label
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -62,22 +66,31 @@ def random_finding_set(
     rng: random.Random,
     max_states: int = 10,
     max_conditions: int = 15,
+    *,
+    punctuation_variants: bool = False,
 ) -> FindingSet:
     """One random machine input: states draw pre/postconditions from a
-    shared pool with random user-action, false-positive, and goal flags."""
+    shared pool with random user-action, false-positive, and goal flags.
+
+    With ``punctuation_variants`` the pool also holds ``c3.`` beside ``c3``
+    for some conditions, so near-miss warnings occur; without it the draws
+    are the same as ever for a given ``rng`` state.
+    """
     n_conds = rng.randint(1, max_conditions)
     pool = [normalize_condition(f"c{i}") for i in range(n_conds)]
+    if punctuation_variants:
+        pool += [normalize_condition(f"c{i}.") for i in range(n_conds) if rng.random() < 0.3]
     n_states = rng.randint(0, max_states)
 
     findings = []
     for i in range(n_states):
         pres = tuple(
             PreconditionRef(condition=c, requires_user_action=rng.random() < 0.2)
-            for c in rng.sample(pool, k=rng.randint(0, min(3, n_conds)))
+            for c in rng.sample(pool, k=rng.randint(0, min(3, len(pool))))
         )
         posts = tuple(
             PostconditionRef(condition=c, false_positive=rng.random() < 0.2)
-            for c in rng.sample(pool, k=rng.randint(0, min(3, n_conds)))
+            for c in rng.sample(pool, k=rng.randint(0, min(3, len(pool))))
         )
         findings.append(AttackState(
             vulnerability_name=f"v{i:02d}",
@@ -87,7 +100,7 @@ def random_finding_set(
             is_goal=rng.random() < 0.3,
             label=f"S{i + 1}",
         ))
-    facts = tuple(rng.sample(pool, k=rng.randint(0, min(2, n_conds))))
+    facts = tuple(rng.sample(pool, k=rng.randint(0, min(2, len(pool)))))
     raw = FindingSet(site="random", environment_facts=facts, findings=tuple(findings))
     # One parse pass canonicalizes ordering and computes content warnings.
     return parse_findings(serialize_findings(raw))
@@ -188,6 +201,147 @@ def replay_witness(fsm: Fsm, path: AttackPath) -> bool:
                 return False
         true.update(grants)
     return bool(path.steps) and path.steps[-1][0] == path.goal
+
+
+# ---------------------------------------------------------------------------
+# Reference derivations of the condition relation
+# ---------------------------------------------------------------------------
+# Standalone copies of the build warnings and the DOT export as they were
+# before the machine's own indices served both. They rescan the findings and
+# states directly, so the package's versions are checked against them.
+
+def reference_build_warnings(finding_set: FindingSet, fsm: Fsm) -> tuple[str, ...]:
+    """The warnings ``build`` prints for ``finding_set``, built into ``fsm``:
+    the content warnings, then the machine's crawl diagnostics."""
+    return (reference_content_warnings(finding_set.environment_facts, finding_set.findings)
+            + fsm.diagnostics)
+
+
+def reference_content_warnings(facts: tuple[Condition, ...], findings: tuple[AttackState, ...]) -> tuple[str, ...]:
+    warnings: list[str] = []
+
+    producible = {c.id for c in facts}
+    for f in findings:
+        for r in f.postconditions:
+            if not r.false_positive:
+                producible.add(r.condition.id)
+
+    # Preconditions nobody can make true usually mean a condition-string
+    # typo. User-action preconditions are exempt: they are satisfied from
+    # the assumption set by design.
+    unsatisfiable: set[str] = set()
+    for f in findings:
+        for r in f.preconditions:
+            if not r.requires_user_action and r.condition.id not in producible:
+                unsatisfiable.add(r.condition.id)
+    warnings.extend(
+        f"precondition {cid!r} has no producing finding and no matching environment fact"
+        for cid in sorted(unsatisfiable)
+    )
+
+    # Near-miss pairs: ids that collide once punctuation is stripped point
+    # at pre/postcondition strings that were meant to match but do not.
+    all_ids: set[str] = {c.id for c in facts}
+    for f in findings:
+        all_ids.update(r.condition.id for r in f.preconditions)
+        all_ids.update(r.condition.id for r in f.postconditions)
+    stripped: dict[str, list[str]] = {}
+    table = str.maketrans("", "", string.punctuation)
+    for cid in sorted(all_ids):
+        key = " ".join(cid.translate(table).split())
+        stripped.setdefault(key, []).append(cid)
+    for key in sorted(stripped):
+        group = stripped[key]
+        if len(group) > 1:
+            joined = " / ".join(repr(c) for c in group)
+            warnings.append(f"conditions differ only in punctuation: {joined}")
+
+    return tuple(warnings)
+
+
+def reference_to_dot(fsm: Fsm, result: ReachResult | None = None) -> str:
+    """Render the machine as a deterministic Graphviz digraph.
+
+    Conventions: the start state is a double circle; goal states are filled
+    red; edges are labeled with condition ids; false-positive postcondition
+    edges are dashed red; user-action precondition edges are dashed. A
+    precondition with no drawable source gets a small point node feeding it,
+    and a postcondition nobody consumes gets a point sink, so every state
+    shows its full in/out degree. When a reach result is given, visited
+    states get bold outlines.
+    """
+    visited = set(result.visited) if result is not None else set()
+
+    # Map (consumer id, condition id) -> user-action flag for edge styling.
+    user_action: dict[tuple[str, str], bool] = {}
+    for s in fsm.states:
+        for ref in s.preconditions:
+            user_action[(s.id, ref.condition.id)] = ref.requires_user_action
+
+    edges: set[tuple[str, str, str, str]] = set()  # (src, dst, label, kind)
+    for sid in fsm.unconditional_start_targets:
+        edges.add((START_STATE_ID, sid, "", "plain"))
+    for src, dst, cid in fsm.edges:
+        kind = "dashed" if user_action.get((dst, cid)) else "solid"
+        edges.add((src, dst, cid, kind))
+    for s in fsm.states:
+        for ref in s.postconditions:
+            cid = ref.condition.id
+            consumers = fsm.consumers.get(cid, frozenset())
+            if ref.false_positive:
+                if consumers:
+                    edges.update((s.id, dst, cid, "fp") for dst in consumers)
+                else:
+                    edges.add((s.id, f"out:{cid}", cid, "fp"))
+            elif not consumers:
+                edges.add((s.id, f"out:{cid}", cid, "solid"))
+    # A precondition has a drawable source iff some state lists it as a
+    # postcondition, granted or false positive.
+    posted = {r.condition.id for s in fsm.states for r in s.postconditions}
+    for s in fsm.states:
+        for ref in s.preconditions:
+            cid = ref.condition.id
+            if cid not in posted:
+                kind = "dashed" if ref.requires_user_action else "solid"
+                edges.add((f"in:{cid}", s.id, cid, kind))
+
+    point_nodes = sorted(
+        {e[0] for e in edges if e[0].startswith("in:")}
+        | {e[1] for e in edges if e[1].startswith("out:")}
+    )
+
+    lines = ["digraph vulnerability_chains {", "  rankdir=LR;"]
+    for state in [fsm.start] + list(fsm.non_start_states):
+        attrs = [f'label="{_esc(_node_label(state))}"']
+        if state.is_start:
+            attrs.append("shape=doublecircle")
+        else:
+            attrs.append("shape=ellipse")
+        styles = []
+        if state.is_goal:
+            styles.append("filled")
+            attrs.append("fillcolor=red")
+        if state.id in visited:
+            styles.append("bold")
+        if styles:
+            attrs.append(f'style="{",".join(styles)}"')
+        lines.append(f'  "{_esc(state.id)}" [{", ".join(attrs)}];')
+    for node in point_nodes:
+        lines.append(f'  "{_esc(node)}" [shape=point];')
+
+    for src, dst, label, kind in sorted(edges):
+        attrs = []
+        if label:
+            attrs.append(f'label="{_esc(label)}"')
+        if kind == "fp":
+            attrs.append("style=dashed")
+            attrs.append("color=red")
+        elif kind == "dashed":
+            attrs.append("style=dashed")
+        suffix = f" [{', '.join(attrs)}]" if attrs else ""
+        lines.append(f'  "{_esc(src)}" -> "{_esc(dst)}"{suffix};')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def single_finding(vuln: str, uri: str, pres=(), posts=(), *, is_goal=False, label=None) -> AttackState:

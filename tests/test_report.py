@@ -27,7 +27,15 @@ from vulnchain import (
     to_report,
 )
 
-from tests.helpers import fsm_of, labels_of, random_finding_set, single_finding
+from tests.helpers import (
+    fsm_of,
+    labels_of,
+    random_assumptions,
+    random_finding_set,
+    reference_build_warnings,
+    reference_to_dot,
+    single_finding,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_REPORTS = sorted(GOLDEN.glob("*/report*.json"))
@@ -275,6 +283,27 @@ class TestToReport:
         report = to_report(vulnweb_fsm, result)
         assert report.assumptions == sorted(assumed)
         assert report.semantics == "fixed-point"
+
+
+class TestConditionRelationOracle:
+    def test_warnings_and_dot_match_the_reference_on_a_random_corpus(self):
+        """Seeded machines, some with punctuation near-misses and uncrawled
+        URIs: the build warnings and both DOT exports match the standalone
+        reference derivations in ``tests.helpers``."""
+        rng = random.Random(20261018)
+        near_misses = diagnosed = 0
+        for _ in range(1000):
+            fs = random_finding_set(rng, punctuation_variants=True)
+            crawled = frozenset({"/"} | {f.uri.canonical for f in fs.findings if rng.random() < 0.7})
+            fsm = build_fsm(fs, crawled)
+            warnings = fs.warnings + fsm.diagnostics
+            assert warnings == reference_build_warnings(fs, fsm)
+            near_misses += any("differ only in punctuation" in w for w in warnings)
+            diagnosed += bool(fsm.diagnostics)
+            result = reach(fsm, ReachParams(assumptions=random_assumptions(rng, fsm)))
+            assert to_dot(fsm) == reference_to_dot(fsm)
+            assert to_dot(fsm, result) == reference_to_dot(fsm, result)
+        assert near_misses > 100 and diagnosed > 100
 
 
 class TestReportSerialization:
