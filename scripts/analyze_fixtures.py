@@ -61,7 +61,7 @@ def main() -> int:
         print(f"== {fsm.site} ==")
         print(f"states: {len(fsm.non_start_states)}  goals: {len(fsm.goal_ids)}  "
               f"assumptions granted: {len(assumptions.granted_user_actions)}")
-        print(f"goals reached by chaining: {show(fsm, report.chained_goals)}")
+        print(f"goals reached by chaining: {show(fsm, report.reachable_goals)}")
         print(f"goals reachable in isolation: {show(fsm, report.isolated_goals)}")
         print(f"chaining-only goals: {show(fsm, report.chained_only_goals)}")
         for goal in sorted(witnesses):

@@ -45,9 +45,9 @@ def build_fsm(findings: FindingSet, crawled: frozenset[str] | None = None) -> Fs
     identically. The machine's diagnostics warn about each finding URI that
     is not in ``crawled`` (see :func:`vulnchain.ingest.parse_crawl_list`):
     scanner and crawler disagree, but the finding is kept. The ``*``
-    sentinel never warns, and ``crawled=None`` gives no warnings. Warnings
-    about the findings' content come from ingestion alone
-    (:attr:`FindingSet.warnings`).
+    sentinel never warns, and ``crawled=None`` gives no warnings. The
+    machine derives its warnings about the findings' content itself, and
+    :attr:`Fsm.warnings` lists them ahead of these diagnostics.
     """
     diagnostics = () if crawled is None else (
         f"no crawled resource matches finding URI {f.uri.display()!r}"

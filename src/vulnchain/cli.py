@@ -105,11 +105,9 @@ def main() -> None:
 def _cmd_build(args) -> int:
     finding_set = _in_file(args.findings, parse_findings)
     crawled = _in_file(args.crawl, parse_crawl_list)
-    for warning in finding_set.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
     fsm = build_fsm(finding_set, crawled)
-    for note in fsm.diagnostics:
-        print(f"warning: {note}", file=sys.stderr)
+    for warning in fsm.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     Path(args.out).write_bytes(fsm_to_json(fsm).encode("utf-8"))
     print(f"states: {len(fsm.non_start_states)}, edges: {fsm.edge_count}, "
           f"goals: {len(fsm.goal_ids)}")

@@ -9,9 +9,7 @@ loaders in :mod:`vulnchain.report` use them too.
 from __future__ import annotations
 
 import json
-import string
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Any, Iterable
 
 from .errors import DuplicateState, EmptyCondition, MalformedUri, SchemaViolation, UnknownAssumptionFlag
@@ -43,11 +41,6 @@ class FindingSet:
     site: str
     environment_facts: tuple[Condition, ...] = ()
     findings: tuple[AttackState, ...] = ()
-
-    @cached_property
-    def warnings(self) -> tuple[str, ...]:
-        """Deterministic validation notes, derived from the content."""
-        return _content_warnings(self.environment_facts, self.findings)
 
 
 # ---------------------------------------------------------------------------
@@ -163,48 +156,6 @@ def _reject_duplicate_states(entries: Iterable[tuple[str, AttackState]]) -> None
         if state.id in first:
             raise DuplicateState(f"same vulnerability and URI as {first[state.id]}", path=path)
         first[state.id] = path
-
-
-def _content_warnings(facts: tuple[Condition, ...], findings: tuple[AttackState, ...]) -> tuple[str, ...]:
-    warnings: list[str] = []
-
-    producible = {c.id for c in facts}
-    for f in findings:
-        for r in f.postconditions:
-            if not r.false_positive:
-                producible.add(r.condition.id)
-
-    # Preconditions nobody can make true usually mean a condition-string
-    # typo. User-action preconditions are exempt: they are satisfied from
-    # the assumption set by design.
-    unsatisfiable: set[str] = set()
-    for f in findings:
-        for r in f.preconditions:
-            if not r.requires_user_action and r.condition.id not in producible:
-                unsatisfiable.add(r.condition.id)
-    warnings.extend(
-        f"precondition {cid!r} has no producing finding and no matching environment fact"
-        for cid in sorted(unsatisfiable)
-    )
-
-    # Near-miss pairs: ids that collide once punctuation is stripped point
-    # at pre/postcondition strings that were meant to match but do not.
-    all_ids: set[str] = {c.id for c in facts}
-    for f in findings:
-        all_ids.update(r.condition.id for r in f.preconditions)
-        all_ids.update(r.condition.id for r in f.postconditions)
-    stripped: dict[str, list[str]] = {}
-    table = str.maketrans("", "", string.punctuation)
-    for cid in sorted(all_ids):
-        key = " ".join(cid.translate(table).split())
-        stripped.setdefault(key, []).append(cid)
-    for key in sorted(stripped):
-        group = stripped[key]
-        if len(group) > 1:
-            joined = " / ".join(repr(c) for c in group)
-            warnings.append(f"conditions differ only in punctuation: {joined}")
-
-    return tuple(warnings)
 
 
 def _parse_finding_object(item: dict, path: str) -> AttackState:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+import string
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -275,8 +276,9 @@ class Fsm:
 
     States link only through their conditions, so every index is derived
     from them on first use and never stored: ``initial_conditions`` (what
-    the start state grants), ``producers`` and ``consumers`` (see there) and
-    ``edges``. ``diagnostics`` collects deterministic analysis notes.
+    the start state grants), ``producers`` and ``consumers`` (see there),
+    ``edges`` and the content ``warnings``. ``diagnostics`` collects
+    deterministic notes from assembly, such as uncrawled finding URIs.
     Assemble machines with :func:`vulnchain.builder.attach_start_state`.
     """
 
@@ -358,6 +360,26 @@ class Fsm:
             for s in self.states for r in s.preconditions
             if r.requires_user_action
         )
+
+    @cached_property
+    def warnings(self) -> tuple[str, ...]:
+        """Notes in the order ``build`` prints them: each precondition no
+        state grants, user actions exempt, by id (usually a typo); each
+        group of condition ids equal once punctuation is stripped (texts
+        meant to match that do not); then the diagnostics."""
+        unproduced = sorted({
+            r.condition.id for s in self.states for r in s.preconditions
+            if not r.requires_user_action and not self.producers[r.condition.id]})
+        groups: dict[str, list[str]] = {}
+        table = str.maketrans("", "", string.punctuation)
+        for cid in self.condition_ids:
+            groups.setdefault(" ".join(cid.translate(table).split()), []).append(cid)
+        return (
+            *(f"precondition {cid!r} has no producing finding and no matching environment fact"
+              for cid in unproduced),
+            *(f"conditions differ only in punctuation: {' / '.join(map(repr, group))}"
+              for _, group in sorted(groups.items()) if len(group) > 1),
+            *self.diagnostics)
 
     @cached_property
     def edges(self) -> tuple[tuple[str, str, str], ...]:

@@ -50,44 +50,27 @@ def to_dot(fsm: Fsm, result: ReachResult | None = None) -> str:
     states get bold outlines.
     """
     visited = set(result.visited) if result is not None else set()
+    user_action = {(s.id, r.condition.id) for s in fsm.states for r in s.preconditions
+                   if r.requires_user_action}
 
-    # Map (consumer id, condition id) -> user-action flag for edge styling.
-    user_action: dict[tuple[str, str], bool] = {}
-    for s in fsm.states:
-        for ref in s.preconditions:
-            user_action[(s.id, ref.condition.id)] = ref.requires_user_action
-
-    edges: set[tuple[str, str, str, str]] = set()  # (src, dst, label, kind)
-    for sid in fsm.unconditional_start_targets:
-        edges.add((START_STATE_ID, sid, "", "plain"))
-    for src, dst, cid in fsm.edges:
-        kind = "dashed" if user_action.get((dst, cid)) else "solid"
-        edges.add((src, dst, cid, kind))
+    # (src, dst, label, kind), each at most once. A postcondition nobody
+    # consumes feeds its point sink.
+    edges = [(START_STATE_ID, sid, "", "plain") for sid in fsm.unconditional_start_targets]
+    posted: set[str] = set()
     for s in fsm.states:
         for ref in s.postconditions:
             cid = ref.condition.id
-            consumers = fsm.consumers.get(cid, frozenset())
-            if ref.false_positive:
-                if consumers:
-                    edges.update((s.id, dst, cid, "fp") for dst in consumers)
-                else:
-                    edges.add((s.id, f"out:{cid}", cid, "fp"))
-            elif not consumers:
-                edges.add((s.id, f"out:{cid}", cid, "solid"))
+            posted.add(cid)
+            for dst in fsm.consumers[cid] or (f"out:{cid}",):
+                kind = "dashed" if (dst, cid) in user_action else "solid"
+                edges.append((s.id, dst, cid, "fp" if ref.false_positive else kind))
     # A precondition has a drawable source iff some state lists it as a
     # postcondition, granted or false positive.
-    posted = {r.condition.id for s in fsm.states for r in s.postconditions}
-    for s in fsm.states:
-        for ref in s.preconditions:
-            cid = ref.condition.id
-            if cid not in posted:
-                kind = "dashed" if ref.requires_user_action else "solid"
-                edges.add((f"in:{cid}", s.id, cid, kind))
-
-    point_nodes = sorted(
-        {e[0] for e in edges if e[0].startswith("in:")}
-        | {e[1] for e in edges if e[1].startswith("out:")}
-    )
+    sources = [cid for cid in fsm.condition_ids if cid not in posted]
+    edges.extend((f"in:{cid}", dst, cid, "dashed" if (dst, cid) in user_action else "solid")
+                 for cid in sources for dst in fsm.consumers[cid])
+    points = sorted([f"in:{cid}" for cid in sources]
+                    + [f"out:{cid}" for cid in posted if not fsm.consumers[cid]])
 
     lines = ["digraph vulnerability_chains {", "  rankdir=LR;"]
     for state in [fsm.start] + list(fsm.non_start_states):
@@ -105,7 +88,7 @@ def to_dot(fsm: Fsm, result: ReachResult | None = None) -> str:
         if styles:
             attrs.append(f'style="{",".join(styles)}"')
         lines.append(f'  "{_esc(state.id)}" [{", ".join(attrs)}];')
-    for node in point_nodes:
+    for node in points:
         lines.append(f'  "{_esc(node)}" [shape=point];')
 
     for src, dst, label, kind in sorted(edges):

@@ -102,7 +102,7 @@ def random_finding_set(
         ))
     facts = tuple(rng.sample(pool, k=rng.randint(0, min(2, len(pool)))))
     raw = FindingSet(site="random", environment_facts=facts, findings=tuple(findings))
-    # One parse pass canonicalizes ordering and computes content warnings.
+    # One parse pass canonicalizes ordering and keeps one fact per id.
     return parse_findings(serialize_findings(raw))
 
 

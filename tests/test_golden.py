@@ -11,10 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from vulnchain import fsm_from_json
+from vulnchain import fsm_from_json, fsm_to_json
 from vulnchain.cli import cli_main
 
-from tests.helpers import FIXTURES
+from tests.helpers import FIXTURES, load_fsm
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FIXTURE_NAMES = ("minimal", "vulnweb", "teacher")
@@ -56,3 +56,14 @@ def test_outputs_match_goldens(name, tmp_path, capsys):
     for filename, data in rendered.items():
         expected = (GOLDEN / name / filename).read_bytes()
         assert data == expected, f"{name}/{filename} differs from its golden"
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_loaded_machine_reports_the_build_warnings(name):
+    """The content warnings are derived from the states, so a saved and
+    reloaded machine lists every line that ``build`` printed."""
+    fsm = load_fsm(name)
+    loaded = fsm_from_json(fsm_to_json(fsm))
+    assert loaded.warnings == fsm.warnings
+    printed = "".join(f"warning: {w}\n" for w in loaded.warnings)
+    assert printed == (GOLDEN / name / "build.stderr").read_text(encoding="utf-8")

@@ -67,7 +67,7 @@ class TestParseFindings:
             r for f in fs.findings for r in f.preconditions if r.requires_user_action
         ]
         assert len(user_action) == 3
-        assert fs.warnings == ()
+        assert build_fsm(fs).warnings == ()
 
     def test_empty_findings_with_one_fact(self):
         fs = parse_findings(_doc(facts=["Server banner exposed"]))
@@ -130,13 +130,13 @@ class TestParseFindings:
 
     def test_unsatisfiable_precondition_warning(self):
         fs = load_finding_set("minimal")
-        assert fs.warnings == (
+        assert build_fsm(fs).warnings == (
             "precondition 'x2' has no producing finding and no matching environment fact",
         )
 
     def test_user_action_preconditions_do_not_warn(self):
         doc = _doc([_row(pres=[{"condition": "user clicks", "requires_user_action": True}])])
-        assert parse_findings(doc).warnings == ()
+        assert build_fsm(parse_findings(doc)).warnings == ()
 
     def test_near_miss_punctuation_warning(self):
         doc = _doc([
@@ -144,7 +144,7 @@ class TestParseFindings:
             _row(vuln="B", uri="/b", pres=[{"condition": "weak password"}]),
         ])
         fs = parse_findings(doc)
-        assert any("differ only in punctuation" in w for w in fs.warnings)
+        assert any("differ only in punctuation" in w for w in build_fsm(fs).warnings)
 
     def test_environment_fact_may_coincide_with_postcondition(self):
         doc = _doc(
