@@ -144,6 +144,19 @@ class TestToDot:
         assert '"in:say "hi""' not in dot
 
 
+#: name -> (change to one ref entry given its flag key, expected message).
+REPEATED_REF_TAMPERS = {
+    "flag 1": (lambda ref, flag: ref.update({flag: 1}), "field '{flag}' must be bool"),
+    "flag 0": (lambda ref, flag: ref.update({flag: 0}), "field '{flag}' must be bool"),
+    "list condition": (lambda ref, flag: ref.update(condition=[1]),
+                       "field 'condition' must be str"),
+    "object condition": (lambda ref, flag: ref.update(condition={}),
+                         "field 'condition' must be str"),
+    "extra key": (lambda ref, flag: ref.update(extra=True), "unknown fields: extra"),
+    "missing flag": (lambda ref, flag: ref.pop(flag), "missing required field '{flag}'"),
+}
+
+
 class TestFsmSerialization:
     @pytest.mark.parametrize("fixture", ["minimal_fsm", "vulnweb_fsm", "teacher_fsm"])
     def test_round_trip(self, fixture, request):
@@ -223,6 +236,27 @@ class TestFsmSerialization:
         doc["states"][2]["producers"] = []
         with pytest.raises(SchemaViolation, match=r"states\[2\]: unknown fields: producers"):
             fsm_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("key, flag", [("preconditions", "requires_user_action"),
+                                           ("postconditions", "false_positive")])
+    @pytest.mark.parametrize("tamper", sorted(REPEATED_REF_TAMPERS))
+    def test_tampered_repeat_of_a_checked_ref_rejected(self, key, flag, tamper):
+        """A ref entry that repeats one already loaded from the same file is
+        checked in full: tampering with only its later occurrence is caught
+        at that occurrence's path, with the message of a first occurrence."""
+        fsm = fsm_of(single_finding("A", "/a", pres=("alpha", "shared"),
+                                    posts=("beta", "granted")),
+                     single_finding("B", "/b", pres=("shared",), posts=("granted",)))
+        doc = json.loads(fsm_to_json(fsm))
+        text = "shared" if key == "preconditions" else "granted"
+        i, j = [(i, j) for i, entry in enumerate(doc["states"])
+                for j, ref in enumerate(entry[key]) if ref["condition"] == text][-1]
+        change, message = REPEATED_REF_TAMPERS[tamper]
+        change(doc["states"][i][key][j], flag)
+        with pytest.raises(SchemaViolation) as caught:
+            fsm_from_json(json.dumps(doc))
+        assert (i, j) == (2, 1)
+        assert str(caught.value) == f"states[{i}].{key}[{j}]: {message.format(flag=flag)}"
 
 
 class TestToReport:
