@@ -14,6 +14,7 @@ import re
 import string
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Mapping
 from urllib.parse import unquote, urlsplit
 
@@ -180,13 +181,21 @@ class PostconditionRef:
     false_positive: bool = False
 
 
-def _check_no_duplicate_conditions(refs, kind: str, owner: str) -> None:
-    seen: set[str] = set()
-    for ref in refs:
+_CONDITION_ID = attrgetter("condition.id")
+
+
+def _sorted_refs(refs, kind: str, state: AttackState) -> tuple:
+    """``refs`` sorted by condition id; a repeated id is rejected, naming
+    the state by vulnerability and URI."""
+    ordered = tuple(sorted(refs, key=_CONDITION_ID))
+    previous = None
+    for ref in ordered:
         cid = ref.condition.id
-        if cid in seen:
-            raise SchemaViolation(f"duplicate {kind} condition {cid!r}", path=owner)
-        seen.add(cid)
+        if cid == previous:
+            raise SchemaViolation(f"duplicate {kind} condition {cid!r}",
+                                  path=f"{state.vulnerability_name} @ {state.uri.display()}")
+        previous = cid
+    return ordered
 
 
 def state_id(vulnerability_name: str, uri: NormalizedUri) -> str:
@@ -228,14 +237,9 @@ class AttackState:
         if not self.is_start and not self.vulnerability_name.strip():
             raise SchemaViolation("vulnerability name must be non-empty")
         object.__setattr__(
-            self, "preconditions",
-            tuple(sorted(self.preconditions, key=lambda r: r.condition.id)))
+            self, "preconditions", _sorted_refs(self.preconditions, "precondition", self))
         object.__setattr__(
-            self, "postconditions",
-            tuple(sorted(self.postconditions, key=lambda r: r.condition.id)))
-        owner = f"{self.vulnerability_name} @ {self.uri.display()}"
-        _check_no_duplicate_conditions(self.preconditions, "precondition", owner)
-        _check_no_duplicate_conditions(self.postconditions, "postcondition", owner)
+            self, "postconditions", _sorted_refs(self.postconditions, "postcondition", self))
         object.__setattr__(
             self, "id",
             START_STATE_ID if self.is_start else state_id(self.vulnerability_name, self.uri))

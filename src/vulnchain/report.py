@@ -127,7 +127,8 @@ def fsm_to_json(fsm: Fsm) -> str:
     """Serialize the machine so later commands can skip re-ingestion.
 
     Only the states, the environment facts and the diagnostics are stored;
-    every index is derived again on load.
+    every index is derived again on load. The file is an intermediate, not
+    a report, so it is written on one line with compact separators.
     """
     doc = {
         "format_version": FSM_FORMAT_VERSION,
@@ -136,7 +137,7 @@ def fsm_to_json(fsm: Fsm) -> str:
         "states": [_state_entry(s) for s in [fsm.start, *fsm.non_start_states]],
         "diagnostics": list(fsm.diagnostics),
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
 
 
 def fsm_from_json(document: str | bytes) -> Fsm:
@@ -152,8 +153,9 @@ def fsm_from_json(document: str | bytes) -> Fsm:
     rejected.
 
     Condition texts recur across states, so each distinct text is
-    normalized once per call and the immutable refs are shared: every ref
-    entry is still checked, and a text's label is kept as written.
+    normalized once per call and the immutable refs are shared; a ref
+    entry equal to one already checked is accepted by that equality, and a
+    text's label is kept as written. Any JSON layout loads.
     """
     doc = _decode_json_object(document, what="machine file")
     version = _optional(doc, "format_version", int, None, path="$")
@@ -218,11 +220,23 @@ def _refs(entry: dict, key: str, make: type, flag: str, path: str, shared: dict)
 
     ``shared`` maps each raw condition text to its condition and each
     ``(make, text, flag value)`` to its ref, so a repeated text is
-    normalized once and a repeated ref built once. The checks still run in
-    order for every entry: the condition's type, its text, then the flag.
+    normalized once and a repeated ref built once. An entry equal to one
+    already built (exactly its two keys, a str text and a bool flag) is that
+    ref; any other entry is checked in order: its type and keys, the
+    condition's type, its text, then the flag.
     """
     refs = []
-    for ref_path, ref in _objects(entry, key, {"condition", flag}, path):
+    keys, list_path = {"condition", flag}, _child(path, key)
+    for j, ref in enumerate(_expect(entry, key, list, path=path)):
+        if type(ref) is dict and len(ref) == 2:
+            text, value = ref.get("condition"), ref.get(flag)
+            if type(text) is str and type(value) is bool:
+                made = shared.get((make, text, value))
+                if made is not None:
+                    refs.append(made)
+                    continue
+        ref_path = f"{list_path}[{j}]"
+        _reject_unknown(_typed(ref, dict, ref_path), keys, path=ref_path)
         text = _expect(ref, "condition", str, path=ref_path)
         condition = shared.get(text)
         if condition is None:

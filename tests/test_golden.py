@@ -7,6 +7,7 @@ report, all through ``cli_main``. The files under ``tests/golden/<fixture>/``
 must match exactly.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,18 @@ def test_outputs_match_goldens(name, tmp_path, capsys):
     for filename, data in rendered.items():
         expected = (GOLDEN / name / filename).read_bytes()
         assert data == expected, f"{name}/{filename} differs from its golden"
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_indented_machine_loads_and_resaves_to_the_golden(name):
+    """Whitespace carries no meaning in the machine file: the golden
+    re-dumped with indentation loads to the same machine and saves back to
+    the golden's bytes."""
+    golden = (GOLDEN / name / "machine.json").read_text(encoding="utf-8")
+    indented = json.dumps(json.loads(golden), indent=2, sort_keys=True) + "\n"
+    loaded = fsm_from_json(indented)
+    assert loaded == fsm_from_json(golden)
+    assert fsm_to_json(loaded) == golden
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

@@ -169,8 +169,13 @@ class TestFsmSerialization:
         for entry in doc["states"]:
             entry["preconditions"].reverse()
             entry["postconditions"].reverse()
-        assert json.dumps(doc, indent=2, sort_keys=True) + "\n" != text
+        assert json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n" != text
         assert fsm_to_json(fsm_from_json(json.dumps(doc))) == text
+
+    @pytest.mark.parametrize("fixture", ["minimal_fsm", "vulnweb_fsm", "teacher_fsm"])
+    def test_written_compact_on_one_line_with_sorted_keys(self, fixture, request):
+        text = fsm_to_json(request.getfixturevalue(fixture))
+        assert text == json.dumps(json.loads(text), separators=(",", ":"), sort_keys=True) + "\n"
 
     def test_condition_spelled_two_ways_keeps_each_label(self):
         spellings = ("SQL  Injection", "sql injection")
