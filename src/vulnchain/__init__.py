@@ -18,12 +18,7 @@ from .errors import (
     UnknownAssumptionFlag,
     VulnchainError,
 )
-from .ingest import (
-    FindingSet,
-    parse_crawl_list,
-    parse_findings,
-    serialize_findings,
-)
+from .ingest import FindingSet, parse_crawl_list, parse_findings
 from .model import (
     START_STATE_ID,
     URI_ALL,

@@ -3,13 +3,15 @@
 Findings come in one format, the canonical findings JSON document. Native
 formats of individual scanners are out of scope; normalize them into it
 first. The helpers here own every loader rule, and the machine and report
-loaders in :mod:`vulnchain.report` use them too.
+loaders in :mod:`vulnchain.report` use them too: a machine file's states are
+read by :func:`_finding`, the one reader of a finding object.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Iterable
 
 from .errors import DuplicateState, EmptyCondition, MalformedUri, SchemaViolation, UnknownAssumptionFlag
@@ -35,7 +37,8 @@ class FindingSet:
 
     ``environment_facts`` are conditions true before any state fires (server
     versions and similar discoveries); they may coincide with postconditions.
-    Each finding is already the machine state it becomes.
+    Each finding is already the machine state it becomes, and ``findings``
+    is in id order.
     """
 
     site: str
@@ -83,36 +86,24 @@ def parse_findings(document: str | bytes) -> FindingSet:
     Unknown fields are rejected. Raises :class:`SchemaViolation` with the
     offending path, :class:`DuplicateState` for a repeated (vulnerability,
     URI) pair, and :class:`UnknownAssumptionFlag` if a postcondition carries
-    ``requires_user_action``.
+    ``requires_user_action``. Omitted ref lists and flags default to empty
+    and ``false``, and ``label`` may be ``null``.
     """
     doc = _decode_json_object(document, what="findings document")
     _reject_unknown(doc, {"site", "environment_facts", "findings"}, path="$")
     site = _expect(doc, "site", str, path="$")
     facts = _environment_facts(doc)
-    entries = [(path, _parse_finding_object(item, path))
+    shared: dict = {}
+    entries = [(path, _finding(item, path, shared, complete=False))
                for path, item in _objects(doc, "findings", _FINDING_KEYS, "$")]
     _reject_duplicate_states(entries)
-    findings = sorted(
-        (f for _, f in entries),
-        key=lambda f: (" ".join(f.vulnerability_name.split()).lower(), f.uri.canonical),
-    )
+    findings = sorted((f for _, f in entries), key=attrgetter("id"))
     return FindingSet(site=site, environment_facts=facts, findings=tuple(findings))
 
 
-def serialize_findings(finding_set: FindingSet) -> str:
-    """Canonical JSON form; ``parse_findings`` of the output reproduces the
-    input :class:`FindingSet` exactly."""
-    doc = {
-        "site": finding_set.site,
-        "environment_facts": [c.label for c in finding_set.environment_facts],
-        "findings": [_finding_entry(f) for f in finding_set.findings],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 def _finding_entry(state: AttackState) -> dict[str, Any]:
-    """The finding object of one state, as the findings JSON and the machine
-    file both store it."""
+    """The finding object of one state, every field spelled out, as the
+    machine file stores it and :func:`_finding` reads it back."""
     entry: dict[str, Any] = {
         "vulnerability": state.vulnerability_name,
         "uri": state.uri.raw,
@@ -158,64 +149,73 @@ def _reject_duplicate_states(entries: Iterable[tuple[str, AttackState]]) -> None
         first[state.id] = path
 
 
-def _parse_finding_object(item: dict, path: str) -> AttackState:
+def _finding(item: dict, path: str, shared: dict, *, complete: bool) -> AttackState:
+    """The state of one finding object, as both the findings document and
+    the machine file store it; unknown fields are already rejected.
+
+    A ``complete`` object (a machine state) must spell out both ref lists,
+    ``is_goal`` and every flag, and its ``label`` is a string if present.
+    Otherwise these default to empty, ``false`` and ``false``, and a
+    ``null`` label is no label. ``shared`` is passed on to :func:`_refs`.
+    """
     vuln = _expect(item, "vulnerability", str, path=path)
     uri_text = _expect(item, "uri", str, path=path)
-    raw_pres = _optional(item, "preconditions", list, [], path=path)
-    raw_posts = _optional(item, "postconditions", list, [], path=path)
+    pres = _refs(item, "preconditions", PreconditionRef, "requires_user_action",
+                 path, shared, complete)
+    posts = _refs(item, "postconditions", PostconditionRef, "false_positive",
+                  path, shared, complete)
+    is_goal = _field(item, "is_goal", bool, path, complete)
+    source = _optional(item, "source", str, "", path=path)
+    label = item.get("label")
+    if label is not None or (complete and "label" in item):
+        label = _typed(label, str, path, what="field 'label'")
+    try:
+        return AttackState(vulnerability_name=vuln, uri=normalize_uri(uri_text),
+                           preconditions=pres, postconditions=posts,
+                           is_goal=is_goal, source=source, label=label)
+    except (MalformedUri, SchemaViolation) as exc:
+        raise SchemaViolation(str(exc), path=path) from exc
 
-    pres = []
-    for j, ref in enumerate(raw_pres):
-        ref_path = f"{path}.preconditions[{j}]"
-        if not isinstance(ref, dict):
-            raise SchemaViolation("precondition must be an object", path=ref_path)
-        _reject_unknown(ref, {"condition", "requires_user_action"}, path=ref_path)
-        pres.append(PreconditionRef(
-            condition=_condition(_expect(ref, "condition", str, path=ref_path), ref_path),
-            requires_user_action=_optional(ref, "requires_user_action", bool, False, path=ref_path),
-        ))
 
-    posts = []
-    for j, ref in enumerate(raw_posts):
-        ref_path = f"{path}.postconditions[{j}]"
-        if not isinstance(ref, dict):
-            raise SchemaViolation("postcondition must be an object", path=ref_path)
-        if "requires_user_action" in ref:
+def _refs(item: dict, key: str, make: type, flag: str, path: str, shared: dict,
+          complete: bool) -> tuple:
+    """Pre- or postconditions of one finding object, built as
+    ``make(condition, item[flag])``.
+
+    ``shared`` maps each raw condition text to its condition and each
+    ``(make, text, flag value)`` to its ref, so within one document a
+    repeated text is normalized once and a repeated ref built once. An
+    entry equal to one already built (exactly its two keys, a str text and
+    a bool flag) is that ref; any other entry is checked in order: its
+    type, a ``requires_user_action`` flag on a postcondition, its keys, the
+    condition's type, its text, then the flag.
+    """
+    refs = []
+    keys, list_path = {"condition", flag}, _child(path, key)
+    for j, ref in enumerate(_field(item, key, list, path, complete)):
+        if type(ref) is dict and len(ref) == 2:
+            text, value = ref.get("condition"), ref.get(flag)
+            if type(text) is str and type(value) is bool:
+                made = shared.get((make, text, value))
+                if made is not None:
+                    refs.append(made)
+                    continue
+        ref_path = f"{list_path}[{j}]"
+        _typed(ref, dict, ref_path)
+        if flag != "requires_user_action" and "requires_user_action" in ref:
             raise UnknownAssumptionFlag(
                 "requires_user_action is only valid on preconditions", path=ref_path)
-        _reject_unknown(ref, {"condition", "false_positive"}, path=ref_path)
-        posts.append(PostconditionRef(
-            condition=_condition(_expect(ref, "condition", str, path=ref_path), ref_path),
-            false_positive=_optional(ref, "false_positive", bool, False, path=ref_path),
-        ))
-
-    label = item.get("label")
-    return _build_finding(
-        vuln, uri_text, pres, posts,
-        is_goal=_optional(item, "is_goal", bool, False, path=path),
-        source=_optional(item, "source", str, "", path=path),
-        label=None if label is None else _typed(label, str, path, what="field 'label'"),
-        path=path,
-    )
-
-
-def _build_finding(vuln, uri_text, pres, posts, *, is_goal, source, label, path) -> AttackState:
-    try:
-        uri = normalize_uri(uri_text)
-    except MalformedUri as exc:
-        raise SchemaViolation(str(exc), path=path) from exc
-    try:
-        return AttackState(
-            vulnerability_name=vuln,
-            uri=uri,
-            preconditions=tuple(pres),
-            postconditions=tuple(posts),
-            is_goal=is_goal,
-            source=source,
-            label=label,
-        )
-    except SchemaViolation as exc:
-        raise SchemaViolation(str(exc), path=path) from exc
+        _reject_unknown(ref, keys, path=ref_path)
+        text = _expect(ref, "condition", str, path=ref_path)
+        condition = shared.get(text)
+        if condition is None:
+            condition = shared[text] = _condition(text, ref_path)
+        value = _field(ref, flag, bool, ref_path, complete)
+        made = shared.get((make, text, value))
+        if made is None:
+            made = shared[make, text, value] = make(condition, value)
+        refs.append(made)
+    return tuple(refs)
 
 
 def _condition(label: str, path: str) -> Condition:
@@ -278,6 +278,14 @@ def _optional(obj: dict, key: str, kind: type, default: Any, path: str) -> Any:
     if key not in obj:
         return default
     return _typed(obj[key], kind, path, what=f"field {key!r}")
+
+
+def _field(obj: dict, key: str, kind: type, path: str, required: bool) -> Any:
+    """``obj[key]`` if ``required``, else ``obj[key]`` or ``kind()`` if
+    absent: an empty list, or ``False``."""
+    if required:
+        return _expect(obj, key, kind, path=path)
+    return _optional(obj, key, kind, kind(), path=path)
 
 
 def _typed(value: Any, kind: type, path: str, what: str = "value") -> Any:

@@ -415,15 +415,6 @@ class Fsm:
         return labeled + len(self.unconditional_start_targets)
 
     @cached_property
-    def start_successors(self) -> tuple[str, ...]:
-        """States whose preconditions are all satisfiable from the initial
-        conditions alone; precondition-free states always qualify."""
-        return tuple(sorted(
-            s.id for s in self.non_start_states
-            if all(r.condition.id in self.initial_conditions for r in s.preconditions)
-        ))
-
-    @cached_property
     def unconditional_start_targets(self) -> tuple[str, ...]:
         """Precondition-free states; these get the plain start edges."""
         return tuple(sorted(s.id for s in self.non_start_states if not s.preconditions))

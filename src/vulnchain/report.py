@@ -12,18 +12,10 @@ from typing import Any, Mapping
 
 from .builder import attach_start_state
 from .errors import SchemaViolation
-from .ingest import (_FINDING_KEYS, _build_finding, _child, _condition, _decode_json_object,
-                     _environment_facts, _expect, _finding_entry, _objects, _optional,
-                     _reject_duplicate_states, _reject_unknown, _typed)
-from .model import (
-    START_STATE_ID,
-    AttackPath,
-    AttackState,
-    Fsm,
-    PostconditionRef,
-    PreconditionRef,
-    ReachResult,
-)
+from .ingest import (_FINDING_KEYS, _child, _decode_json_object, _environment_facts, _expect,
+                     _finding, _finding_entry, _objects, _optional, _reject_duplicate_states,
+                     _reject_unknown, _typed)
+from .model import START_STATE_ID, AttackPath, AttackState, Fsm, ReachResult
 from .reach import Semantics, diff_isolated_vs_chained
 
 FSM_FORMAT_VERSION = 2
@@ -144,13 +136,14 @@ def fsm_from_json(document: str | bytes) -> Fsm:
     """Load a machine written by :func:`fsm_to_json`.
 
     Every field is type-checked where it is read, and errors name the JSON
-    path. Each state is validated by the same constructor as a finding, and
-    its stored ``id`` must be the derived one; a repeated vulnerability and
-    URI is rejected by the same check as a repeated finding. The start entry
-    must be exactly the start state of the stored environment facts. The
-    machine is then assembled by :func:`vulnchain.builder.attach_start_state`,
-    like a freshly built one. Files of another ``format_version`` are
-    rejected.
+    path. Each state is read by the same reader as a finding, which here
+    demands both ref lists, ``is_goal`` and every flag and never a ``null``
+    label; its stored ``id`` must be the derived one, and a repeated
+    vulnerability and URI is rejected by the same check as a repeated
+    finding. The start entry must be exactly the start state of the stored
+    environment facts. The machine is then assembled by
+    :func:`vulnchain.builder.attach_start_state`, like a freshly built one.
+    Files of another ``format_version`` are rejected.
 
     Condition texts recur across states, so each distinct text is
     normalized once per call and the immutable refs are shared; a ref
@@ -174,11 +167,17 @@ def fsm_from_json(document: str | bytes) -> Fsm:
     states = []
     start_entries = []
     shared: dict = {}
-    for path, entry in _objects(doc, "states", _STATE_KEYS, "$"):
+    for path, entry in _objects(doc, "states", _FINDING_KEYS | {"id", "is_start"}, "$"):
         if _expect(entry, "is_start", bool, path=path):
             start_entries.append((path, entry))
-        else:
-            states.append((path, _state_from_entry(entry, path, shared)))
+            continue
+        stored_id = _expect(entry, "id", str, path=path)
+        state = _finding(entry, path, shared, complete=True)
+        if stored_id != state.id:
+            raise SchemaViolation(
+                f"id {stored_id!r} differs from {state.id!r}, the id of its vulnerability and URI",
+                path=f"{path}.id")
+        states.append((path, state))
     _reject_duplicate_states(states)
     if len(start_entries) != 1:
         raise SchemaViolation(f"expected exactly one start state, found {len(start_entries)}",
@@ -190,63 +189,6 @@ def fsm_from_json(document: str | bytes) -> Fsm:
     return attach_start_state(
         (state for _, state in states), facts,
         site=_expect(doc, "site", str, path="$"), diagnostics=diagnostics)
-
-
-_STATE_KEYS = _FINDING_KEYS | {"id", "is_start"}
-
-
-def _state_from_entry(entry: dict, path: str, shared: dict) -> AttackState:
-    stored_id = _expect(entry, "id", str, path=path)
-    state = _build_finding(
-        _expect(entry, "vulnerability", str, path=path),
-        _expect(entry, "uri", str, path=path),
-        _refs(entry, "preconditions", PreconditionRef, "requires_user_action", path, shared),
-        _refs(entry, "postconditions", PostconditionRef, "false_positive", path, shared),
-        is_goal=_expect(entry, "is_goal", bool, path=path),
-        source=_optional(entry, "source", str, "", path=path),
-        label=_optional(entry, "label", str, None, path=path),
-        path=path,
-    )
-    if stored_id != state.id:
-        raise SchemaViolation(
-            f"id {stored_id!r} differs from {state.id!r}, the id of its vulnerability and URI",
-            path=f"{path}.id")
-    return state
-
-
-def _refs(entry: dict, key: str, make: type, flag: str, path: str, shared: dict) -> tuple:
-    """Pre- or postconditions of one state entry, built as ``make(condition,
-    entry[flag])``.
-
-    ``shared`` maps each raw condition text to its condition and each
-    ``(make, text, flag value)`` to its ref, so a repeated text is
-    normalized once and a repeated ref built once. An entry equal to one
-    already built (exactly its two keys, a str text and a bool flag) is that
-    ref; any other entry is checked in order: its type and keys, the
-    condition's type, its text, then the flag.
-    """
-    refs = []
-    keys, list_path = {"condition", flag}, _child(path, key)
-    for j, ref in enumerate(_expect(entry, key, list, path=path)):
-        if type(ref) is dict and len(ref) == 2:
-            text, value = ref.get("condition"), ref.get(flag)
-            if type(text) is str and type(value) is bool:
-                made = shared.get((make, text, value))
-                if made is not None:
-                    refs.append(made)
-                    continue
-        ref_path = f"{list_path}[{j}]"
-        _reject_unknown(_typed(ref, dict, ref_path), keys, path=ref_path)
-        text = _expect(ref, "condition", str, path=ref_path)
-        condition = shared.get(text)
-        if condition is None:
-            condition = shared[text] = _condition(text, ref_path)
-        value = _expect(ref, flag, bool, path=ref_path)
-        made = shared.get((make, text, value))
-        if made is None:
-            made = shared[make, text, value] = make(condition, value)
-        refs.append(made)
-    return tuple(refs)
 
 
 # ---------------------------------------------------------------------------

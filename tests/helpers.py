@@ -7,6 +7,7 @@ the package's worklist, so they stay independent of the code they check.
 
 from __future__ import annotations
 
+import json
 import random
 import string
 from pathlib import Path
@@ -27,8 +28,8 @@ from vulnchain import (
     normalize_uri,
     parse_crawl_list,
     parse_findings,
-    serialize_findings,
 )
+from vulnchain.ingest import _finding_entry
 from vulnchain.report import _esc, _node_label
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -104,6 +105,25 @@ def random_finding_set(
     raw = FindingSet(site="random", environment_facts=facts, findings=tuple(findings))
     # One parse pass canonicalizes ordering and keeps one fact per id.
     return parse_findings(serialize_findings(raw))
+
+
+def serialize_findings(finding_set: FindingSet) -> str:
+    """The findings document of ``finding_set``, every field spelled out.
+    ``parse_findings`` of the output reproduces a parsed set exactly; it
+    puts any other set's findings and facts in id order, one fact per id."""
+    doc = {
+        "site": finding_set.site,
+        "environment_facts": [c.label for c in finding_set.environment_facts],
+        "findings": [_finding_entry(f) for f in finding_set.findings],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def start_successors(fsm: Fsm) -> set[str]:
+    """States whose preconditions all hold in the initial conditions alone;
+    precondition-free states always qualify."""
+    return {s.id for s in fsm.non_start_states
+            if all(r.condition.id in fsm.initial_conditions for r in s.preconditions)}
 
 
 def random_assumptions(rng: random.Random, fsm: Fsm) -> AssumptionSet:

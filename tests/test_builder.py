@@ -12,7 +12,8 @@ from vulnchain import (
     normalize_condition,
 )
 
-from tests.helpers import fsm_of, ids_for, labels_of, load_finding_set, single_finding
+from tests.helpers import (fsm_of, ids_for, labels_of, load_finding_set, single_finding,
+                           start_successors)
 
 
 class TestBuildStates:
@@ -43,10 +44,10 @@ class TestBuildStates:
 class TestAttachStartState:
     def test_vulnweb_start_wiring(self, vulnweb_fsm):
         expected = ids_for(vulnweb_fsm, "S1", "S2", "S3", "S5", "S9")
-        assert set(vulnweb_fsm.start_successors) == expected
+        assert start_successors(vulnweb_fsm) == expected
 
     def test_teacher_start_wiring(self, teacher_fsm):
-        assert set(teacher_fsm.start_successors) == ids_for(teacher_fsm, "S1", "S2", "S6")
+        assert start_successors(teacher_fsm) == ids_for(teacher_fsm, "S1", "S2", "S6")
 
     def test_zero_states_zero_facts(self):
         fsm = attach_start_state((), ())
@@ -65,7 +66,7 @@ class TestAttachStartState:
         fact = normalize_condition("banner")
         f = single_finding("V", "/x", pres=("banner",), label="S1")
         fsm = attach_start_state((next(iter(fsm_of(f).non_start_states)),), (fact,))
-        assert set(fsm.start_successors) == {f.id}
+        assert start_successors(fsm) == {f.id}
 
     def test_rejects_second_start(self, minimal_fsm):
         with pytest.raises(Exception, match="start state"):

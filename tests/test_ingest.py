@@ -10,13 +10,18 @@ from vulnchain import (
     MalformedUri,
     SchemaViolation,
     UnknownAssumptionFlag,
+    attach_start_state,
     build_fsm,
+    fsm_from_json,
+    fsm_to_json,
     parse_crawl_list,
     parse_findings,
-    serialize_findings,
 )
+from vulnchain.ingest import _finding_entry
+from vulnchain.report import FSM_FORMAT_VERSION
 
-from tests.helpers import load_finding_set, load_tree
+from tests.helpers import load_finding_set, load_tree, serialize_findings
+from tests.test_fuzz import RETYPED, _entries
 
 
 def _doc(findings=(), facts=(), site="test"):
@@ -105,6 +110,10 @@ class TestParseFindings:
                            match=r"findings\[0\]: field 'label' contains a lone surrogate"):
             parse_findings(_doc([_row(label="\udc80")]))
 
+    def test_findings_in_id_order(self):
+        fs = load_finding_set("vulnweb")
+        assert [f.id for f in fs.findings] == sorted(f.id for f in fs.findings)
+
     def test_environment_facts_one_per_id_first_label_wins(self):
         fs = parse_findings(_doc(facts=["Zeta", "alpha", "ZETA"]))
         assert [(c.id, c.label) for c in fs.environment_facts] == [
@@ -164,6 +173,85 @@ class TestRoundTrip:
     def test_serialize_deterministic(self):
         fs = load_finding_set("vulnweb")
         assert serialize_findings(fs) == serialize_findings(fs)
+
+
+def _vulnweb_object(label: str, *, false_positive: bool = False) -> dict:
+    """The finding object of vulnweb state ``label``, every field spelled
+    out; with ``false_positive`` its first postcondition is marked so."""
+    state = next(f for f in load_finding_set("vulnweb").findings if f.label == label)
+    obj = _finding_entry(state)
+    obj["postconditions"][0]["false_positive"] = false_positive
+    return obj
+
+
+#: Fields a machine state must spell out although a finding may omit them.
+MACHINE_REQUIRED = {"preconditions", "postconditions", "is_goal",
+                    "requires_user_action", "false_positive"}
+DELETED = "deleted"
+
+
+def _variants(obj: dict):
+    """``(case, mutated copy, whether only the machine file rejects it)``:
+    every nested entry retyped to each ``RETYPED`` value or deleted, and
+    every ref's flag spelled as the other list's flag."""
+    for i, (_, key) in enumerate(_entries(obj)):
+        for value in [*RETYPED, DELETED]:
+            copy = json.loads(json.dumps(obj))
+            container, _ = list(_entries(copy))[i]
+            if value == DELETED:
+                del container[key]
+            else:
+                container[key] = value
+            machine_only = ((value == DELETED and key in MACHINE_REQUIRED)
+                            or (key == "label" and value is None))
+            yield f"entry {i} ({key!r}) {value!r}", copy, machine_only
+    flags = {"preconditions": ("requires_user_action", "false_positive"),
+             "postconditions": ("false_positive", "requires_user_action")}
+    for key, (flag, other) in flags.items():
+        for j in range(len(obj[key])):
+            copy = json.loads(json.dumps(obj))
+            copy[key][j][other] = copy[key][j].pop(flag)
+            yield f"{key}[{j}] flag spelled {other!r}", copy, False
+
+
+def _load(load):
+    """``(state, None)`` from ``load()``, or ``(None, (error type, message))``."""
+    try:
+        return load(), None
+    except SchemaViolation as exc:
+        return None, (type(exc), str(exc))
+
+
+class TestOneReaderForFindingsAndMachineStates:
+    """A finding object reads the same in a findings document and as a
+    machine state: the same state, or the same error apart from the
+    ``findings[0]``/``states[0]`` prefix. Only the machine file's extra
+    rules (every field spelled out, no ``null`` label) tell them apart."""
+
+    @pytest.mark.parametrize("obj", [_vulnweb_object("S6"),
+                                     _vulnweb_object("S10", false_positive=True)],
+                             ids=["user action", "false positive"])
+    def test_both_loaders_agree_on_every_mutation(self, obj):
+        start = json.loads(fsm_to_json(attach_start_state((), ())))["states"][0]
+        original_id = parse_findings(_doc([obj])).findings[0].id
+        disagreements = []
+        for case, variant, machine_only in _variants(obj):
+            found, found_error = _load(lambda: parse_findings(_doc([variant])).findings[0])
+            entry = dict(variant, id=found.id if found else original_id, is_start=False)
+            machine = {"format_version": FSM_FORMAT_VERSION, "site": "test",
+                       "environment_facts": [], "diagnostics": [], "states": [entry, start]}
+            loaded, loaded_error = _load(
+                lambda: fsm_from_json(json.dumps(machine)).non_start_states[0])
+            if found_error is not None:
+                kind, message = found_error
+                found_error = kind, message.replace("findings[0]", "states[0]", 1)
+            if machine_only:
+                agree = found is not None and loaded_error is not None
+            else:
+                agree = (found, found_error) == (loaded, loaded_error)
+            if not agree:
+                disagreements.append(f"{case}: {found_error or found} / {loaded_error or loaded}")
+        assert disagreements == []
 
 
 class TestMapFindingsToUris:

@@ -22,12 +22,12 @@ from vulnchain import (
     normalize_uri,
     parse_findings,
     reach,
-    serialize_findings,
 )
 
 from tests.helpers import (
     closure_by_exhaustion,
     replay_witness,
+    serialize_findings,
     union_over_all_firing_sequences,
 )
 

@@ -11,8 +11,8 @@ already visited, or a consumer's preconditions on every grant, exceeds it
 already at the smallest size.
 
 The witnesses of one result read its firing order once in all, and loading
-a machine file normalizes each distinct condition text and builds each
-distinct ref once.
+a machine file or a findings document normalizes each distinct condition
+text and builds each distinct ref once.
 """
 
 import dataclasses
@@ -38,6 +38,7 @@ from vulnchain import (
     extract_witness,
     fsm_from_json,
     fsm_to_json,
+    parse_findings,
     reach,
 )
 
@@ -193,10 +194,11 @@ def _counting(make, counter: Counter):
     return counted
 
 
-def test_machine_load_work_scales_with_distinct_refs(monkeypatch):
+def _repeated_ref_machine() -> tuple[str, dict, set, set]:
     """2,000 states draw their refs from seven conditions, three user
     actions and five false positives, so nearly every ref repeats one seen
-    earlier in the file."""
+    earlier in the file. Returns the machine file, its document, and its
+    distinct (list, text, flag) triples and texts."""
     states = [_state(i, pres=(f"c{i % 7}",), ua_pres=(f"u{i % 3}",),
                      posts=(f"c{(i + 1) % 7}",), fp_posts=(f"f{i % 5}",))
               for i in range(2_000)]
@@ -207,16 +209,24 @@ def test_machine_load_work_scales_with_distinct_refs(monkeypatch):
     triples = {(key, ref["condition"], ref[flag])
                for entry in doc["states"] if not entry["is_start"]
                for key, flag in flags.items() for ref in entry[key]}
-    texts = {cond for _, cond, _ in triples}
+    return text, doc, triples, {cond for _, cond, _ in triples}
 
+
+def _count_reads(monkeypatch) -> tuple[Counter, Counter]:
+    """Count condition normalizations and ref constructions in the reader."""
     ingest_module = importlib.import_module("vulnchain.ingest")
-    report_module = importlib.import_module("vulnchain.report")
     normalized, constructed = Counter(), Counter()
     monkeypatch.setattr(ingest_module, "normalize_condition",
                         _counting(ingest_module.normalize_condition, normalized))
     for name in ("PreconditionRef", "PostconditionRef"):
-        monkeypatch.setattr(report_module, name,
-                            _counting(getattr(report_module, name), constructed))
+        monkeypatch.setattr(ingest_module, name,
+                            _counting(getattr(ingest_module, name), constructed))
+    return normalized, constructed
+
+
+def test_machine_load_work_scales_with_distinct_refs(monkeypatch):
+    text, doc, triples, texts = _repeated_ref_machine()
+    normalized, constructed = _count_reads(monkeypatch)
     loaded = fsm_from_json(text)
 
     assert fsm_to_json(loaded) == text
@@ -224,3 +234,21 @@ def test_machine_load_work_scales_with_distinct_refs(monkeypatch):
         f"{normalized.n} normalizations for {len(texts)} distinct texts")
     assert constructed.n <= len(triples), (
         f"{constructed.n} refs built for {len(triples)} distinct refs")
+
+
+def test_findings_parse_work_scales_with_distinct_refs(monkeypatch):
+    """The findings document of the same 2,000 states is read as cheaply."""
+    text, doc, triples, texts = _repeated_ref_machine()
+    findings = json.dumps({
+        "site": doc["site"], "environment_facts": doc["environment_facts"],
+        "findings": [{k: v for k, v in entry.items() if k not in ("id", "is_start")}
+                     for entry in doc["states"] if not entry["is_start"]]})
+    expected = fsm_from_json(text).non_start_states
+    normalized, constructed = _count_reads(monkeypatch)
+    parsed = parse_findings(findings)
+
+    assert normalized.n <= len(texts) + len(doc["environment_facts"]), (
+        f"{normalized.n} normalizations for {len(texts)} distinct texts")
+    assert constructed.n <= len(triples), (
+        f"{constructed.n} refs built for {len(triples)} distinct refs")
+    assert parsed.findings == expected
