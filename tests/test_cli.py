@@ -49,6 +49,14 @@ MALFORMED_FINDINGS = {
     "percent-escapes nested 16 levels deep": (
         lambda doc: doc["findings"][1].update(uri=NESTED_16),
         f"findings[1]: percent-escapes nested more than 16 levels deep: {NESTED_16!r}"),
+    "first-seen blank condition with bool flag": (
+        lambda doc: doc["findings"][2]["preconditions"][0].update(
+            condition="  ", requires_user_action=False),
+        "findings[2].preconditions[0]: condition label is empty or whitespace-only"),
+    "first-seen lone surrogate condition with bool flag": (
+        lambda doc: doc["findings"][2]["preconditions"][0].update(
+            condition="x\ud800", requires_user_action=False),
+        "findings[2].preconditions[0]: field 'condition' contains a lone surrogate"),
 }
 
 
@@ -211,6 +219,14 @@ MALFORMED_MACHINES = {
         lambda doc: doc["states"][3]["preconditions"][0].update(
             condition="  ", requires_user_action="yes"),
         r"states\[3\]\.preconditions\[0\]: condition label is empty or whitespace-only"),
+    "first-seen blank condition with bool flag": (
+        lambda doc: doc["states"][3]["preconditions"][0].update(
+            condition="  ", requires_user_action=False),
+        r"states\[3\]\.preconditions\[0\]: condition label is empty or whitespace-only"),
+    "first-seen lone surrogate condition with bool flag": (
+        lambda doc: doc["states"][3]["preconditions"][0].update(
+            condition="x\ud800", requires_user_action=True),
+        r"states\[3\]\.preconditions\[0\]: field 'condition' contains a lone surrogate"),
     "tampered id": (
         lambda doc: doc["states"][3].update(id="000000000000"),
         r"states\[3\]\.id: id '000000000000' differs from '77a0f1bf1be5'"),
