@@ -185,34 +185,36 @@ def _refs(item: dict, key: str, make: type, flag: str, path: str, shared: dict,
     ``shared`` maps each raw condition text to its condition and each
     ``(make, text, flag value)`` to its ref, so within one document a
     repeated text is normalized once and a repeated ref built once. An
-    entry equal to one already built (exactly its two keys, a str text and
-    a bool flag) is that ref; any other entry is checked in order: its
+    entry of exactly its two keys, a str text and a bool flag, is looked up
+    in ``shared``; if its text is new, only the text is checked, for a lone
+    surrogate and then a blank. Any other entry is checked in order: its
     type, a ``requires_user_action`` flag on a postcondition, its keys, the
     condition's type, its text, then the flag.
     """
     refs = []
     keys, list_path = {"condition", flag}, _child(path, key)
     for j, ref in enumerate(_field(item, key, list, path, complete)):
+        text = value = None
         if type(ref) is dict and len(ref) == 2:
             text, value = ref.get("condition"), ref.get(flag)
-            if type(text) is str and type(value) is bool:
-                made = shared.get((make, text, value))
-                if made is not None:
-                    refs.append(made)
-                    continue
-        ref_path = f"{list_path}[{j}]"
-        _typed(ref, dict, ref_path)
-        if flag != "requires_user_action" and "requires_user_action" in ref:
-            raise UnknownAssumptionFlag(
-                "requires_user_action is only valid on preconditions", path=ref_path)
-        _reject_unknown(ref, keys, path=ref_path)
-        text = _expect(ref, "condition", str, path=ref_path)
-        condition = shared.get(text)
-        if condition is None:
-            condition = shared[text] = _condition(text, ref_path)
-        value = _field(ref, flag, bool, ref_path, complete)
+        if type(text) is not str or type(value) is not bool:
+            ref_path = f"{list_path}[{j}]"
+            _typed(ref, dict, ref_path)
+            if flag != "requires_user_action" and "requires_user_action" in ref:
+                raise UnknownAssumptionFlag(
+                    "requires_user_action is only valid on preconditions", path=ref_path)
+            _reject_unknown(ref, keys, path=ref_path)
+            text = _expect(ref, "condition", str, path=ref_path)
+            if text not in shared:
+                shared[text] = _condition(text, ref_path)
+            value = _field(ref, flag, bool, ref_path, complete)
         made = shared.get((make, text, value))
         if made is None:
+            condition = shared.get(text)
+            if condition is None:
+                ref_path = f"{list_path}[{j}]"
+                condition = shared[text] = _condition(
+                    _typed(text, str, ref_path, what="field 'condition'"), ref_path)
             made = shared[make, text, value] = make(condition, value)
         refs.append(made)
     return tuple(refs)

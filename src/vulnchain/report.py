@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Mapping
 
 from .builder import attach_start_state
@@ -259,8 +260,48 @@ def to_report(
 
 
 def report_to_json(report: AnalysisReport) -> str:
+    """The report file: the layout of ``json.dumps(indent=2,
+    sort_keys=True)`` byte for byte (two-space indent, sorted keys,
+    non-ASCII as ``\\uXXXX`` escapes) and one trailing newline.
+
+    It is written by :func:`_json_text`, because ``json.dumps`` with an
+    indent falls back to the pure-Python encoder.
+    """
     doc = {"format_version": REPORT_FORMAT_VERSION, **vars(report)}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _json_text(doc, "\n") + "\n"
+
+
+def _json_text(value: Any, newline: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes
+    it, where ``newline`` is the line break and indent of its own level.
+
+    Strings go through the C string encoder. A tuple is written as a list;
+    dict keys must be str, and a float or any other type raises
+    :class:`TypeError`.
+    """
+    if isinstance(value, str):
+        return _quote(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            [_quote(k) + ": " + _json_text(v, inner)
+             for k, v in sorted(value.items())]) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join(
+            [_json_text(v, inner) for v in value]) + newline + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 _REPORT_KEYS = {"format_version"} | {f.name for f in fields(AnalysisReport)}

@@ -6,7 +6,9 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from vulnchain import (
     AnalysisReport,
@@ -26,6 +28,7 @@ from vulnchain import (
     to_dot,
     to_report,
 )
+from vulnchain.report import _json_text
 
 from tests.helpers import (
     fsm_of,
@@ -39,6 +42,16 @@ from tests.helpers import (
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_REPORTS = sorted(GOLDEN.glob("*/report*.json"))
+
+#: Text from every Unicode category: non-ASCII and astral characters, quotes
+#: and backslashes, and, often, lone surrogates (Cs) and control characters (Cc).
+JSON_TEXT = (st.text(st.characters(categories=["L", "M", "N", "P", "S", "Z", "C"]))
+             | st.text(st.characters(categories=["Cs", "Cc"])))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**200, 2**200) | JSON_TEXT,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(JSON_TEXT, inner)),
+    max_leaves=30)
 
 EDGE_RE = re.compile(r'^\s*"(?P<src>[^"]+)" -> "(?P<dst>[^"]+)"(?: \[(?P<attrs>[^\]]*)\])?;$')
 
@@ -373,3 +386,35 @@ class TestReportSerialization:
     def test_bad_version(self):
         with pytest.raises(SchemaViolation):
             report_from_json('{"format_version": 0}')
+
+    @given(JSON_VALUES)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_writer_matches_indented_json_dumps(self, value):
+        assert _json_text(value, "\n") == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [1.5, {1: "a"}, {"a": {2, 3}}, [b"x"]], ids=repr)
+    def test_writer_rejects_other_types(self, value):
+        with pytest.raises(TypeError):
+            _json_text(value, "\n")
+
+    def test_writer_matches_indented_json_dumps_on_a_random_corpus(self):
+        rng = random.Random(13)
+        for _ in range(1000):
+            fsm = build_fsm(random_finding_set(rng))
+            result = reach(fsm, ReachParams(assumptions=random_assumptions(rng, fsm)))
+            witnesses = {g: extract_witness(fsm, result, g) for g in collect_goals(result, fsm)}
+            report = to_report(fsm, result, witnesses)
+            doc = {"format_version": 1, **vars(report)}
+            assert report_to_json(report) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("name", ["minimal", "vulnweb", "teacher"])
+    def test_writer_never_reaches_the_pure_python_encoder(self, name, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.encoder._make_iterencode called")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        with pytest.raises(AssertionError):
+            json.dumps([], indent=2)
+        for golden in sorted((GOLDEN / name).glob("report*.json")):
+            data = golden.read_bytes()
+            assert report_to_json(report_from_json(data)).encode("utf-8") == data
