@@ -268,7 +268,9 @@ def report_to_json(report: AnalysisReport) -> str:
     indent falls back to the pure-Python encoder.
     """
     doc = {"format_version": REPORT_FORMAT_VERSION, **vars(report)}
-    return _json_text(doc, "\n") + "\n"
+    text = _json_text(doc, "\n")
+    text += "\n"  # in place, not a second copy of what can be many megabytes
+    return text
 
 
 def _json_text(value: Any, newline: str) -> str:
