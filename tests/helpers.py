@@ -9,17 +9,23 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import string
 from pathlib import Path
+from urllib.parse import unquote, urlsplit
 
 from vulnchain import (
     START_STATE_ID,
+    URI_ALL,
+    URI_NULL,
     AssumptionSet,
     AttackPath,
     AttackState,
     Condition,
     FindingSet,
     Fsm,
+    MalformedUri,
+    NormalizedUri,
     PostconditionRef,
     PreconditionRef,
     ReachResult,
@@ -221,6 +227,78 @@ def replay_witness(fsm: Fsm, path: AttackPath) -> bool:
                 return False
         true.update(grants)
     return bool(path.steps) and path.steps[-1][0] == path.goal
+
+
+# ---------------------------------------------------------------------------
+# Reference URI normalization
+# ---------------------------------------------------------------------------
+# A standalone copy of ``normalize_uri`` from before a canonical path passed
+# through unchanged: every URI takes the general path here.
+
+_REFERENCE_CONTROL_CHARS = re.compile(r"[\x00-\x1f\x7f]")
+_REFERENCE_MAX_DECODES = 16
+
+
+def _reference_decode_path(path: str, raw: str) -> str:
+    # Decode percent-escapes to a fixed point so re-normalizing a canonical
+    # path can never change it again ("%2520" -> "%20" -> " "). A path that
+    # is still changing after the last allowed pass has no canonical form.
+    for _ in range(_REFERENCE_MAX_DECODES):
+        decoded = unquote(path)
+        if decoded == path:
+            return path
+        path = decoded
+    if unquote(path) != path:
+        raise MalformedUri(
+            f"percent-escapes nested more than {_REFERENCE_MAX_DECODES} levels deep: {raw!r}")
+    return path
+
+
+def reference_normalize_uri(raw: str) -> NormalizedUri:
+    """Normalize a URI string; idempotent on its own canonical output.
+
+    "ALL URI" maps to the reserved canonical ``*`` and "NULL" to the empty
+    canonical. A scheme and authority, if present, are dropped; relative
+    paths gain a leading slash; fragments are discarded.
+
+    Raises :class:`MalformedUri` for whitespace-only input, control
+    characters, percent-escapes nested more than 16 levels deep, or paths
+    whose percent-decoded form cannot be re-parsed (decoded ``#`` or ``?``
+    inside the path).
+    """
+    if raw == "":
+        # Re-entrant form of the NULL sentinel's canonical.
+        return NormalizedUri(raw="", canonical=URI_NULL)
+    stripped = raw.strip()
+    if not stripped:
+        raise MalformedUri("URI is whitespace-only")
+    if _REFERENCE_CONTROL_CHARS.search(raw):
+        raise MalformedUri(f"URI contains control characters: {raw!r}")
+
+    lowered = stripped.lower()
+    if lowered == "all uri" or stripped == URI_ALL:
+        return NormalizedUri(raw=raw, canonical=URI_ALL)
+    if lowered == "null":
+        return NormalizedUri(raw=raw, canonical=URI_NULL)
+
+    try:
+        parts = urlsplit(stripped)
+    except ValueError as exc:
+        raise MalformedUri(f"cannot split URI {raw!r}: {exc}") from exc
+    # Leading/trailing whitespace on the path or query would not survive a
+    # second normalization pass, so it is dropped; interior spaces stay.
+    path = _reference_decode_path(parts.path, raw).strip()
+    query = parts.query.strip()
+    if _REFERENCE_CONTROL_CHARS.search(path):
+        raise MalformedUri(f"percent-decoded path contains control characters: {raw!r}")
+    if "#" in path or "?" in path:
+        raise MalformedUri(f"percent-decoded path cannot be re-split: {raw!r}")
+    if not path.startswith("/"):
+        path = "/" + path
+    while len(path) > 1 and path.endswith("/"):
+        path = path[:-1]
+    canonical = f"{path}?{query}" if query else path
+    return NormalizedUri(raw=raw, canonical=canonical)
 
 
 # ---------------------------------------------------------------------------

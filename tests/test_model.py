@@ -1,9 +1,14 @@
 """Domain-type behavior: normalization, identity, and the crawled-URI set."""
 
 import inspect
+import json
+import random
+import string
 from dataclasses import replace
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from vulnchain import (
     START_STATE_ID,
@@ -19,7 +24,7 @@ from vulnchain import (
     state_id,
 )
 
-from tests.helpers import load_finding_set
+from tests.helpers import FIXTURES, load_finding_set, random_finding_set, reference_normalize_uri
 
 
 class TestNormalizeCondition:
@@ -102,6 +107,60 @@ class TestNormalizeUri:
             normalize_uri("/a%" + "25" * 16 + "41")  # not a fixed point after 16 decodes
         with pytest.raises(MalformedUri):
             normalize_uri("http://[")  # unbalanced IPv6 authority
+
+
+#: A path segment of the canonical shape, with its leading slash.
+SEGMENT = st.text(string.ascii_letters + string.digits + "._~-", min_size=1, max_size=4).map("/{}".format)
+#: URI-shaped text: canonical segments, single characters (ASCII punctuation
+#: of URIs, blanks, control characters, non-ASCII) and pieces every
+#: normalization step acts on.
+URI_PIECES = st.one_of(
+    SEGMENT,
+    st.sampled_from(string.ascii_letters + string.digits + "/._~-%?#:@!$&'()*+,;=" + " \t\x00\x7f"),
+    st.characters(min_codepoint=0x80),
+    st.sampled_from(["%2F", "%25", "//", "http://h", "/.", "/..", "ALL URI", "NULL", "*"]),
+)
+#: A canonical path, alone or with one piece after it, or pieces with and
+#: without a leading slash.
+URI_TEXT = st.one_of(
+    st.builds(str.__add__, st.lists(SEGMENT, min_size=1, max_size=4).map("".join),
+              st.one_of(st.just(""), URI_PIECES)),
+    st.builds(lambda slash, pieces: "/" * slash + "".join(pieces),
+              st.booleans(), st.lists(URI_PIECES, max_size=12)),
+)
+
+
+def _normalized(normalize, raw):
+    """``(raw, canonical)`` of a normalized URI, or the message it is
+    rejected with."""
+    try:
+        uri = normalize(raw)
+    except MalformedUri as exc:
+        return "MalformedUri", str(exc)
+    return uri.raw, uri.canonical
+
+
+class TestNormalizeUriMatchesReference:
+    """``normalize_uri`` gives what the general path alone gave, for every
+    input: the same raw and canonical text, or the same rejection."""
+
+    @given(URI_TEXT)
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    def test_uri_shaped_text(self, raw):
+        assert _normalized(normalize_uri, raw) == _normalized(reference_normalize_uri, raw)
+
+    def test_fixture_and_random_corpus_uris(self):
+        raws = []
+        for name in ("minimal", "vulnweb", "teacher"):
+            doc = json.loads((FIXTURES / name / "findings.json").read_text())
+            raws += [f["uri"] for f in doc["findings"]]
+            for line in (FIXTURES / name / "crawl.txt").read_text().splitlines():
+                raws += [line, line.strip()]
+        rng = random.Random(17)
+        for _ in range(1000):
+            raws += [f.uri.raw for f in random_finding_set(rng).findings]
+        for raw in raws:
+            assert _normalized(normalize_uri, raw) == _normalized(reference_normalize_uri, raw)
 
 
 class TestStateId:
