@@ -189,21 +189,24 @@ def _refs(item: dict, key: str, make: type, flag: str, path: str, shared: dict,
     in ``shared``; if its text is new, only the text is checked, for a lone
     surrogate and then a blank. Any other entry is checked in order: its
     type, a ``requires_user_action`` flag on a postcondition, its keys, the
-    condition's type, its text, then the flag.
+    condition's type, its text, then the flag. An entry's JSON path is
+    built only when it is checked.
     """
+    entries = item.get(key)
+    if type(entries) is not list:
+        entries = _field(item, key, list, path, complete)
     refs = []
-    keys, list_path = {"condition", flag}, _child(path, key)
-    for j, ref in enumerate(_field(item, key, list, path, complete)):
+    for j, ref in enumerate(entries):
         text = value = None
         if type(ref) is dict and len(ref) == 2:
             text, value = ref.get("condition"), ref.get(flag)
         if type(text) is not str or type(value) is not bool:
-            ref_path = f"{list_path}[{j}]"
+            ref_path = f"{_child(path, key)}[{j}]"
             _typed(ref, dict, ref_path)
             if flag != "requires_user_action" and "requires_user_action" in ref:
                 raise UnknownAssumptionFlag(
                     "requires_user_action is only valid on preconditions", path=ref_path)
-            _reject_unknown(ref, keys, path=ref_path)
+            _reject_unknown(ref, {"condition", flag}, path=ref_path)
             text = _expect(ref, "condition", str, path=ref_path)
             if text not in shared:
                 shared[text] = _condition(text, ref_path)
@@ -212,7 +215,7 @@ def _refs(item: dict, key: str, make: type, flag: str, path: str, shared: dict,
         if made is None:
             condition = shared.get(text)
             if condition is None:
-                ref_path = f"{list_path}[{j}]"
+                ref_path = f"{_child(path, key)}[{j}]"
                 condition = shared[text] = _condition(
                     _typed(text, str, ref_path, what="field 'condition'"), ref_path)
             made = shared[make, text, value] = make(condition, value)
@@ -228,9 +231,12 @@ def _condition(label: str, path: str) -> Condition:
 
 
 def _decode(document: str | bytes, what: str) -> str:
+    """``document`` as text. Bytes must be UTF-8, and a leading byte-order
+    mark is dropped (RFC 8259, section 8.1); an error names the byte's
+    position in the file."""
     if isinstance(document, bytes):
         try:
-            return document.decode("utf-8")
+            return document.decode("utf-8").removeprefix("\ufeff")
         except UnicodeDecodeError as exc:
             raise SchemaViolation(f"{what} is not valid UTF-8: {exc}") from exc
     return document

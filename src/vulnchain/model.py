@@ -32,7 +32,7 @@ START_STATE_ID = "start"
 # Conditions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Condition:
     """An atomic fact about the victim environment.
 
@@ -66,7 +66,7 @@ def normalize_condition(label: str) -> Condition:
 # URIs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormalizedUri:
     """A victim resource identifier in canonical form.
 
@@ -95,6 +95,9 @@ class NormalizedUri:
 
 
 _CONTROL_CHARS = re.compile(r"[\x00-\x1f\x7f]")
+#: The root, or slash-led segments of unreserved characters: no step of the
+#: general path changes such a URI.
+_CANONICAL_PATH = re.compile(r"/|(?:/[A-Za-z0-9._~-]+)+")
 #: Percent-decoding passes allowed per path; bounds work on hostile input.
 _MAX_DECODES = 16
 
@@ -119,13 +122,17 @@ def normalize_uri(raw: str) -> NormalizedUri:
 
     "ALL URI" maps to the reserved canonical ``*`` and "NULL" to the empty
     canonical. A scheme and authority, if present, are dropped; relative
-    paths gain a leading slash; fragments are discarded.
+    paths gain a leading slash; fragments are discarded. A URI already in
+    canonical form, the root or slash-led segments of letters, digits and
+    ``._~-``, is its own canonical and skips these steps.
 
     Raises :class:`MalformedUri` for whitespace-only input, control
     characters, percent-escapes nested more than 16 levels deep, or paths
     whose percent-decoded form cannot be re-parsed (decoded ``#`` or ``?``
     inside the path).
     """
+    if _CANONICAL_PATH.fullmatch(raw):
+        return NormalizedUri(raw=raw, canonical=raw)
     if raw == "":
         # Re-entrant form of the NULL sentinel's canonical.
         return NormalizedUri(raw="", canonical=URI_NULL)
@@ -165,7 +172,7 @@ def normalize_uri(raw: str) -> NormalizedUri:
 # Condition references
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PreconditionRef:
     """A condition a state requires; dotted-edge flag for user actions."""
 
@@ -173,7 +180,7 @@ class PreconditionRef:
     requires_user_action: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PostconditionRef:
     """A condition a state grants; false positives are never granted."""
 
@@ -185,8 +192,11 @@ _CONDITION_ID = attrgetter("condition.id")
 
 
 def _sorted_refs(refs, kind: str, state: AttackState) -> tuple:
-    """``refs`` sorted by condition id; a repeated id is rejected, naming
-    the state by vulnerability and URI."""
+    """``refs`` as a tuple sorted by condition id; a repeated id is
+    rejected, naming the state by vulnerability and URI. Fewer than two
+    refs are returned as they are."""
+    if len(refs) < 2:
+        return tuple(refs)
     ordered = tuple(sorted(refs, key=_CONDITION_ID))
     previous = None
     for ref in ordered:
@@ -206,14 +216,14 @@ def state_id(vulnerability_name: str, uri: NormalizedUri) -> str:
     """
     name = " ".join(vulnerability_name.split()).lower()
     key = f"{name}@{uri.canonical}"
-    return hashlib.sha256(key.encode("utf-8")).hexdigest()[:12]
+    return hashlib.sha256(key.encode("utf-8")).digest()[:6].hex()
 
 
 # ---------------------------------------------------------------------------
 # Machine states
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttackState:
     """A node of the machine: one vulnerability on one URI, plus conditions.
 

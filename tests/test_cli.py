@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -357,6 +358,37 @@ class TestOversizedJson:
         assert code == 1
         assert err.startswith(f"error: {bad}: not valid JSON: ")
         assert message in err
+
+
+GOLDEN_VULNWEB = Path(__file__).resolve().parent / "golden" / "vulnweb"
+
+#: Input kind -> (a vulnweb input, the command that reads it as ``{input}``).
+BOM_INPUTS = {
+    "findings": (FIXTURES / "vulnweb" / "findings.json",
+                 ["build", "--findings", "{input}", "--crawl", str(FIXTURES / "vulnweb" / "crawl.txt")]),
+    "crawl": (FIXTURES / "vulnweb" / "crawl.txt",
+              ["build", "--findings", str(FIXTURES / "vulnweb" / "findings.json"), "--crawl", "{input}"]),
+    "machine": (GOLDEN_VULNWEB / "machine.json", ["analyze", "--fsm", "{input}"]),
+    "report": (GOLDEN_VULNWEB / "report.assumed.json",
+               ["export-dot", "--fsm", str(GOLDEN_VULNWEB / "machine.json"), "--reach", "{input}"]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BOM_INPUTS))
+def test_byte_order_mark_is_ignored(kind, tmp_path, capsys):
+    """An input file that starts with a UTF-8 byte-order mark gives the
+    same exit code, output file and messages as the file without it."""
+    golden, argv = BOM_INPUTS[kind]
+    path, out = tmp_path / golden.name, tmp_path / "out"
+    runs = []
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(prefix + golden.read_bytes())
+        out.unlink(missing_ok=True)
+        code = cli_main([a.format(input=path) for a in argv] + ["--out", str(out)])
+        captured = capsys.readouterr()
+        runs.append((code, out.read_bytes() if out.exists() else None, captured.out, captured.err))
+    assert runs[0][0] == 0
+    assert runs[1] == runs[0]
 
 
 class TestWhatif:

@@ -2,9 +2,10 @@
 
 Each example is one input (the findings JSON, the crawl list, the machine
 file or the report), given either as arbitrary bytes or as a golden input
-with one structure-aware mutation: an entry deleted, a value retyped, a list
-entry repeated, or the file truncated. Every command that reads the input
-must exit 0, or exit 1 with an error that names the file. Exit 2 is a bug.
+with one mutation: an entry deleted, a value retyped, a list entry
+repeated, the file truncated, or a UTF-8 byte-order mark put before it.
+Every command that reads the input must exit 0, or exit 1 with an error
+that names the file. Exit 2 is a bug.
 """
 
 import contextlib
@@ -57,9 +58,11 @@ def inputs(draw):
     """An input kind and the bytes of a fuzzed file of that kind."""
     kind = draw(st.sampled_from(sorted(INPUTS)))
     golden = INPUTS[kind][0].read_bytes()
-    how = draw(st.sampled_from(["retype", "delete", "repeat", "truncate", "bytes"]))
+    how = draw(st.sampled_from(["retype", "delete", "repeat", "truncate", "bom", "bytes"]))
     if how == "bytes":
         return kind, draw(st.binary(max_size=64))
+    if how == "bom":
+        return kind, b"\xef\xbb\xbf" + golden
     if how == "truncate":
         return kind, golden[:draw(st.integers(0, len(golden) - 1))]
 

@@ -133,6 +133,10 @@ class TestParseFindings:
         with pytest.raises(SchemaViolation, match="UTF-8"):
             parse_findings(b'{"site": "\xff"}')
 
+    def test_invalid_utf8_after_a_byte_order_mark_names_its_file_position(self):
+        with pytest.raises(SchemaViolation, match="byte 0xff in position 13"):
+            parse_findings(b'\xef\xbb\xbf{"site": "\xff"}')
+
     def test_not_json(self):
         with pytest.raises(SchemaViolation, match="not valid JSON"):
             parse_findings("VULN\tURI")

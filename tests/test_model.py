@@ -4,7 +4,7 @@ import inspect
 import json
 import random
 import string
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import hypothesis.strategies as st
 import pytest
@@ -15,6 +15,8 @@ from vulnchain import (
     AttackState,
     EmptyCondition,
     MalformedUri,
+    PostconditionRef,
+    PreconditionRef,
     SchemaViolation,
     URI_ALL,
     URI_NULL,
@@ -120,11 +122,15 @@ URI_PIECES = st.one_of(
     st.characters(min_codepoint=0x80),
     st.sampled_from(["%2F", "%25", "//", "http://h", "/.", "/..", "ALL URI", "NULL", "*"]),
 )
-#: A canonical path, alone or with one piece after it, or pieces with and
-#: without a leading slash.
+#: A canonical path, alone or with one character of the URI alphabet
+#: outside the canonical one, or one piece, put in at any position.
+NEAR_CANONICAL = st.builds(
+    lambda path, at, piece: path[:at % (len(path) + 1)] + piece + path[at % (len(path) + 1):],
+    st.lists(SEGMENT, min_size=1, max_size=4).map("".join), st.integers(0, 20),
+    st.one_of(st.just(""), st.sampled_from("/%?#:@!$&'()*+,;= \t\x00\x7f\xe9"), URI_PIECES))
+#: A near-canonical path, or pieces with and without a leading slash.
 URI_TEXT = st.one_of(
-    st.builds(str.__add__, st.lists(SEGMENT, min_size=1, max_size=4).map("".join),
-              st.one_of(st.just(""), URI_PIECES)),
+    NEAR_CANONICAL,
     st.builds(lambda slash, pieces: "/" * slash + "".join(pieces),
               st.booleans(), st.lists(URI_PIECES, max_size=12)),
 )
@@ -148,6 +154,12 @@ class TestNormalizeUriMatchesReference:
     @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
     def test_uri_shaped_text(self, raw):
         assert _normalized(normalize_uri, raw) == _normalized(reference_normalize_uri, raw)
+
+    def test_every_ascii_character_in_every_position_of_a_canonical_path(self):
+        for char in [*map(chr, range(128)), "\xe9", "\u2028", "%41", "%2F"]:
+            for at in range(len("/ab/c") + 1):
+                raw = "/ab/c"[:at] + char + "/ab/c"[at:]
+                assert _normalized(normalize_uri, raw) == _normalized(reference_normalize_uri, raw)
 
     def test_fixture_and_random_corpus_uris(self):
         raws = []
@@ -193,6 +205,19 @@ class TestStateId:
         assert AttackState.make_start(()).vulnerability_name == ""
 
 
+class TestRecords:
+    def test_records_are_slotted_and_frozen(self):
+        cond = normalize_condition("Weak password")
+        state = AttackState(vulnerability_name="Weak password", uri=normalize_uri("/login.php"),
+                            preconditions=(PreconditionRef(cond),),
+                            postconditions=(PostconditionRef(cond),))
+        for record in (cond, state.uri, *state.preconditions, *state.postconditions, state):
+            assert not hasattr(record, "__dict__"), type(record).__name__
+            for f in fields(record):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(record, f.name, getattr(record, f.name))
+
+
 class TestUriTree:
     """The crawled-URI set answers membership like a tree of the site:
     every directory above a crawled resource is a member too."""
@@ -223,6 +248,12 @@ class TestUriTree:
         crawled = parse_crawl_list("/a/b\n/a/b?q=1\n")
         assert "/a/b" in crawled and "/a/b?q=1" in crawled
         assert len(crawled) == 4
+
+    def test_byte_order_mark_is_ignored(self):
+        assert parse_crawl_list(b"\xef\xbb\xbf/a.php\n") == {"/", "/a.php"}
+        for name in ("minimal", "vulnweb", "teacher"):
+            data = (FIXTURES / name / "crawl.txt").read_bytes()
+            assert parse_crawl_list(b"\xef\xbb\xbf" + data) == parse_crawl_list(data)
 
     def test_query_uri_adds_its_directories_but_not_its_path(self):
         assert parse_crawl_list("/a/b?q=1\n") == {"/", "/a", "/a/b?q=1"}

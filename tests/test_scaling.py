@@ -12,7 +12,8 @@ already at the smallest size.
 
 The witnesses of one result read its firing order once in all, and loading
 a machine file or a findings document normalizes each distinct condition
-text and builds each distinct ref once.
+text and builds each distinct ref once, and splits no URI that is already
+canonical.
 """
 
 import dataclasses
@@ -38,6 +39,7 @@ from vulnchain import (
     extract_witness,
     fsm_from_json,
     fsm_to_json,
+    parse_crawl_list,
     parse_findings,
     reach,
 )
@@ -252,3 +254,26 @@ def test_findings_parse_work_scales_with_distinct_refs(monkeypatch):
     assert constructed.n <= len(triples), (
         f"{constructed.n} refs built for {len(triples)} distinct refs")
     assert parsed.findings == expected
+
+
+def test_canonical_uris_never_reach_the_general_path(monkeypatch):
+    """A URI already in canonical form is its own canonical: loading the
+    machine file, the findings document and a crawl list of such URIs
+    splits and percent-decodes none of them."""
+    text, doc, _, _ = _repeated_ref_machine()
+    findings = json.dumps({
+        "site": doc["site"], "environment_facts": doc["environment_facts"],
+        "findings": [{k: v for k, v in entry.items() if k not in ("id", "is_start")}
+                     for entry in doc["states"] if not entry["is_start"]]})
+    crawl = "".join(f"/d{i}/r{i}\n" for i in range(2_000))
+
+    def general_path(*args, **kwargs):
+        raise AssertionError("a canonical URI took the general path")
+
+    model_module = importlib.import_module("vulnchain.model")
+    monkeypatch.setattr(model_module, "urlsplit", general_path)
+    monkeypatch.setattr(model_module, "unquote", general_path)
+    loaded = fsm_from_json(text)
+    assert fsm_to_json(loaded) == text
+    assert parse_findings(findings).findings == loaded.non_start_states
+    assert len(parse_crawl_list(crawl)) == 1 + 2 * 2_000
