@@ -39,6 +39,24 @@ from vulnchain.ingest import _finding_entry
 from vulnchain.report import _esc, _node_label
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+_VULNWEB = FIXTURES / "vulnweb"
+_VULNWEB_GOLDEN = Path(__file__).resolve().parent / "golden" / "vulnweb"
+
+#: Every input file kind of the CLI -> (its vulnweb file, the commands that
+#: read it). ``{input}`` is the file given in its place and ``{out}`` a
+#: scratch output file.
+CLI_INPUTS = {
+    "findings": (_VULNWEB / "findings.json", [
+        ["build", "--findings", "{input}", "--crawl", str(_VULNWEB / "crawl.txt"), "--out", "{out}"]]),
+    "crawl": (_VULNWEB / "crawl.txt", [
+        ["build", "--findings", str(_VULNWEB / "findings.json"), "--crawl", "{input}", "--out", "{out}"]]),
+    "machine": (_VULNWEB_GOLDEN / "machine.json", [
+        ["analyze", "--fsm", "{input}", "--out", "{out}"],
+        ["export-dot", "--fsm", "{input}", "--out", "{out}"]]),
+    "report": (_VULNWEB_GOLDEN / "report.assumed.json", [
+        ["export-dot", "--fsm", str(_VULNWEB_GOLDEN / "machine.json"), "--reach", "{input}",
+         "--out", "{out}"]]),
+}
 
 
 def load_finding_set(name: str) -> FindingSet:

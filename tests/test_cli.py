@@ -4,13 +4,12 @@ import json
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from vulnchain.cli import cli_main
 
-from tests.helpers import FIXTURES
+from tests.helpers import CLI_INPUTS, FIXTURES
 
 CLICK = "User clicks the link to the third-party web page sent in email."
 FILL = "User fills up the login form on the third-party web page."
@@ -360,35 +359,23 @@ class TestOversizedJson:
         assert message in err
 
 
-GOLDEN_VULNWEB = Path(__file__).resolve().parent / "golden" / "vulnweb"
-
-#: Input kind -> (a vulnweb input, the command that reads it as ``{input}``).
-BOM_INPUTS = {
-    "findings": (FIXTURES / "vulnweb" / "findings.json",
-                 ["build", "--findings", "{input}", "--crawl", str(FIXTURES / "vulnweb" / "crawl.txt")]),
-    "crawl": (FIXTURES / "vulnweb" / "crawl.txt",
-              ["build", "--findings", str(FIXTURES / "vulnweb" / "findings.json"), "--crawl", "{input}"]),
-    "machine": (GOLDEN_VULNWEB / "machine.json", ["analyze", "--fsm", "{input}"]),
-    "report": (GOLDEN_VULNWEB / "report.assumed.json",
-               ["export-dot", "--fsm", str(GOLDEN_VULNWEB / "machine.json"), "--reach", "{input}"]),
-}
-
-
-@pytest.mark.parametrize("kind", sorted(BOM_INPUTS))
+@pytest.mark.parametrize("kind", sorted(CLI_INPUTS))
 def test_byte_order_mark_is_ignored(kind, tmp_path, capsys):
-    """An input file that starts with a UTF-8 byte-order mark gives the
-    same exit code, output file and messages as the file without it."""
-    golden, argv = BOM_INPUTS[kind]
+    """Every command given a vulnweb input that starts with a UTF-8
+    byte-order mark gives the same exit code, output file and messages as
+    given the file without it."""
+    golden, commands = CLI_INPUTS[kind]
     path, out = tmp_path / golden.name, tmp_path / "out"
-    runs = []
-    for prefix in (b"", b"\xef\xbb\xbf"):
-        path.write_bytes(prefix + golden.read_bytes())
-        out.unlink(missing_ok=True)
-        code = cli_main([a.format(input=path) for a in argv] + ["--out", str(out)])
-        captured = capsys.readouterr()
-        runs.append((code, out.read_bytes() if out.exists() else None, captured.out, captured.err))
-    assert runs[0][0] == 0
-    assert runs[1] == runs[0]
+    for argv in commands:
+        runs = []
+        for prefix in (b"", b"\xef\xbb\xbf"):
+            path.write_bytes(prefix + golden.read_bytes())
+            out.unlink(missing_ok=True)
+            code = cli_main([a.format(input=path, out=out) for a in argv])
+            captured = capsys.readouterr()
+            runs.append((code, out.read_bytes() if out.exists() else None, captured.out, captured.err))
+        assert runs[0][0] == 0, argv
+        assert runs[1] == runs[0], argv
 
 
 class TestWhatif:

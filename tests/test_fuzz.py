@@ -19,26 +19,7 @@ from hypothesis import given, settings
 
 from vulnchain.cli import cli_main
 
-from tests.helpers import FIXTURES
-
-GOLDEN = Path(__file__).resolve().parent / "golden" / "vulnweb"
-FINDINGS = FIXTURES / "vulnweb" / "findings.json"
-CRAWL = FIXTURES / "vulnweb" / "crawl.txt"
-MACHINE = GOLDEN / "machine.json"
-
-#: Input kind -> (golden input, the commands that read it). ``{input}`` is
-#: the mutated file and ``{out}`` a scratch output file.
-INPUTS = {
-    "findings": (FINDINGS, [
-        ["build", "--findings", "{input}", "--crawl", str(CRAWL), "--out", "{out}"]]),
-    "crawl": (CRAWL, [
-        ["build", "--findings", str(FINDINGS), "--crawl", "{input}", "--out", "{out}"]]),
-    "machine": (MACHINE, [
-        ["analyze", "--fsm", "{input}", "--out", "{out}"],
-        ["export-dot", "--fsm", "{input}", "--out", "{out}"]]),
-    "report": (GOLDEN / "report.assumed.json", [
-        ["export-dot", "--fsm", str(MACHINE), "--reach", "{input}", "--out", "{out}"]]),
-}
+from tests.helpers import CLI_INPUTS as INPUTS
 
 #: Replacement values of a retyped entry; a lone surrogate is valid JSON
 #: but cannot be written as UTF-8.

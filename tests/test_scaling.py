@@ -214,6 +214,14 @@ def _repeated_ref_machine() -> tuple[str, dict, set, set]:
     return text, doc, triples, {cond for _, cond, _ in triples}
 
 
+def _findings_document(doc: dict) -> str:
+    """The findings document of the states of machine document ``doc``."""
+    return json.dumps({
+        "site": doc["site"], "environment_facts": doc["environment_facts"],
+        "findings": [{k: v for k, v in entry.items() if k not in ("id", "is_start")}
+                     for entry in doc["states"] if not entry["is_start"]]})
+
+
 def _count_reads(monkeypatch) -> tuple[Counter, Counter]:
     """Count condition normalizations and ref constructions in the reader."""
     ingest_module = importlib.import_module("vulnchain.ingest")
@@ -241,10 +249,7 @@ def test_machine_load_work_scales_with_distinct_refs(monkeypatch):
 def test_findings_parse_work_scales_with_distinct_refs(monkeypatch):
     """The findings document of the same 2,000 states is read as cheaply."""
     text, doc, triples, texts = _repeated_ref_machine()
-    findings = json.dumps({
-        "site": doc["site"], "environment_facts": doc["environment_facts"],
-        "findings": [{k: v for k, v in entry.items() if k not in ("id", "is_start")}
-                     for entry in doc["states"] if not entry["is_start"]]})
+    findings = _findings_document(doc)
     expected = fsm_from_json(text).non_start_states
     normalized, constructed = _count_reads(monkeypatch)
     parsed = parse_findings(findings)
@@ -261,10 +266,7 @@ def test_canonical_uris_never_reach_the_general_path(monkeypatch):
     machine file, the findings document and a crawl list of such URIs
     splits and percent-decodes none of them."""
     text, doc, _, _ = _repeated_ref_machine()
-    findings = json.dumps({
-        "site": doc["site"], "environment_facts": doc["environment_facts"],
-        "findings": [{k: v for k, v in entry.items() if k not in ("id", "is_start")}
-                     for entry in doc["states"] if not entry["is_start"]]})
+    findings = _findings_document(doc)
     crawl = "".join(f"/d{i}/r{i}\n" for i in range(2_000))
 
     def general_path(*args, **kwargs):
