@@ -6,7 +6,6 @@ reachable only through combinations of vulnerabilities, and emits attack-path
 witnesses plus graph exports.
 """
 
-from .builder import attach_start_state, build_fsm
 from .errors import (
     DuplicateState,
     EmptyCondition,
@@ -18,7 +17,7 @@ from .errors import (
     UnknownAssumptionFlag,
     VulnchainError,
 )
-from .ingest import FindingSet, parse_crawl_list, parse_findings
+from .ingest import FindingSet, build_fsm, parse_crawl_list, parse_findings
 from .model import (
     START_STATE_ID,
     URI_ALL,

@@ -13,9 +13,8 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .builder import build_fsm
 from .errors import InvalidAssumption, SchemaViolation, VulnchainError
-from .ingest import parse_crawl_list, parse_findings
+from .ingest import build_fsm, parse_crawl_list, parse_findings
 from .model import AssumptionSet, Fsm, ReachResult, normalize_condition
 from .reach import ReachParams, Semantics, collect_goals, diff_isolated_vs_chained, extract_witness, reach
 from .report import (AnalysisReport, fsm_from_json, fsm_to_json, report_from_json, report_to_json,
@@ -83,10 +82,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except VulnchainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (VulnchainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

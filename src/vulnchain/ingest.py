@@ -1,4 +1,5 @@
-"""Loading and validating crawl lists and normalized scanner findings.
+"""Loading and validating crawl lists and normalized scanner findings, and
+building the machine they describe.
 
 Findings come in one format, the canonical findings JSON document. Native
 formats of individual scanners are out of scope; normalize them into it
@@ -20,6 +21,7 @@ from .model import (
     URI_NULL,
     AttackState,
     Condition,
+    Fsm,
     PostconditionRef,
     PreconditionRef,
     normalize_condition,
@@ -99,6 +101,25 @@ def parse_findings(document: str | bytes) -> FindingSet:
     _reject_duplicate_states(entries)
     findings = sorted((f for _, f in entries), key=attrgetter("id"))
     return FindingSet(site=site, environment_facts=facts, findings=tuple(findings))
+
+
+def build_fsm(findings: FindingSet, crawled: frozenset[str] | None = None) -> Fsm:
+    """The machine of validated inputs: one state per finding.
+
+    Pure and deterministic: equal inputs yield machines that serialize
+    identically. The machine's diagnostics warn about each finding URI that
+    is not in ``crawled`` (see :func:`parse_crawl_list`): scanner and
+    crawler disagree, but the finding is kept. The ``*`` sentinel never
+    warns, and ``crawled=None`` gives no warnings. The machine derives its
+    warnings about the findings' content itself, and :attr:`Fsm.warnings`
+    lists them ahead of these diagnostics.
+    """
+    diagnostics = () if crawled is None else (
+        f"no crawled resource matches finding URI {f.uri.display()!r}"
+        for f in findings.findings
+        if f.uri.canonical != URI_ALL and f.uri.canonical not in crawled
+    )
+    return Fsm(findings.site, findings.findings, findings.environment_facts, diagnostics)
 
 
 def _finding_entry(state: AttackState) -> dict[str, Any]:
@@ -231,15 +252,15 @@ def _condition(label: str, path: str) -> Condition:
 
 
 def _decode(document: str | bytes, what: str) -> str:
-    """``document`` as text. Bytes must be UTF-8, and a leading byte-order
-    mark is dropped (RFC 8259, section 8.1); an error names the byte's
-    position in the file."""
+    """``document`` as text, less one leading byte-order mark (RFC 8259,
+    section 8.1), whether given as bytes or as text. Bytes must be UTF-8;
+    an error names the byte's position in the file."""
     if isinstance(document, bytes):
         try:
-            return document.decode("utf-8").removeprefix("\ufeff")
+            document = document.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise SchemaViolation(f"{what} is not valid UTF-8: {exc}") from exc
-    return document
+    return document.removeprefix("\ufeff")
 
 
 def _decode_json_object(document: str | bytes, what: str) -> dict:

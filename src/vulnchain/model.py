@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import re
 import string
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Mapping
@@ -254,22 +254,6 @@ class AttackState:
             self, "id",
             START_STATE_ID if self.is_start else state_id(self.vulnerability_name, self.uri))
 
-    @classmethod
-    def make_start(cls, facts: Iterable[Condition]) -> "AttackState":
-        """The null situation before any attack: no preconditions, never a
-        goal; its postconditions are exactly the recon facts."""
-        unique = {c.id: c for c in facts}
-        posts = tuple(
-            PostconditionRef(condition=unique[cid]) for cid in sorted(unique)
-        )
-        return cls(
-            vulnerability_name="",
-            uri=normalize_uri("/"),
-            postconditions=posts,
-            is_start=True,
-            label="S0",
-        )
-
     def granted_condition_ids(self) -> tuple[str, ...]:
         """Condition ids this state makes true when it fires (FP excluded)."""
         return tuple(r.condition.id for r in self.postconditions if not r.false_positive)
@@ -286,38 +270,45 @@ class AttackState:
 
 @dataclass(frozen=True)
 class Fsm:
-    """The assembled machine: the states, one of them the start state.
+    """The assembled machine: the synthetic start state, then one state per
+    finding, in id order.
+
+    The constructor is the only way a machine is put together. It builds
+    the start state from the environment ``facts``: no preconditions, never
+    a goal, and exactly the facts as postconditions. The start state is
+    implicitly connected to every state whose preconditions the facts alone
+    satisfy. ``findings`` may not hold a start state or repeat an id, and
+    ``diagnostics``, deterministic notes from assembly such as uncrawled
+    finding URIs, are stored deduplicated and sorted.
 
     States link only through their conditions, so every index is derived
     from them on first use and never stored: ``initial_conditions`` (what
     the start state grants), ``producers`` and ``consumers`` (see there),
-    ``edges`` and the content ``warnings``. ``diagnostics`` collects
-    deterministic notes from assembly, such as uncrawled finding URIs.
-    Assemble machines with :func:`vulnchain.builder.attach_start_state`.
+    ``edges`` and the content ``warnings``.
     """
 
     site: str
-    states: tuple[AttackState, ...]
+    findings: InitVar[Iterable[AttackState]]
+    facts: InitVar[Iterable[Condition]]
     diagnostics: tuple[str, ...] = ()
+    states: tuple[AttackState, ...] = field(init=False)
 
-    def __post_init__(self) -> None:
-        starts = [s for s in self.states if s.is_start]
-        if len(starts) != 1:
-            raise SchemaViolation(f"expected exactly one start state, found {len(starts)}")
-        start = starts[0]
-        if start.preconditions:
-            raise SchemaViolation("start state must have no preconditions")
-        if start.is_goal:
-            raise SchemaViolation("start state can never be a goal")
-        seen: set[str] = set()
-        for s in self.states:
-            if s.id in seen:
-                raise SchemaViolation(f"duplicate state id {s.id!r}")
-            seen.add(s.id)
+    def __post_init__(self, findings, facts) -> None:
+        ordered = sorted(findings, key=attrgetter("id"))
+        if any(s.is_start for s in ordered):
+            raise SchemaViolation("a start state is already present")
+        for earlier, later in zip(ordered, ordered[1:]):
+            if earlier.id == later.id:
+                raise SchemaViolation(f"duplicate state id {later.id!r}")
+        start = AttackState(
+            vulnerability_name="", uri=normalize_uri("/"), is_start=True, label="S0",
+            postconditions=tuple(PostconditionRef(c) for c in {c.id: c for c in facts}.values()))
+        object.__setattr__(self, "states", (start, *ordered))
+        object.__setattr__(self, "diagnostics", tuple(sorted(set(self.diagnostics))))
 
-    @cached_property
+    @property
     def start(self) -> AttackState:
-        return next(s for s in self.states if s.is_start)
+        return self.states[0]
 
     @cached_property
     def by_id(self) -> Mapping[str, AttackState]:
@@ -325,7 +316,7 @@ class Fsm:
 
     @cached_property
     def non_start_states(self) -> tuple[AttackState, ...]:
-        return tuple(sorted((s for s in self.states if not s.is_start), key=lambda s: s.id))
+        return self.states[1:]
 
     @cached_property
     def goal_ids(self) -> frozenset[str]:
@@ -426,8 +417,9 @@ class Fsm:
 
     @cached_property
     def unconditional_start_targets(self) -> tuple[str, ...]:
-        """Precondition-free states; these get the plain start edges."""
-        return tuple(sorted(s.id for s in self.non_start_states if not s.preconditions))
+        """Precondition-free states, in id order; these get the plain start
+        edges."""
+        return tuple(s.id for s in self.non_start_states if not s.preconditions)
 
     def label_of(self, sid: str) -> str:
         return self.by_id[sid].display_name()

@@ -11,7 +11,6 @@ from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Mapping
 
-from .builder import attach_start_state
 from .errors import SchemaViolation
 from .ingest import (_FINDING_KEYS, _child, _decode_json_object, _environment_facts, _expect,
                      _finding, _finding_entry, _objects, _optional, _reject_duplicate_states,
@@ -66,7 +65,7 @@ def to_dot(fsm: Fsm, result: ReachResult | None = None) -> str:
                     + [f"out:{cid}" for cid in posted if not fsm.consumers[cid]])
 
     lines = ["digraph vulnerability_chains {", "  rankdir=LR;"]
-    for state in [fsm.start] + list(fsm.non_start_states):
+    for state in fsm.states:
         attrs = [f'label="{_esc(_node_label(state))}"']
         if state.is_start:
             attrs.append("shape=doublecircle")
@@ -127,7 +126,7 @@ def fsm_to_json(fsm: Fsm) -> str:
         "format_version": FSM_FORMAT_VERSION,
         "site": fsm.site,
         "environment_facts": [r.condition.label for r in fsm.start.postconditions],
-        "states": [_state_entry(s) for s in [fsm.start, *fsm.non_start_states]],
+        "states": [_state_entry(s) for s in fsm.states],
         "diagnostics": list(fsm.diagnostics),
     }
     return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
@@ -141,10 +140,9 @@ def fsm_from_json(document: str | bytes) -> Fsm:
     demands both ref lists, ``is_goal`` and every flag and never a ``null``
     label; its stored ``id`` must be the derived one, and a repeated
     vulnerability and URI is rejected by the same check as a repeated
-    finding. The start entry must be exactly the start state of the stored
-    environment facts. The machine is then assembled by
-    :func:`vulnchain.builder.attach_start_state`, like a freshly built one.
-    Files of another ``format_version`` are rejected.
+    finding. The machine is then assembled by the :class:`Fsm` constructor,
+    like a freshly built one, and the start entry must be exactly the entry
+    of its start state. Files of another ``format_version`` are rejected.
 
     Condition texts recur across states, so each distinct text is
     normalized once per call and the immutable refs are shared; a ref
@@ -183,13 +181,13 @@ def fsm_from_json(document: str | bytes) -> Fsm:
     if len(start_entries) != 1:
         raise SchemaViolation(f"expected exactly one start state, found {len(start_entries)}",
                               path="states")
+    fsm = Fsm(_expect(doc, "site", str, path="$"), (state for _, state in states), facts,
+              diagnostics)
     path, entry = start_entries[0]
-    if entry != _state_entry(AttackState.make_start(facts)):
+    if entry != _state_entry(fsm.start):
         raise SchemaViolation(
             "start entry does not match the start state of environment_facts", path=path)
-    return attach_start_state(
-        (state for _, state in states), facts,
-        site=_expect(doc, "site", str, path="$"), diagnostics=diagnostics)
+    return fsm
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,21 @@
 """Machine assembly: state construction, start wiring, and edge derivation."""
 
+import random
+
 import pytest
 
 from vulnchain import (
     FindingSet,
     START_STATE_ID,
+    Fsm,
     VulnchainError,
-    attach_start_state,
     build_fsm,
     fsm_to_json,
     normalize_condition,
 )
 
-from tests.helpers import (fsm_of, ids_for, labels_of, load_finding_set, single_finding,
-                           start_successors)
+from tests.helpers import (fsm_of, ids_for, labels_of, load_finding_set, random_finding_set,
+                           single_finding, start_successors)
 
 
 class TestBuildStates:
@@ -50,14 +52,14 @@ class TestAttachStartState:
         assert start_successors(teacher_fsm) == ids_for(teacher_fsm, "S1", "S2", "S6")
 
     def test_zero_states_zero_facts(self):
-        fsm = attach_start_state((), ())
+        fsm = Fsm(site="", findings=(), facts=())
         assert len(fsm.states) == 1
         assert fsm.start.id == START_STATE_ID
         assert fsm.initial_conditions == frozenset()
 
     def test_start_grants_exactly_the_facts(self):
         fact = normalize_condition("Apache 2.4 detected")
-        fsm = attach_start_state((), (fact,))
+        fsm = Fsm(site="", findings=(), facts=(fact,))
         assert fsm.initial_conditions == {fact.id}
         assert fsm.start.granted_condition_ids() == (fact.id,)
         assert fsm.producers[fact.id] == {START_STATE_ID}
@@ -65,12 +67,29 @@ class TestAttachStartState:
     def test_facts_satisfy_preconditions_for_start_wiring(self):
         fact = normalize_condition("banner")
         f = single_finding("V", "/x", pres=("banner",), label="S1")
-        fsm = attach_start_state((next(iter(fsm_of(f).non_start_states)),), (fact,))
+        fsm = Fsm(site="", findings=(next(iter(fsm_of(f).non_start_states)),), facts=(fact,))
         assert start_successors(fsm) == {f.id}
+
+    def test_findings_in_any_order_give_the_same_machine(self):
+        """The start state comes first and the findings follow in id order,
+        whatever order they are given in."""
+        rng, shuffler = random.Random(15), random.Random(16)
+        for _ in range(1000):
+            fs = random_finding_set(rng)
+            in_order = Fsm(site=fs.site, findings=fs.findings, facts=fs.environment_facts)
+            shuffled = list(fs.findings)
+            shuffler.shuffle(shuffled)
+            for findings in (shuffled, fs.findings[::-1]):
+                fsm = Fsm(site=fs.site, findings=findings, facts=fs.environment_facts)
+                assert fsm == in_order
+                assert fsm.states[0].is_start
+                assert fsm.non_start_states == fsm.states[1:]
+                assert [s.id for s in fsm.non_start_states] == sorted(f.id for f in fs.findings)
+                assert fsm_to_json(fsm) == fsm_to_json(in_order)
 
     def test_rejects_second_start(self, minimal_fsm):
         with pytest.raises(Exception, match="start state"):
-            attach_start_state(minimal_fsm.states, ())
+            Fsm(site="", findings=minimal_fsm.states, facts=())
 
 
 class TestDeriveEdges:

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -530,3 +531,12 @@ class TestAnalyzeFixturesScript:
             for ext in ("fsm.json", "report.json", "dot"))
         assert "goals reached by chaining: S10 S4 S7" in proc.stdout
         assert "chaining-only goals: S7" in proc.stdout
+        # The script grants every user action, as the CLI golden runs do
+        # with --assume, so each file equals the CLI's byte for byte.
+        golden = Path(__file__).resolve().parent / "golden"
+        for name in ("minimal", "vulnweb", "teacher"):
+            for ext, expected in (("fsm.json", "machine.json"),
+                                  ("report.json", "report.assumed.json"),
+                                  ("dot", "machine.reach.dot")):
+                assert ((tmp_path / f"{name}.{ext}").read_bytes()
+                        == (golden / name / expected).read_bytes()), f"{name}.{ext}"

@@ -10,17 +10,18 @@ from vulnchain import (
     MalformedUri,
     SchemaViolation,
     UnknownAssumptionFlag,
-    attach_start_state,
+    Fsm,
     build_fsm,
     fsm_from_json,
     fsm_to_json,
     parse_crawl_list,
     parse_findings,
+    report_from_json,
 )
 from vulnchain.ingest import _finding_entry
 from vulnchain.report import FSM_FORMAT_VERSION
 
-from tests.helpers import load_finding_set, load_tree, serialize_findings
+from tests.helpers import CLI_INPUTS, load_finding_set, load_tree, serialize_findings
 from tests.test_fuzz import RETYPED, _entries
 
 
@@ -168,6 +169,17 @@ class TestParseFindings:
         assert fs.environment_facts[0].id == "apache 2.4 detected"
 
 
+@pytest.mark.parametrize("kind,load", [
+    ("findings", parse_findings), ("machine", fsm_from_json), ("report", report_from_json)])
+def test_byte_order_mark_is_ignored(kind, load):
+    """A leading byte-order mark is dropped from a document given as bytes
+    and from one given as text; ``TestUriTree`` checks the crawl list."""
+    data = CLI_INPUTS[kind][0].read_bytes()
+    expected = load(data)
+    assert load(b"\xef\xbb\xbf" + data) == expected
+    assert load("\ufeff" + data.decode("utf-8")) == expected
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ["minimal", "vulnweb", "teacher"])
     def test_parse_serialize_identity(self, name):
@@ -236,7 +248,7 @@ class TestOneReaderForFindingsAndMachineStates:
                                      _vulnweb_object("S10", false_positive=True)],
                              ids=["user action", "false positive"])
     def test_both_loaders_agree_on_every_mutation(self, obj):
-        start = json.loads(fsm_to_json(attach_start_state((), ())))["states"][0]
+        start = json.loads(fsm_to_json(Fsm(site="", findings=(), facts=())))["states"][0]
         original_id = parse_findings(_doc([obj])).findings[0].id
         disagreements = []
         for case, variant, machine_only in _variants(obj):

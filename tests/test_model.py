@@ -14,6 +14,7 @@ from vulnchain import (
     START_STATE_ID,
     AttackState,
     EmptyCondition,
+    Fsm,
     MalformedUri,
     PostconditionRef,
     PreconditionRef,
@@ -197,12 +198,12 @@ class TestStateId:
         assert state.id == state_id("Weak password", normalize_uri("/login.php"))
         moved = replace(state, uri=normalize_uri("/x"))
         assert moved.id == state_id("Weak password", normalize_uri("/x"))
-        assert AttackState.make_start(()).id == START_STATE_ID
+        assert Fsm(site="", findings=(), facts=()).start.id == START_STATE_ID
 
     def test_blank_vulnerability_only_for_the_start_state(self):
         with pytest.raises(SchemaViolation, match="vulnerability name must be non-empty"):
             AttackState(vulnerability_name=" ", uri=normalize_uri("/x"))
-        assert AttackState.make_start(()).vulnerability_name == ""
+        assert Fsm(site="", findings=(), facts=()).start.vulnerability_name == ""
 
 
 class TestRecords:
@@ -251,9 +252,11 @@ class TestUriTree:
 
     def test_byte_order_mark_is_ignored(self):
         assert parse_crawl_list(b"\xef\xbb\xbf/a.php\n") == {"/", "/a.php"}
+        assert parse_crawl_list("\ufeff/a.php\n") == {"/", "/a.php"}
         for name in ("minimal", "vulnweb", "teacher"):
             data = (FIXTURES / name / "crawl.txt").read_bytes()
             assert parse_crawl_list(b"\xef\xbb\xbf" + data) == parse_crawl_list(data)
+            assert parse_crawl_list("\ufeff" + data.decode("utf-8")) == parse_crawl_list(data)
 
     def test_query_uri_adds_its_directories_but_not_its_path(self):
         assert parse_crawl_list("/a/b?q=1\n") == {"/", "/a", "/a/b?q=1"}

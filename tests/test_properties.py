@@ -9,6 +9,7 @@ from vulnchain import (
     AssumptionSet,
     AttackState,
     FindingSet,
+    Fsm,
     PostconditionRef,
     PreconditionRef,
     ReachParams,
@@ -143,15 +144,13 @@ def test_monotone_in_cleared_false_positive(case):
 
 
 def _with_extra_fact(fsm, condition_id):
-    from vulnchain import attach_start_state
     facts = [r.condition for r in fsm.start.postconditions]
     facts.append(normalize_condition(condition_id))
-    return attach_start_state(fsm.non_start_states, facts, site=fsm.site)
+    return Fsm(site=fsm.site, findings=fsm.non_start_states, facts=facts)
 
 
 def _with_first_false_positive_cleared(fsm):
     from dataclasses import replace
-    from vulnchain import attach_start_state
     for state in fsm.non_start_states:
         for j, ref in enumerate(state.postconditions):
             if ref.false_positive:
@@ -162,7 +161,7 @@ def _with_first_false_positive_cleared(fsm):
                     for s in fsm.non_start_states
                 ]
                 facts = [r.condition for r in fsm.start.postconditions]
-                return attach_start_state(states, facts, site=fsm.site)
+                return Fsm(site=fsm.site, findings=states, facts=facts)
     return None
 
 

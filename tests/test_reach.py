@@ -7,11 +7,11 @@ import pytest
 
 from vulnchain import (
     AssumptionSet,
+    Fsm,
     GoalNotReached,
     InvalidAssumption,
     ReachParams,
     Semantics,
-    attach_start_state,
     build_fsm,
     collect_goals,
     diff_isolated_vs_chained,
@@ -63,7 +63,7 @@ class TestFixedPoint:
         assert collect_goals(result, vulnweb_fsm) == ids_for(vulnweb_fsm, "S4", "S10")
 
     def test_empty_machine(self):
-        fsm = attach_start_state((), ())
+        fsm = Fsm(site="", findings=(), facts=())
         result = reach(fsm)
         assert result.visited == {fsm.start.id}
         assert result.true_conditions == fsm.initial_conditions

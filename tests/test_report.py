@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from vulnchain import (
     AnalysisReport,
     AssumptionSet,
+    Fsm,
     ReachParams,
     SchemaViolation,
-    attach_start_state,
     build_fsm,
     collect_goals,
     extract_witness,
@@ -100,7 +100,7 @@ class TestToDot:
         assert {labels[dst] for _, dst, _ in start_edges} == {"S1", "S2"}
 
     def test_start_only_machine(self):
-        dot = to_dot(attach_start_state((), ()))
+        dot = to_dot(Fsm(site="", findings=(), facts=()))
         assert _state_nodes(dot) == ["start"]
         assert _edges(dot) == []
         assert "doublecircle" in dot
@@ -224,7 +224,7 @@ class TestFsmSerialization:
 
     def test_tampered_start_entry_rejected(self):
         fact = normalize_condition("Server banner exposed")
-        text = fsm_to_json(attach_start_state((), (fact,)))
+        text = fsm_to_json(Fsm(site="", findings=(), facts=(fact,)))
         tampers = [
             lambda start, facts: start["postconditions"].append(
                 {"condition": "extra", "false_positive": False}),
@@ -242,6 +242,13 @@ class TestFsmSerialization:
                                match=r"states\[0\]: start entry does not match the start "
                                      "state of environment_facts"):
                 fsm_from_json(json.dumps(doc))
+
+    def test_bad_site_reported_before_a_tampered_start_entry(self):
+        doc = json.loads(fsm_to_json(Fsm(site="", findings=(), facts=())))
+        doc["states"][0]["is_goal"] = True
+        doc["site"] = 7
+        with pytest.raises(SchemaViolation, match=r"^\$: field 'site' must be str$"):
+            fsm_from_json(json.dumps(doc))
 
     def test_second_start_entry_rejected(self, minimal_fsm):
         doc = json.loads(fsm_to_json(minimal_fsm))
@@ -303,7 +310,7 @@ class TestToReport:
         assert len(report.witnesses[0]["steps"]) >= 4
 
     def test_empty_machine_report(self):
-        fsm = attach_start_state((), ())
+        fsm = Fsm(site="", findings=(), facts=())
         report = to_report(fsm, reach(fsm))
         assert report.fsm["states"] == 0
         assert report.fsm["goals"] == 0

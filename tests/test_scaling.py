@@ -30,11 +30,11 @@ from vulnchain import (
     AssumptionSet,
     AttackState,
     Condition,
+    Fsm,
     NormalizedUri,
     PostconditionRef,
     PreconditionRef,
     ReachParams,
-    attach_start_state,
     collect_goals,
     extract_witness,
     fsm_from_json,
@@ -108,7 +108,7 @@ def chain(n: int):
     """State i needs ``c{i}`` and grants ``c{i+1}``; ``c0`` is a fact.
     State ids are hashes, so the chain runs in no relation to id order."""
     states = [_state(i, pres=(f"c{i}",), posts=(f"c{i + 1}",)) for i in range(n)]
-    return attach_start_state(states, [_cond("c0")]), AssumptionSet()
+    return Fsm(site="", findings=states, facts=[_cond("c0")]), AssumptionSet()
 
 
 def fan_out(n: int):
@@ -120,7 +120,7 @@ def fan_out(n: int):
     states += [_state(i, pres=("hub",), posts=(f"g{i}", f"u{i}")) for i in leaves]
     states.append(_state(
         n - 1, pres=[f"g{i}" for i in leaves], ua_pres=[f"u{i}" for i in leaves]))
-    return attach_start_state(states, ()), AssumptionSet(frozenset(f"u{i}" for i in leaves))
+    return Fsm(site="", findings=states, facts=()), AssumptionSet(frozenset(f"u{i}" for i in leaves))
 
 
 def blocked(n: int):
@@ -133,7 +133,7 @@ def blocked(n: int):
             states.append(_state(i, pres=(f"c{link}",), posts=(f"c{link + 1}",)))
         else:
             states.append(_state(i, pres=(f"c{link}", f"never{i}"), posts=(f"d{i}",)))
-    return attach_start_state(states, [_cond("c0")]), AssumptionSet()
+    return Fsm(site="", findings=states, facts=[_cond("c0")]), AssumptionSet()
 
 
 def count_closure_work(fsm, assumptions, monkeypatch) -> int:
@@ -174,7 +174,7 @@ def test_witnesses_read_the_firing_order_once():
     n = 4_000
     states = [_state(i, pres=(f"c{i}",), posts=(f"c{i + 1}",), is_goal=i % 100 == 99)
               for i in range(n)]
-    fsm = attach_start_state(states, [_cond("c0")])
+    fsm = Fsm(site="", findings=states, facts=[_cond("c0")])
     _cond.cache_clear()
     counter = Counter()
     result = reach(fsm)
@@ -204,7 +204,7 @@ def _repeated_ref_machine() -> tuple[str, dict, set, set]:
     states = [_state(i, pres=(f"c{i % 7}",), ua_pres=(f"u{i % 3}",),
                      posts=(f"c{(i + 1) % 7}",), fp_posts=(f"f{i % 5}",))
               for i in range(2_000)]
-    text = fsm_to_json(attach_start_state(states, [_cond("c0")]))
+    text = fsm_to_json(Fsm(site="", findings=states, facts=[_cond("c0")]))
     _cond.cache_clear()
     doc = json.loads(text)
     flags = {"preconditions": "requires_user_action", "postconditions": "false_positive"}
