@@ -36,12 +36,11 @@ from .model import (
     state_id,
 )
 from .reach import (
-    IsolationDiff,
     ReachParams,
     Semantics,
     collect_goals,
-    diff_isolated_vs_chained,
     extract_witness,
+    isolated_goals,
     reach,
 )
 from .report import (

@@ -8,7 +8,6 @@ Subcommands: ``build``, ``analyze``, ``whatif``, ``export-dot`` and
 from __future__ import annotations
 
 import argparse
-import difflib
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -16,7 +15,7 @@ from typing import Sequence
 from .errors import InvalidAssumption, SchemaViolation, VulnchainError
 from .ingest import build_fsm, parse_crawl_list, parse_findings
 from .model import AssumptionSet, Fsm, ReachResult, normalize_condition
-from .reach import ReachParams, Semantics, collect_goals, diff_isolated_vs_chained, extract_witness, reach
+from .reach import ReachParams, Semantics, collect_goals, extract_witness, isolated_goals, reach
 from .report import (AnalysisReport, fsm_from_json, fsm_to_json, report_from_json, report_to_json,
                      to_dot, to_report)
 
@@ -112,11 +111,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_analyze(args) -> int:
     fsm = _load_fsm(args.fsm)
-    params = ReachParams(
-        semantics=Semantics(args.semantics),
-        assumptions=_assumptions(fsm, args.assume, "--assume"),
-    )
-    result = reach(fsm, params)
+    result = _reach(fsm, args.assume, "--assume", args.semantics)
     reached = collect_goals(result, fsm)
     witnesses = {goal: extract_witness(fsm, result, goal) for goal in sorted(reached)}
     report = to_report(fsm, result, witnesses)
@@ -130,12 +125,11 @@ def _cmd_whatif(args) -> int:
     toggled: set[str] = set()
     for cid in _match_conditions(fsm, args.toggle, "--toggle"):
         toggled.symmetric_difference_update({cid})
-    base = reach(fsm, ReachParams())
+    base = reach(fsm)
     alt = reach(fsm, ReachParams(assumptions=AssumptionSet(frozenset(toggled))))
     print("assumptions:", " ".join(sorted(toggled)) or "(none)")
     print("states:", _fmt_delta(fsm, alt.visited, base.visited))
-    goals = fsm.goal_ids
-    print("goals:", _fmt_delta(fsm, alt.visited & goals, base.visited & goals))
+    print("goals:", _fmt_delta(fsm, collect_goals(alt, fsm), collect_goals(base, fsm)))
     return 0
 
 
@@ -150,12 +144,13 @@ def _cmd_export_dot(args) -> int:
 
 def _cmd_diff_isolated(args) -> int:
     fsm = _load_fsm(args.fsm)
-    result = reach(fsm, ReachParams(assumptions=_assumptions(fsm, args.assume, "--assume")))
-    diff = diff_isolated_vs_chained(fsm, result)
+    result = _reach(fsm, args.assume, "--assume", Semantics.FIXED_POINT)
+    reached = collect_goals(result, fsm)
+    isolated = isolated_goals(fsm, result)
     rows = [
-        ("isolated goals", diff.isolated),
-        ("chained goals", diff.chained),
-        ("chaining-only goals", diff.chained_only),
+        ("isolated goals", isolated),
+        ("chained goals", reached),
+        ("chaining-only goals", reached - isolated),
     ]
     for name, ids in rows:
         shown = " ".join(fsm.label_of(sid) for sid in sorted(ids, key=fsm.label_of))
@@ -182,11 +177,7 @@ def _load_fsm(path: str) -> Fsm:
 def _replay_report(fsm: Fsm, report: AnalysisReport) -> ReachResult:
     """Re-run the reach a report records; it must visit the states the
     report lists."""
-    params = ReachParams(
-        semantics=Semantics(report.semantics),
-        assumptions=_assumptions(fsm, report.assumptions, "assumptions"),
-    )
-    result = reach(fsm, params)
+    result = _reach(fsm, report.assumptions, "assumptions", report.semantics)
     if sorted(result.visited) != report.reachable_states:
         raise SchemaViolation("report does not match this machine", path="reachable_states")
     return result
@@ -202,6 +193,7 @@ def _match_condition(fsm: Fsm, text: str) -> str:
     known = sorted(fsm.user_action_condition_ids)
     if cid in known:
         return cid
+    import difflib  # only an error needs it, so starting the CLI does not load it
     near = difflib.get_close_matches(cid, known, n=3)
     hint = f"; did you mean: {', '.join(repr(n) for n in near)}" if near else ""
     raise InvalidAssumption(f"{cid!r} is not a user-action precondition of any state{hint}")
@@ -219,8 +211,11 @@ def _match_conditions(fsm: Fsm, texts: list[str], name: str) -> list[str]:
     return out
 
 
-def _assumptions(fsm: Fsm, texts: list[str], name: str) -> AssumptionSet:
-    return AssumptionSet(frozenset(_match_conditions(fsm, texts, name)))
+def _reach(fsm: Fsm, texts: list[str], name: str, semantics: str) -> ReachResult:
+    """Run ``reach`` with the user actions ``texts`` name assumed; an
+    unknown or blank one is an error naming ``name[i]``."""
+    assumptions = AssumptionSet(frozenset(_match_conditions(fsm, texts, name)))
+    return reach(fsm, ReachParams(semantics=Semantics(semantics), assumptions=assumptions))
 
 
 def _fmt_delta(fsm: Fsm, new: frozenset[str], old: frozenset[str]) -> str:

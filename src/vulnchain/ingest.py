@@ -56,13 +56,15 @@ def parse_crawl_list(document: str | bytes) -> frozenset[str]:
     """Canonical URIs of the crawled resources plus every directory above
     them; the root ``/`` is always a member.
 
-    Blank lines and ``#`` comments are ignored; duplicates are silently
-    deduplicated. Raises :class:`MalformedUri` carrying the line number,
-    also for the ``ALL URI`` and ``NULL`` sentinels, which name no resource.
+    Lines end at CR LF, CR or LF alone. Blank lines and ``#`` comments are
+    ignored; duplicates are silently deduplicated. Raises
+    :class:`MalformedUri` carrying the line number, also for the ``ALL URI``
+    and ``NULL`` sentinels, which name no resource.
     """
     text = _decode(document, what="crawl list")
     crawled = {"/"}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
         entry = line.strip()
         if not entry or entry.startswith("#"):
             continue

@@ -258,11 +258,6 @@ class AttackState:
         """Condition ids this state makes true when it fires (FP excluded)."""
         return tuple(r.condition.id for r in self.postconditions if not r.false_positive)
 
-    def display_name(self) -> str:
-        if self.is_start:
-            return START_STATE_ID
-        return self.label if self.label else self.id
-
 
 # ---------------------------------------------------------------------------
 # The machine itself
@@ -422,7 +417,9 @@ class Fsm:
         return tuple(s.id for s in self.non_start_states if not s.preconditions)
 
     def label_of(self, sid: str) -> str:
-        return self.by_id[sid].display_name()
+        """The state's label, else its id; ``start`` for the start state."""
+        state = self.by_id[sid]
+        return START_STATE_ID if state.is_start else state.label or sid
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Goal reachability over the machine, plus witnesses and the chaining diff.
+"""Goal reachability over the machine, plus witnesses and the isolated goals.
 
 Two semantics are provided:
 
@@ -51,19 +51,6 @@ class ReachParams:
 
     semantics: Semantics = Semantics.FIXED_POINT
     assumptions: AssumptionSet = field(default_factory=AssumptionSet)
-
-
-@dataclass(frozen=True)
-class IsolationDiff:
-    """Goals reachable by chaining vs. by firing a single state.
-
-    ``chained_only`` quantifies the chaining amplification: harm that no
-    isolated vulnerability can cause on its own.
-    """
-
-    isolated: frozenset[str]
-    chained: frozenset[str]
-    chained_only: frozenset[str]
 
 
 def _satisfied(state: AttackState, true: set[str] | frozenset[str], assumed: frozenset[str]) -> bool:
@@ -211,18 +198,13 @@ def extract_witness(fsm: Fsm, result: ReachResult, goal: str) -> AttackPath:
     return AttackPath(goal=goal, steps=steps, assumptions_used=frozenset(assumptions_used))
 
 
-def diff_isolated_vs_chained(fsm: Fsm, result: ReachResult) -> IsolationDiff:
-    """Compare the goals ``result`` reaches by chaining against single-state
-    firings under the same assumptions; the closure is not run again.
+def isolated_goals(fsm: Fsm, result: ReachResult) -> frozenset[str]:
+    """Goals that fire from the initial conditions plus ``result.assumptions``
+    alone, with no other state firing first; the closure is not run again.
 
-    A goal counts as isolated-reachable when it can fire directly from the
-    initial conditions (environment facts and assumptions are free; no other
-    state may fire first). Raises :class:`ResultFsmMismatch` like
-    :func:`collect_goals`.
+    The goals only chaining reaches, the paper's amplification, are
+    ``collect_goals(result, fsm) - isolated_goals(fsm, result)``.
     """
-    chained = collect_goals(result, fsm)
-    isolated = frozenset(
-        s.id for s in fsm.non_start_states
-        if s.is_goal and _satisfied(s, fsm.initial_conditions, result.assumptions)
-    )
-    return IsolationDiff(isolated=isolated, chained=chained, chained_only=chained - isolated)
+    return frozenset(
+        sid for sid in fsm.goal_ids
+        if _satisfied(fsm.by_id[sid], fsm.initial_conditions, result.assumptions))

@@ -16,7 +16,7 @@ from .ingest import (_FINDING_KEYS, _child, _decode_json_object, _environment_fa
                      _finding, _finding_entry, _objects, _optional, _reject_duplicate_states,
                      _reject_unknown, _typed)
 from .model import START_STATE_ID, AttackPath, AttackState, Fsm, ReachResult
-from .reach import Semantics, diff_isolated_vs_chained
+from .reach import Semantics, collect_goals, isolated_goals
 
 FSM_FORMAT_VERSION = 2
 REPORT_FORMAT_VERSION = 1
@@ -228,7 +228,8 @@ def to_report(
     ``witnesses`` maps reachable goal ids to extracted attack paths; pass
     the output of :func:`vulnchain.reach.extract_witness` per goal.
     """
-    diff = diff_isolated_vs_chained(fsm, result)
+    reached = collect_goals(result, fsm)
+    isolated = isolated_goals(fsm, result)
     return AnalysisReport(
         site=fsm.site,
         semantics=result.semantics,
@@ -236,16 +237,16 @@ def to_report(
         fsm={"states": len(fsm.non_start_states), "edges": fsm.edge_count,
              "goals": len(fsm.goal_ids)},
         reachable_states=sorted(result.visited),
-        reachable_goals=sorted(diff.chained),
+        reachable_goals=sorted(reached),
         unreachable_goals=[
             {"state": sid, "label": fsm.by_id[sid].label, "missing_conditions": sorted(
                 r.condition.id for r in fsm.by_id[sid].preconditions
                 if r.condition.id not in result.true_conditions)}
             for sid in sorted(fsm.goal_ids - result.visited)
         ],
-        isolated_goals=sorted(diff.isolated),
-        chained_goals=sorted(diff.chained),
-        chained_only_goals=sorted(diff.chained_only),
+        isolated_goals=sorted(isolated),
+        chained_goals=sorted(reached),
+        chained_only_goals=sorted(reached - isolated),
         witnesses=[
             {"goal": goal, "label": fsm.by_id[goal].label,
              "assumptions_used": sorted(path.assumptions_used),

@@ -150,6 +150,15 @@ def start_successors(fsm: Fsm) -> set[str]:
             if all(r.condition.id in fsm.initial_conditions for r in s.preconditions)}
 
 
+def isolated_goals_by_scan(fsm: Fsm, assumed: frozenset[str]) -> set[str]:
+    """Goals each of whose preconditions is an initial condition (one the
+    start state lists as a postcondition) or an assumed user action."""
+    initial = {r.condition.id for r in fsm.start.postconditions}
+    return {s.id for s in fsm.states if s.is_goal and all(
+        r.condition.id in initial or (r.requires_user_action and r.condition.id in assumed)
+        for r in s.preconditions)}
+
+
 def random_assumptions(rng: random.Random, fsm: Fsm) -> AssumptionSet:
     pool = sorted(fsm.user_action_condition_ids)
     if not pool:

@@ -15,8 +15,8 @@ from vulnchain import (
     ReachParams,
     Semantics,
     collect_goals,
-    diff_isolated_vs_chained,
     extract_witness,
+    isolated_goals,
     reach,
     build_fsm,
 )
@@ -106,13 +106,13 @@ def test_criterion_3_teacher_instance_fidelity(teacher_fsm):
 def test_criterion_4_chaining_amplification(vulnweb_fsm, teacher_fsm):
     with criterion(4, "chaining amplification", 1.0):
         all_assumed = AssumptionSet(frozenset(vulnweb_fsm.user_action_condition_ids))
-        vw = diff_isolated_vs_chained(vulnweb_fsm, reach(vulnweb_fsm, ReachParams(assumptions=all_assumed)))
-        assert vw.isolated == frozenset()
-        assert vw.chained == ids_for(vulnweb_fsm, "S4", "S7", "S10")
+        vw = reach(vulnweb_fsm, ReachParams(assumptions=all_assumed))
+        assert isolated_goals(vulnweb_fsm, vw) == frozenset()
+        assert collect_goals(vw, vulnweb_fsm) == ids_for(vulnweb_fsm, "S4", "S7", "S10")
 
-        t = diff_isolated_vs_chained(teacher_fsm, reach(teacher_fsm))
-        assert t.isolated == frozenset()
-        assert t.chained == ids_for(teacher_fsm, "S7")
+        t = reach(teacher_fsm)
+        assert isolated_goals(teacher_fsm, t) == frozenset()
+        assert collect_goals(t, teacher_fsm) == ids_for(teacher_fsm, "S7")
 
 
 def test_criterion_5_oracle_equivalence():

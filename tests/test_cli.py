@@ -1,6 +1,7 @@
 """End-to-end CLI behavior over the bundled fixtures."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -120,6 +121,32 @@ class TestBuild:
         assert code == 1
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+    def test_control_line_boundary_in_crawl_list_exits_1_naming_its_line(
+            self, char, tmp_path, capsys):
+        crawl = tmp_path / "crawl.txt"
+        crawl.write_bytes(f"/a1\n/a{char}\n/a2\n/b{char}1\n".encode("utf-8"))
+        code = cli_main(["build", "--findings", str(FIXTURES / "minimal" / "findings.json"),
+                         "--crawl", str(crawl), "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {crawl}: line 4: URI contains control characters: {'/b' + char + '1'!r}\n")
+
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"])
+    def test_unicode_line_boundary_in_crawled_uri_matches_the_finding(
+            self, char, tmp_path, capsys):
+        doc = json.loads((FIXTURES / "minimal" / "findings.json").read_text())
+        doc["findings"][0]["uri"] = f"/a{char}1"
+        findings = tmp_path / "findings.json"
+        findings.write_text(json.dumps(doc))
+        crawl = tmp_path / "crawl.txt"
+        crawl.write_bytes(
+            (FIXTURES / "minimal" / "crawl.txt").read_bytes() + f"/a{char}1\n".encode("utf-8"))
+        code = cli_main(["build", "--findings", str(findings), "--crawl", str(crawl),
+                         "--out", str(tmp_path / "m.json")])
+        assert code == 0
+        assert "no crawled resource matches" not in capsys.readouterr().err
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code = cli_main([
             "build", "--findings", "/nonexistent.json",
@@ -173,11 +200,14 @@ class TestAnalyze:
         report = json.loads((tmp_path / "vw.report.json").read_text())
         assert report["semantics"] == "paper-dfs"
 
-    def test_unknown_assumption_lists_near_matches(self, built, tmp_path, capsys):
+    @pytest.mark.parametrize("command, flag", [
+        ("analyze", "--assume"), ("whatif", "--toggle"), ("diff-isolated", "--assume")],
+        ids=["analyze", "whatif", "diff-isolated"])
+    def test_unknown_assumption_lists_near_matches(self, command, flag, built, tmp_path, capsys):
         code = cli_main([
-            "analyze", "--fsm", str(built["vulnweb"]),
-            "--assume", "user clicks the link to the third party web page sent in email",
-            "--out", str(tmp_path / "x.json"),
+            command, "--fsm", str(built["vulnweb"]),
+            flag, "user clicks the link to the third party web page sent in email",
+            *(["--out", str(tmp_path / "x.json")] if command == "analyze" else []),
         ])
         captured = capsys.readouterr()
         assert code == 1
@@ -518,6 +548,17 @@ class TestUsageErrors:
     def test_help_exits_0(self, capsys):
         assert cli_main(["--help"]) == 0
         assert "vulnchain" in capsys.readouterr().out
+
+
+class TestStartUp:
+    def test_importing_the_cli_leaves_difflib_unloaded(self):
+        # difflib only builds the near-match hint of an error.
+        src = str(FIXTURES.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, vulnchain.cli; print('difflib' in sys.modules)"],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestAnalyzeFixturesScript:

@@ -61,6 +61,13 @@ class TestParseCrawlList:
     def test_malformed_line_number_reported(self):
         with pytest.raises(MalformedUri, match="line 3"):
             parse_crawl_list("/ok\n# fine\n/bad\x00uri\n")
+        # Only CR LF, CR and LF end a line; a trailing Unicode line boundary
+        # is stripped with the line's other whitespace.
+        for char in "\u2028\u2029\x85\x0b\x0c\x1c\x1d\x1e":
+            with pytest.raises(MalformedUri, match=r"^line 2: "):
+                parse_crawl_list(f"/a{char}\n/b\x00\n")
+            with pytest.raises(MalformedUri, match=r"^line 4: "):
+                parse_crawl_list(f"/a{char}\r\n/b\r/c{char}\n/d\x00\n")
 
 
 class TestParseFindings:

@@ -258,6 +258,16 @@ class TestUriTree:
             assert parse_crawl_list(b"\xef\xbb\xbf" + data) == parse_crawl_list(data)
             assert parse_crawl_list("\ufeff" + data.decode("utf-8")) == parse_crawl_list(data)
 
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"])
+    def test_unicode_line_boundary_stays_in_its_line(self, char):
+        # Only CR LF, CR and LF end a line; this one is part of the URI.
+        assert parse_crawl_list(f"/a{char}b\n") == {"/", normalize_uri(f"/a{char}b").canonical}
+
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+    def test_control_line_boundary_inside_a_line_rejected(self, char):
+        with pytest.raises(MalformedUri, match=r"^line 2: URI contains control characters"):
+            parse_crawl_list(f"/ok\n/a{char}b\n")
+
     def test_query_uri_adds_its_directories_but_not_its_path(self):
         assert parse_crawl_list("/a/b?q=1\n") == {"/", "/a", "/a/b?q=1"}
         assert parse_crawl_list("/?q=1\n") == {"/", "/?q=1"}

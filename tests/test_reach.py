@@ -1,4 +1,4 @@
-"""Reachability semantics, goal collection, witnesses, and the isolation diff."""
+"""Reachability semantics, goal collection, witnesses, and the isolated goals."""
 
 import importlib
 import random
@@ -14,8 +14,8 @@ from vulnchain import (
     Semantics,
     build_fsm,
     collect_goals,
-    diff_isolated_vs_chained,
     extract_witness,
+    isolated_goals,
     normalize_condition,
     reach,
     to_report,
@@ -26,6 +26,7 @@ from tests.helpers import (
     firing_order_by_restart_scan,
     fsm_of,
     ids_for,
+    isolated_goals_by_scan,
     labels_of,
     load_fsm,
     random_assumptions,
@@ -218,6 +219,8 @@ class TestCollectGoals:
         result = reach(teacher_fsm)
         with pytest.raises(ResultFsmMismatch):
             collect_goals(result, minimal_fsm)
+        with pytest.raises(ResultFsmMismatch):
+            to_report(minimal_fsm, result)
 
 
 class TestExtractWitness:
@@ -276,39 +279,46 @@ class TestExtractWitness:
 
 
 class TestDiffIsolatedVsChained:
+    """The isolated goals against the chained ones, ``collect_goals``; the
+    chained-only goals are their difference."""
+
     def test_vulnweb_amplification(self, vulnweb_fsm):
-        diff = diff_isolated_vs_chained(
-            vulnweb_fsm, reach(vulnweb_fsm, ReachParams(assumptions=_all_assumptions(vulnweb_fsm))))
-        assert diff.isolated == frozenset()
-        assert diff.chained == ids_for(vulnweb_fsm, "S4", "S7", "S10")
-        assert diff.chained_only == diff.chained
+        result = reach(vulnweb_fsm, ReachParams(assumptions=_all_assumptions(vulnweb_fsm)))
+        reached = collect_goals(result, vulnweb_fsm)
+        isolated = isolated_goals(vulnweb_fsm, result)
+        assert isolated == frozenset()
+        assert reached == ids_for(vulnweb_fsm, "S4", "S7", "S10")
+        assert reached - isolated == reached
 
     def test_teacher_amplification(self, teacher_fsm):
-        diff = diff_isolated_vs_chained(teacher_fsm, reach(teacher_fsm))
-        assert diff.isolated == frozenset()
-        assert diff.chained == ids_for(teacher_fsm, "S7")
-        assert diff.chained_only == diff.chained
+        result = reach(teacher_fsm)
+        reached = collect_goals(result, teacher_fsm)
+        isolated = isolated_goals(teacher_fsm, result)
+        assert isolated == frozenset()
+        assert reached == ids_for(teacher_fsm, "S7")
+        assert reached - isolated == reached
 
     def test_precondition_free_goal_is_isolated(self):
         f = single_finding("V", "/x", posts=("done",), is_goal=True, label="S1")
         fsm = fsm_of(f)
-        diff = diff_isolated_vs_chained(fsm, reach(fsm))
-        assert diff.isolated == diff.chained == {f.id}
-        assert diff.chained_only == frozenset()
+        result = reach(fsm)
+        reached = collect_goals(result, fsm)
+        isolated = isolated_goals(fsm, result)
+        assert isolated == reached == {f.id}
+        assert reached - isolated == frozenset()
 
     def test_goal_fireable_from_facts_counts_as_isolated(self):
         from vulnchain import normalize_condition
         f = single_finding("V", "/x", pres=("banner",), is_goal=True, label="S1")
         fsm = fsm_of(f, facts=(normalize_condition("banner"),))
-        diff = diff_isolated_vs_chained(fsm, reach(fsm))
-        assert diff.isolated == {f.id}
+        assert isolated_goals(fsm, reach(fsm)) == {f.id}
 
     def test_paper_dfs_result_gives_its_own_goals_as_chained(self, vulnweb_fsm):
         result = reach(vulnweb_fsm, ReachParams(
             semantics=Semantics.PAPER_DFS, assumptions=_all_assumptions(vulnweb_fsm)))
-        diff = diff_isolated_vs_chained(vulnweb_fsm, result)
-        assert diff.chained == collect_goals(result, vulnweb_fsm)
-        assert diff.chained == ids_for(vulnweb_fsm, "S4", "S10")
+        reached = collect_goals(result, vulnweb_fsm)
+        assert to_report(vulnweb_fsm, result).chained_goals == sorted(reached)
+        assert reached == ids_for(vulnweb_fsm, "S4", "S10")
 
     @pytest.mark.parametrize("name", ["minimal", "vulnweb", "teacher"])
     def test_consumers_never_recompute_the_closure(self, name, monkeypatch):
@@ -323,5 +333,28 @@ class TestDiffIsolatedVsChained:
         monkeypatch.setattr(reach_module, "_closure_fixed_point", refuse)
         monkeypatch.setattr(reach_module, "_closure_single_descent", refuse)
         report = to_report(fsm, result)
-        diff = diff_isolated_vs_chained(fsm, result)
-        assert report.chained_goals == report.reachable_goals == sorted(diff.chained)
+        reached = collect_goals(result, fsm)
+        isolated = isolated_goals(fsm, result)
+        assert report.chained_goals == report.reachable_goals == sorted(reached)
+        assert report.isolated_goals == sorted(isolated)
+        assert report.chained_only_goals == sorted(reached - isolated)
+
+    def test_goal_sets_match_the_scan_on_a_random_corpus(self):
+        rng = random.Random(16)
+        isolated_seen = chained_only_seen = 0
+        for _ in range(1000):
+            fsm = build_fsm(random_finding_set(rng, 10, 15))
+            assumptions = random_assumptions(rng, fsm)
+            for semantics in Semantics:
+                result = reach(fsm, ReachParams(semantics=semantics, assumptions=assumptions))
+                reached = collect_goals(result, fsm)
+                isolated = isolated_goals(fsm, result)
+                assert isolated == isolated_goals_by_scan(fsm, assumptions.granted_user_actions)
+                assert isolated <= reached
+                report = to_report(fsm, result)
+                assert report.isolated_goals == sorted(isolated)
+                assert report.chained_goals == sorted(reached)
+                assert report.chained_only_goals == sorted(reached - isolated)
+                isolated_seen += bool(isolated)
+                chained_only_seen += bool(reached - isolated)
+        assert isolated_seen and chained_only_seen
