@@ -24,11 +24,13 @@ from vulnchain import (
     Condition,
     FindingSet,
     Fsm,
+    GoalNotReached,
     MalformedUri,
     NormalizedUri,
     PostconditionRef,
     PreconditionRef,
     ReachResult,
+    ResultFsmMismatch,
     build_fsm,
     normalize_condition,
     normalize_uri,
@@ -501,3 +503,93 @@ def single_finding(vuln: str, uri: str, pres=(), posts=(), *, is_goal=False, lab
 
 def fsm_of(*findings: AttackState, facts: tuple[Condition, ...] = (), site: str = "test") -> Fsm:
     return build_fsm(FindingSet(site=site, environment_facts=facts, findings=tuple(findings)))
+
+
+# ---------------------------------------------------------------------------
+# Reference indexes and witnesses
+# ---------------------------------------------------------------------------
+# Standalone copies of the machine's condition indexes, each its own walk
+# over the states, and of ``extract_witness`` as it was when it searched the
+# visited producers of every needed condition for the earliest-firing one.
+
+def reference_condition_ids(fsm: Fsm) -> tuple[str, ...]:
+    ids: set[str] = set()
+    for s in fsm.states:
+        ids.update(r.condition.id for r in s.preconditions)
+        ids.update(r.condition.id for r in s.postconditions)
+    return tuple(sorted(ids))
+
+
+def reference_producers(fsm: Fsm) -> dict[str, frozenset[str]]:
+    """Condition id -> states granting it through non-false-positive
+    postconditions (the start state grants the environment facts).
+
+    Every condition id appears, possibly with an empty set: an
+    unsatisfiable precondition keeps an empty producer set.
+    """
+    out: dict[str, set[str]] = {cid: set() for cid in reference_condition_ids(fsm)}
+    for s in fsm.states:
+        for cid in s.granted_condition_ids():
+            out[cid].add(s.id)
+    return {cid: frozenset(v) for cid, v in out.items()}
+
+
+def reference_consumers(fsm: Fsm) -> dict[str, frozenset[str]]:
+    """Condition id -> states requiring it; every condition id appears."""
+    out: dict[str, set[str]] = {cid: set() for cid in reference_condition_ids(fsm)}
+    for s in fsm.states:
+        for r in s.preconditions:
+            out[r.condition.id].add(s.id)
+    return {cid: frozenset(v) for cid, v in out.items()}
+
+
+def reference_edge_count(fsm: Fsm) -> int:
+    """Labeled condition edges plus the plain start edges to
+    precondition-free states."""
+    consumers = reference_consumers(fsm)
+    labeled = sum(
+        len(consumers[cid]) for s in fsm.states for cid in s.granted_condition_ids())
+    return labeled + len([s.id for s in fsm.states if not s.is_start and not s.preconditions])
+
+
+def reference_extract_witness(fsm: Fsm, result: ReachResult, goal: str) -> AttackPath:
+    """Build a replayable attack path for one reached goal.
+
+    Walks backward from the goal, picking for each needed condition the
+    visited producer with the earliest firing position (ties by state id),
+    then orders the collected states by firing position. The path is
+    valid but not guaranteed globally minimal. User-action preconditions are
+    preferentially charged to the assumption set when available.
+    """
+    if goal not in result.visited or goal not in fsm.by_id:
+        raise GoalNotReached(f"goal {goal!r} is not in the visited set")
+
+    producers = reference_producers(fsm)
+    position = {sid: i for i, sid in enumerate(result.firing_order)}
+    collected = {goal}
+    assumptions_used: set[str] = set()
+    frontier = [goal]
+    while frontier:
+        state = fsm.by_id[frontier.pop()]
+        for ref in state.preconditions:
+            cid = ref.condition.id
+            if cid in fsm.initial_conditions:
+                continue
+            if ref.requires_user_action and cid in result.assumptions:
+                assumptions_used.add(cid)
+                continue
+            # Not an initial condition, so the start state never produces it.
+            candidates = producers.get(cid, frozenset()) & result.visited
+            if not candidates:
+                raise ResultFsmMismatch(
+                    f"no visited producer for condition {cid!r} needed by {state.id}")
+            producer = min(candidates, key=lambda sid: (position[sid], sid))
+            if producer not in collected:
+                collected.add(producer)
+                frontier.append(producer)
+
+    ordered = sorted(collected, key=lambda sid: position[sid])
+    steps = tuple(
+        (sid, fsm.by_id[sid].granted_condition_ids()) for sid in ordered
+    )
+    return AttackPath(goal=goal, steps=steps, assumptions_used=frozenset(assumptions_used))

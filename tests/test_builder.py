@@ -15,7 +15,8 @@ from vulnchain import (
 )
 
 from tests.helpers import (fsm_of, ids_for, labels_of, load_finding_set, random_finding_set,
-                           single_finding, start_successors)
+                           reference_condition_ids, reference_consumers, reference_edge_count,
+                           reference_producers, single_finding, start_successors)
 
 
 class TestBuildStates:
@@ -126,6 +127,17 @@ class TestDeriveEdges:
     def test_unproducible_precondition_keeps_empty_producer_set(self, minimal_fsm):
         assert minimal_fsm.producers["x2"] == frozenset()
         assert minimal_fsm.consumers["x2"]
+
+    def test_indexes_match_the_reference_walks_on_a_random_corpus(self):
+        rng = random.Random(17)
+        for _ in range(1000):
+            fsm = build_fsm(random_finding_set(rng, 10, 15))
+            producers, consumers = reference_producers(fsm), reference_consumers(fsm)
+            assert fsm.condition_ids == reference_condition_ids(fsm)
+            assert list(fsm.producers.items()) == list(producers.items())
+            assert list(fsm.consumers.items()) == list(consumers.items())
+            assert fsm.edge_count == reference_edge_count(fsm) == (
+                len(fsm.edges) + len(fsm.unconditional_start_targets))
 
 
 class TestBuildFsm:

@@ -59,6 +59,12 @@ MALFORMED_FINDINGS = {
         lambda doc: doc["findings"][2]["preconditions"][0].update(
             condition="x\ud800", requires_user_action=False),
         "findings[2].preconditions[0]: field 'condition' contains a lone surrogate"),
+    "lone surrogate in uri": (
+        lambda doc: doc["findings"][1].update(uri="/a\ud800"),
+        "findings[1]: field 'uri' contains a lone surrogate"),
+    "lone surrogate in source": (
+        lambda doc: doc["findings"][1].update(source="s\ud800"),
+        "findings[1]: field 'source' contains a lone surrogate"),
 }
 
 
@@ -276,6 +282,36 @@ MALFORMED_MACHINES = {
     "lone surrogate in label": (
         lambda doc: doc["states"][3].update(label="\ud800"),
         r"states\[3\]: field 'label' contains a lone surrogate"),
+    "lone surrogate in uri": (
+        lambda doc: doc["states"][3].update(uri="/b\ud800"),
+        r"states\[3\]: field 'uri' contains a lone surrogate"),
+    "lone surrogate in source": (
+        lambda doc: doc["states"][3].update(source="s\ud800"),
+        r"states\[3\]: field 'source' contains a lone surrogate"),
+    "numeric is_start 1": (
+        lambda doc: doc["states"][3].update(is_start=1),
+        r"states\[3\]: field 'is_start' must be bool"),
+    "numeric is_start 0": (
+        lambda doc: doc["states"][3].update(is_start=0),
+        r"states\[3\]: field 'is_start' must be bool"),
+    "null is_start": (
+        lambda doc: doc["states"][3].update(is_start=None),
+        r"states\[3\]: field 'is_start' must be bool"),
+    "numeric id": (
+        lambda doc: doc["states"][3].update(id=5),
+        r"states\[3\]: field 'id' must be str"),
+    "null id": (
+        lambda doc: doc["states"][3].update(id=None),
+        r"states\[3\]: field 'id' must be str"),
+    "missing is_start": (
+        lambda doc: doc["states"][3].pop("is_start"),
+        r"states\[3\]: missing required field 'is_start'"),
+    "missing id": (
+        lambda doc: doc["states"][3].pop("id"),
+        r"states\[3\]: missing required field 'id'"),
+    "lone surrogate in id": (
+        lambda doc: doc["states"][3].update(id="x\ud800"),
+        r"states\[3\]: field 'id' contains a lone surrogate"),
     "float format_version": (
         lambda doc: doc.update(format_version=2.0),
         r"\$: field 'format_version' must be int"),

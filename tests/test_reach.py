@@ -11,6 +11,7 @@ from vulnchain import (
     GoalNotReached,
     InvalidAssumption,
     ReachParams,
+    ResultFsmMismatch,
     Semantics,
     build_fsm,
     collect_goals,
@@ -31,6 +32,7 @@ from tests.helpers import (
     load_fsm,
     random_assumptions,
     random_finding_set,
+    reference_extract_witness,
     replay_witness,
     single_finding,
 )
@@ -276,6 +278,32 @@ class TestExtractWitness:
     def test_unknown_goal_rejected(self, vulnweb_fsm):
         with pytest.raises(GoalNotReached):
             extract_witness(vulnweb_fsm, reach(vulnweb_fsm), "bogus")
+
+    def test_result_of_a_machine_with_another_producer_rejected(self):
+        """The result's machine has the goal's producer, the given machine
+        only the goal: either the goal or its producer is unknown."""
+        producer = single_finding("P", "/p", posts=("c",), label="S1")
+        goal = single_finding("G", "/g", pres=("c",), is_goal=True, label="S2")
+        result = reach(fsm_of(producer, goal))
+        for fsm in (fsm_of(goal), fsm_of(single_finding("Q", "/q", posts=("c",)), goal)):
+            with pytest.raises((ResultFsmMismatch, GoalNotReached)):
+                extract_witness(fsm, result, goal.id)
+
+    def test_witnesses_match_the_reference_on_a_random_corpus(self):
+        rng = random.Random(17)
+        assumed_seen = long_seen = 0
+        for _ in range(1000):
+            fsm = build_fsm(random_finding_set(rng, 10, 15))
+            assumptions = random_assumptions(rng, fsm)
+            for semantics in Semantics:
+                result = reach(fsm, ReachParams(semantics=semantics, assumptions=assumptions))
+                for sid in sorted(result.visited):
+                    path = extract_witness(fsm, result, sid)
+                    assert path == reference_extract_witness(fsm, result, sid)
+                    assert replay_witness(fsm, path)
+                    assumed_seen += bool(path.assumptions_used)
+                    long_seen += len(path.steps) >= 3
+        assert assumed_seen and long_seen
 
 
 class TestDiffIsolatedVsChained:
