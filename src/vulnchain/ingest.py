@@ -56,7 +56,9 @@ def parse_crawl_list(document: str | bytes) -> frozenset[str]:
     """Canonical URIs of the crawled resources plus every directory above
     them; the root ``/`` is always a member.
 
-    Lines end at CR LF, CR or LF alone. Blank lines and ``#`` comments are
+    Lines end at CR LF, CR or LF alone, and only spaces and tabs are
+    stripped from their ends, so a control character anywhere in a line is
+    rejected as in a finding URI. Blank lines and ``#`` comments are
     ignored; duplicates are silently deduplicated. Raises
     :class:`MalformedUri` carrying the line number, also for the ``ALL URI``
     and ``NULL`` sentinels, which name no resource.
@@ -65,7 +67,7 @@ def parse_crawl_list(document: str | bytes) -> frozenset[str]:
     crawled = {"/"}
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, line in enumerate(lines, start=1):
-        entry = line.strip()
+        entry = line.strip(" \t")
         if not entry or entry.startswith("#"):
             continue
         try:
@@ -180,22 +182,35 @@ def _finding(item: dict, path: str, shared: dict, *, complete: bool) -> AttackSt
     ``is_goal`` and every flag, and its ``label`` is a string if present.
     Otherwise these default to empty, ``false`` and ``false``, and a
     ``null`` label is no label. ``shared`` is passed on to :func:`_refs`.
+
+    Each field is read with one inline exact-type test, an ASCII str or a
+    bool. Only a value that fails it goes through the checking helpers, in
+    the order above, so a non-ASCII text is still checked for a lone
+    surrogate and every error keeps its message and path.
     """
-    vuln = _expect(item, "vulnerability", str, path=path)
-    uri_text = _expect(item, "uri", str, path=path)
+    vuln = item.get("vulnerability")
+    if type(vuln) is not str or not vuln.isascii():
+        vuln = _expect(item, "vulnerability", str, path=path)
+    uri_text = item.get("uri")
+    if type(uri_text) is not str or not uri_text.isascii():
+        uri_text = _expect(item, "uri", str, path=path)
     pres = _refs(item, "preconditions", PreconditionRef, "requires_user_action",
                  path, shared, complete)
     posts = _refs(item, "postconditions", PostconditionRef, "false_positive",
                   path, shared, complete)
-    is_goal = _field(item, "is_goal", bool, path, complete)
-    source = _optional(item, "source", str, "", path=path)
+    is_goal = item.get("is_goal")
+    if type(is_goal) is not bool:
+        is_goal = _field(item, "is_goal", bool, path, complete)
+    source = item.get("source", "")
+    if type(source) is not str or not source.isascii():
+        source = _optional(item, "source", str, "", path=path)
     label = item.get("label")
-    if label is not None or (complete and "label" in item):
+    if (type(label) is not str or not label.isascii()) and (
+            label is not None or (complete and "label" in item)):
         label = _typed(label, str, path, what="field 'label'")
     try:
-        return AttackState(vulnerability_name=vuln, uri=normalize_uri(uri_text),
-                           preconditions=pres, postconditions=posts,
-                           is_goal=is_goal, source=source, label=label)
+        return AttackState(vuln, normalize_uri(uri_text), pres, posts, is_goal, False, source,
+                           label)
     except (MalformedUri, SchemaViolation) as exc:
         raise SchemaViolation(str(exc), path=path) from exc
 
@@ -294,7 +309,9 @@ def _objects(obj: dict, key: str, keys: set[str], path: str) -> list[tuple[str, 
     out = []
     for i, entry in enumerate(_expect(obj, key, list, path=path)):
         entry_path = f"{_child(path, key)}[{i}]"
-        _reject_unknown(_typed(entry, dict, entry_path), keys, path=entry_path)
+        if type(entry) is not dict:
+            _typed(entry, dict, entry_path)
+        _reject_unknown(entry, keys, path=entry_path)
         out.append((entry_path, entry))
     return out
 

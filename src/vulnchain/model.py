@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import re
 import string
+from collections import defaultdict
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from operator import attrgetter
@@ -278,8 +279,9 @@ class Fsm:
 
     States link only through their conditions, so every index is derived
     from them on first use and never stored: ``initial_conditions`` (what
-    the start state grants), ``producers`` and ``consumers`` (see there),
-    ``edges`` and the content ``warnings``.
+    the start state grants), ``condition_ids``, ``producers`` and
+    ``consumers`` (one walk over the refs derives all three), ``edges``
+    and the content ``warnings``.
     """
 
     site: str
@@ -323,35 +325,41 @@ class Fsm:
         return frozenset(self.start.granted_condition_ids())
 
     @cached_property
-    def condition_ids(self) -> tuple[str, ...]:
-        ids: set[str] = set()
+    def _links(self) -> tuple[Mapping[str, frozenset[str]], Mapping[str, frozenset[str]]]:
+        """``(producers, consumers)``, keyed by condition id in id order,
+        from one walk that reads each ref of each state once."""
+        links: defaultdict[str, tuple[list[str], list[str]]] = defaultdict(lambda: ([], []))
         for s in self.states:
-            ids.update(r.condition.id for r in s.preconditions)
-            ids.update(r.condition.id for r in s.postconditions)
-        return tuple(sorted(ids))
+            for r in s.preconditions:
+                links[r.condition.id][1].append(s.id)
+            for r in s.postconditions:
+                granters = links[r.condition.id][0]
+                if not r.false_positive:
+                    granters.append(s.id)
+        ordered = sorted(links.items())
+        return ({cid: frozenset(p) for cid, (p, _) in ordered},
+                {cid: frozenset(c) for cid, (_, c) in ordered})
+
+    @cached_property
+    def condition_ids(self) -> tuple[str, ...]:
+        """Every condition id any state lists, sorted."""
+        return tuple(self.producers)
 
     @cached_property
     def producers(self) -> Mapping[str, frozenset[str]]:
         """Condition id -> states granting it through non-false-positive
         postconditions (the start state grants the environment facts).
 
-        Every condition id appears, possibly with an empty set: an
-        unsatisfiable precondition keeps an empty producer set.
+        Every condition id appears, in id order, possibly with an empty
+        set: an unsatisfiable precondition keeps an empty producer set.
         """
-        out: dict[str, set[str]] = {cid: set() for cid in self.condition_ids}
-        for s in self.states:
-            for cid in s.granted_condition_ids():
-                out[cid].add(s.id)
-        return {cid: frozenset(v) for cid, v in out.items()}
+        return self._links[0]
 
     @cached_property
     def consumers(self) -> Mapping[str, frozenset[str]]:
-        """Condition id -> states requiring it; every condition id appears."""
-        out: dict[str, set[str]] = {cid: set() for cid in self.condition_ids}
-        for s in self.states:
-            for r in s.preconditions:
-                out[r.condition.id].add(s.id)
-        return {cid: frozenset(v) for cid, v in out.items()}
+        """Condition id -> states requiring it; every condition id appears,
+        in id order."""
+        return self._links[1]
 
     @cached_property
     def user_action_condition_ids(self) -> frozenset[str]:
@@ -398,16 +406,15 @@ class Fsm:
     @cached_property
     def edge_count(self) -> int:
         """Labeled condition edges plus the plain start edges to
-        precondition-free states: the sum over states ``s`` and the
-        condition ids ``cid`` that ``s`` grants of ``len(consumers[cid])``,
-        plus ``len(unconditional_start_targets)``.
+        precondition-free states: the sum over condition ids ``cid`` of
+        ``len(producers[cid]) * len(consumers[cid])``, plus
+        ``len(unconditional_start_targets)``.
 
-        A state grants each condition at most once, so this counts
-        ``edges`` without building it.
+        A state grants and requires each condition at most once, so this
+        counts ``edges`` without building it or reading a ref.
         """
         consumers = self.consumers
-        labeled = sum(
-            len(consumers[cid]) for s in self.states for cid in s.granted_condition_ids())
+        labeled = sum(len(p) * len(consumers[cid]) for cid, p in self.producers.items())
         return labeled + len(self.unconditional_start_targets)
 
     @cached_property
@@ -448,8 +455,12 @@ class ReachResult:
 
     ``true_conditions`` is ``initial ∪ assumptions ∪ granted-by-visited``;
     false-positive postconditions never appear. ``firing_order`` records
-    first-visit order, start first. Who granted a condition is not stored:
-    it is ``fsm.producers[cid] & visited``.
+    first-visit order, start first. ``granted_by`` is the first-grant
+    record: condition id -> the state whose firing first made it true, the
+    start state for each initial condition. The closure stores it as the
+    condition turns true, so under either semantics it names the visited
+    producer earliest in ``firing_order``; an assumed condition no visited
+    state grants has no entry.
     """
 
     visited: frozenset[str]
@@ -457,6 +468,7 @@ class ReachResult:
     firing_order: tuple[str, ...]
     semantics: str
     assumptions: frozenset[str]
+    granted_by: Mapping[str, str] = field(hash=False)
 
     @cached_property
     def firing_position(self) -> Mapping[str, int]:

@@ -26,6 +26,7 @@ never granted under either semantics.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Container
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -53,7 +54,7 @@ class ReachParams:
     assumptions: AssumptionSet = field(default_factory=AssumptionSet)
 
 
-def _satisfied(state: AttackState, true: set[str] | frozenset[str], assumed: frozenset[str]) -> bool:
+def _satisfied(state: AttackState, true: Container[str], assumed: frozenset[str]) -> bool:
     for ref in state.preconditions:
         cid = ref.condition.id
         if cid in true:
@@ -82,21 +83,24 @@ def reach(fsm: Fsm, params: ReachParams | None = None) -> ReachResult:
             + ", ".join(repr(c) for c in sorted(unknown)))
 
     if params.semantics is Semantics.FIXED_POINT:
-        firing_order, true = _closure_fixed_point(fsm, assumed)
+        firing_order, granted_by = _closure_fixed_point(fsm, assumed)
     else:
-        firing_order, true = _closure_single_descent(fsm, assumed)
+        firing_order, granted_by = _closure_single_descent(fsm, assumed)
 
     return ReachResult(
         visited=frozenset(firing_order),
-        true_conditions=frozenset(true) | assumed,
+        true_conditions=frozenset(granted_by) | assumed,
         firing_order=tuple(firing_order),
         semantics=params.semantics.value,
         assumptions=assumed,
+        granted_by=granted_by,
     )
 
 
 def _closure_fixed_point(fsm: Fsm, assumed: frozenset[str]):
-    true = set(fsm.initial_conditions)
+    # Condition id -> the state that made it true: the true set and the
+    # first-grant record in one dict.
+    true = dict.fromkeys(fsm.initial_conditions, START_STATE_ID)
     # State id -> the preconditions it still waits for. Initial conditions
     # and assumed user actions are never waited for, so a later grant of
     # either crosses nothing off.
@@ -121,7 +125,7 @@ def _closure_fixed_point(fsm: Fsm, assumed: frozenset[str]):
         for cid in fsm.by_id[sid].granted_condition_ids():
             if cid in true:
                 continue
-            true.add(cid)
+            true[cid] = sid
             for consumer in consumers[cid]:
                 needed = waiting.get(consumer)
                 if needed and cid in needed:
@@ -133,13 +137,14 @@ def _closure_fixed_point(fsm: Fsm, assumed: frozenset[str]):
 
 def _closure_single_descent(fsm: Fsm, assumed: frozenset[str]):
     firing_order = [START_STATE_ID]
-    true = set(fsm.initial_conditions)
+    true = dict.fromkeys(fsm.initial_conditions, START_STATE_ID)
     # One forward pass in id order: each fire grants its postconditions and
     # the descent continues from the next position, never looking back.
     for state in fsm.non_start_states:
         if _satisfied(state, true, assumed):
             firing_order.append(state.id)
-            true.update(state.granted_condition_ids())
+            for cid in state.granted_condition_ids():
+                true.setdefault(cid, state.id)
     return firing_order, true
 
 
@@ -159,41 +164,41 @@ def collect_goals(result: ReachResult, fsm: Fsm) -> frozenset[str]:
 def extract_witness(fsm: Fsm, result: ReachResult, goal: str) -> AttackPath:
     """Build a replayable attack path for one reached goal.
 
-    Walks backward from the goal, picking for each needed condition the
-    visited producer with the earliest firing position (ties by state id),
-    then orders the collected states by firing position. The path is
-    valid but not guaranteed globally minimal. User-action preconditions are
-    preferentially charged to the assumption set when available.
+    Walks backward from the goal, charging each needed condition to the
+    state ``result.granted_by`` names, the visited producer with the
+    earliest firing position, then orders the collected states by firing
+    position. The path is valid but not guaranteed globally minimal. An
+    initial condition needs no step; a user-action precondition is
+    charged to the assumption set when it is assumed. Raises
+    :class:`ResultFsmMismatch` if a charged state is not in ``fsm``.
     """
     if goal not in result.visited or goal not in fsm.by_id:
         raise GoalNotReached(f"goal {goal!r} is not in the visited set")
 
-    position = result.firing_position
+    by_id, granted_by = fsm.by_id, result.granted_by
     collected = {goal}
     assumptions_used: set[str] = set()
     frontier = [goal]
     while frontier:
-        state = fsm.by_id[frontier.pop()]
+        state = by_id[frontier.pop()]
         for ref in state.preconditions:
             cid = ref.condition.id
-            if cid in fsm.initial_conditions:
+            producer = granted_by.get(cid)
+            if producer == START_STATE_ID:
                 continue
             if ref.requires_user_action and cid in result.assumptions:
                 assumptions_used.add(cid)
                 continue
-            # Not an initial condition, so the start state never produces it.
-            candidates = fsm.producers.get(cid, frozenset()) & result.visited
-            if not candidates:
+            if producer not in by_id:
                 raise ResultFsmMismatch(
                     f"no visited producer for condition {cid!r} needed by {state.id}")
-            producer = min(candidates, key=lambda sid: (position[sid], sid))
             if producer not in collected:
                 collected.add(producer)
                 frontier.append(producer)
 
-    ordered = sorted(collected, key=lambda sid: position[sid])
+    ordered = sorted(collected, key=result.firing_position.__getitem__)
     steps = tuple(
-        (sid, fsm.by_id[sid].granted_condition_ids()) for sid in ordered
+        (sid, by_id[sid].granted_condition_ids()) for sid in ordered
     )
     return AttackPath(goal=goal, steps=steps, assumptions_used=frozenset(assumptions_used))
 

@@ -167,10 +167,15 @@ def fsm_from_json(document: str | bytes) -> Fsm:
     start_entries = []
     shared: dict = {}
     for path, entry in _objects(doc, "states", _FINDING_KEYS | {"id", "is_start"}, "$"):
-        if _expect(entry, "is_start", bool, path=path):
+        is_start = entry.get("is_start")
+        if type(is_start) is not bool:
+            is_start = _expect(entry, "is_start", bool, path=path)
+        if is_start:
             start_entries.append((path, entry))
             continue
-        stored_id = _expect(entry, "id", str, path=path)
+        stored_id = entry.get("id")
+        if type(stored_id) is not str or not stored_id.isascii():
+            stored_id = _expect(entry, "id", str, path=path)
         state = _finding(entry, path, shared, complete=True)
         if stored_id != state.id:
             raise SchemaViolation(

@@ -136,7 +136,22 @@ class TestBuild:
                          "--crawl", str(crawl), "--out", str(tmp_path / "m.json")])
         assert code == 1
         assert capsys.readouterr().err == (
-            f"error: {crawl}: line 4: URI contains control characters: {'/b' + char + '1'!r}\n")
+            f"error: {crawl}: line 2: URI contains control characters: {'/a' + char!r}\n")
+
+    @pytest.mark.parametrize("text,lineno,entry", [
+        ("/a1\n\t/a\x0c \n", 2, "/a\x0c"),
+        ("/a1\n# fine\n\x1f/b\n", 3, "\x1f/b"),
+        ("\x7f/c\n", 1, "\x7f/c"),
+    ])
+    def test_control_character_at_either_end_of_a_crawl_line_exits_1(
+            self, text, lineno, entry, tmp_path, capsys):
+        crawl = tmp_path / "crawl.txt"
+        crawl.write_bytes(text.encode("utf-8"))
+        code = cli_main(["build", "--findings", str(FIXTURES / "minimal" / "findings.json"),
+                         "--crawl", str(crawl), "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {crawl}: line {lineno}: URI contains control characters: {entry!r}\n")
 
     @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"])
     def test_unicode_line_boundary_in_crawled_uri_matches_the_finding(

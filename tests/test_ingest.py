@@ -57,17 +57,28 @@ class TestParseCrawlList:
 
     def test_comments_and_blank_lines_ignored(self):
         assert parse_crawl_list("# header\n\n/x\n  \n# trailing\n") == {"/", "/x"}
+        assert parse_crawl_list("\t# header\n \t\n\t/x \t\n") == {"/", "/x"}
 
     def test_malformed_line_number_reported(self):
         with pytest.raises(MalformedUri, match="line 3"):
             parse_crawl_list("/ok\n# fine\n/bad\x00uri\n")
         # Only CR LF, CR and LF end a line; a trailing Unicode line boundary
-        # is stripped with the line's other whitespace.
-        for char in "\u2028\u2029\x85\x0b\x0c\x1c\x1d\x1e":
+        # is stripped by normalization like other trailing whitespace.
+        for char in "\u2028\u2029\x85":
             with pytest.raises(MalformedUri, match=r"^line 2: "):
                 parse_crawl_list(f"/a{char}\n/b\x00\n")
             with pytest.raises(MalformedUri, match=r"^line 4: "):
                 parse_crawl_list(f"/a{char}\r\n/b\r/c{char}\n/d\x00\n")
+        # Only spaces and tabs are stripped from a line's ends: a control
+        # character or DEL at either end is rejected, as in a finding URI.
+        for char in "\x0b\x0c\x1c\x1d\x1e\x1f\x00\x7f":
+            for text, lineno in [(f"/a{char}\n/b\n", 1), (f"/ok\n{char}/b\n", 2),
+                                 (f"/ok\r\n# fine\r \t{char}/c \t\n", 3)]:
+                with pytest.raises(MalformedUri,
+                                   match=rf"^line {lineno}: URI contains control characters"):
+                    parse_crawl_list(text)
+        with pytest.raises(MalformedUri, match=r"^line 1: URI contains control characters"):
+            parse_crawl_list("/a\x0c\n\x1f/b\n")
 
 
 class TestParseFindings:

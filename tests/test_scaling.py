@@ -10,10 +10,12 @@ one constant for every shape and size; a closure that rescans states it has
 already visited, or a consumer's preconditions on every grant, exceeds it
 already at the smallest size.
 
-The witnesses of one result read its firing order once in all, and loading
-a machine file or a findings document normalizes each distinct condition
-text and builds each distinct ref once, and splits no URI that is already
-canonical.
+One walk over the refs derives the condition indexes, reading each ref
+once. The witnesses of one result read its firing order once in all and
+never the machine's producers. Loading a machine file or a findings
+document normalizes each distinct condition text and builds each distinct
+ref once, type-checks through the loader's helpers only the document-level
+fields and the distinct texts, and splits no URI that is already canonical.
 """
 
 import dataclasses
@@ -23,6 +25,7 @@ import importlib
 import json
 import types
 from collections.abc import Mapping
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +38,7 @@ from vulnchain import (
     PostconditionRef,
     PreconditionRef,
     ReachParams,
+    Semantics,
     collect_goals,
     extract_witness,
     fsm_from_json,
@@ -44,6 +48,7 @@ from vulnchain import (
     reach,
 )
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 SIZES = (1_000, 4_000, 16_000)
 #: Counted operations allowed per state plus edge.
 BOUND = 4
@@ -170,6 +175,52 @@ def test_closure_work_is_linear_in_states_plus_edges(shape, monkeypatch):
             f"{size} states + edges ({work / size:.2f} each, bound {BOUND})")
 
 
+class Refusing(Mapping):
+    """A mapping that fails the test on any read."""
+
+    def __getitem__(self, key):
+        raise AssertionError(f"read {key!r}")
+
+    def __iter__(self):
+        raise AssertionError("iterated")
+
+    def __len__(self):
+        raise AssertionError("sized")
+
+
+def test_index_walk_reads_each_ref_once():
+    states = [_state(i, pres=(f"c{i % 7}",), ua_pres=(f"u{i % 3}",),
+                     posts=(f"c{(i + 1) % 7}",), fp_posts=(f"f{i % 5}",))
+              for i in range(4_000)]
+    fsm = Fsm(site="", findings=states, facts=[_cond("c0")])
+    _cond.cache_clear()
+    counter = Counter()
+    refs = 0
+    for state in fsm.states:
+        for name in ("preconditions", "postconditions"):
+            refs += len(getattr(state, name))
+            object.__setattr__(state, name, CountingTuple(getattr(state, name), counter))
+    for name in ("condition_ids", "producers", "consumers", "edge_count"):
+        getattr(fsm, name)
+    assert counter.n <= refs, f"{counter.n} ref reads for {refs} refs"
+    assert fsm.edge_count == len(fsm.edges) + len(fsm.unconditional_start_targets)
+
+
+@pytest.mark.parametrize("semantics", list(Semantics), ids=lambda s: s.value)
+def test_witnesses_never_read_the_producers(semantics):
+    states = [_state(i, pres=(f"c{i % 7}",), ua_pres=(f"u{i % 3}",),
+                     posts=(f"c{(i + 1) % 7}",), is_goal=i % 10 == 9)
+              for i in range(1_000)]
+    fsm = Fsm(site="", findings=states, facts=[_cond("c0")])
+    _cond.cache_clear()
+    result = reach(fsm, ReachParams(semantics, AssumptionSet(frozenset({"u0", "u1", "u2"}))))
+    fsm.__dict__["producers"] = Refusing()
+    goals = sorted(collect_goals(result, fsm))
+    assert goals
+    steps = [len(extract_witness(fsm, result, goal).steps) for goal in goals]
+    assert max(steps) >= 3
+
+
 def test_witnesses_read_the_firing_order_once():
     n = 4_000
     states = [_state(i, pres=(f"c{i}",), posts=(f"c{i + 1}",), is_goal=i % 100 == 99)
@@ -222,6 +273,16 @@ def _findings_document(doc: dict) -> str:
                      for entry in doc["states"] if not entry["is_start"]]})
 
 
+def _count_checks(monkeypatch) -> Counter:
+    """Count the calls of ``_typed``, the loader's type check, which
+    ``_expect``, ``_optional`` and ``_field`` call too."""
+    checks = Counter()
+    for name in ("vulnchain.ingest", "vulnchain.report"):
+        module = importlib.import_module(name)
+        monkeypatch.setattr(module, "_typed", _counting(module._typed, checks))
+    return checks
+
+
 def _count_reads(monkeypatch) -> tuple[Counter, Counter]:
     """Count condition normalizations and ref constructions in the reader."""
     ingest_module = importlib.import_module("vulnchain.ingest")
@@ -246,14 +307,38 @@ def test_machine_load_work_scales_with_distinct_refs(monkeypatch):
         f"{constructed.n} refs built for {len(triples)} distinct refs")
 
 
+@pytest.mark.parametrize("name", ["repeated", "minimal", "vulnweb", "teacher"])
+def test_machine_load_checks_scale_with_fields_and_texts(name, monkeypatch):
+    """Each state's fields pass one inline test; only the document-level
+    fields, each fact and note, and each distinct condition text go
+    through ``_typed``."""
+    if name == "repeated":
+        text, doc, _, texts = _repeated_ref_machine()
+    else:
+        text = (GOLDEN / name / "machine.json").read_text()
+        doc = json.loads(text)
+        texts = {ref["condition"] for entry in doc["states"] if not entry["is_start"]
+                 for key in ("preconditions", "postconditions") for ref in entry[key]}
+    checks = _count_checks(monkeypatch)
+    loaded = fsm_from_json(text)
+
+    assert fsm_to_json(loaded) == text
+    bound = len(doc) + len(doc["environment_facts"]) + len(doc["diagnostics"]) + len(texts)
+    assert checks.n <= bound, (
+        f"{checks.n} type checks for {len(doc['states'])} states, bound {bound}")
+
+
 def test_findings_parse_work_scales_with_distinct_refs(monkeypatch):
     """The findings document of the same 2,000 states is read as cheaply."""
     text, doc, triples, texts = _repeated_ref_machine()
     findings = _findings_document(doc)
     expected = fsm_from_json(text).non_start_states
     normalized, constructed = _count_reads(monkeypatch)
+    checks = _count_checks(monkeypatch)
     parsed = parse_findings(findings)
 
+    assert checks.n <= 3 + len(doc["environment_facts"]) + len(texts), (
+        f"{checks.n} type checks for {len(texts)} distinct texts")
     assert normalized.n <= len(texts) + len(doc["environment_facts"]), (
         f"{normalized.n} normalizations for {len(texts)} distinct texts")
     assert constructed.n <= len(triples), (
