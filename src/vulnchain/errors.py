@@ -38,7 +38,7 @@ class InvalidAssumption(VulnchainError):
 
 
 class ResultFsmMismatch(VulnchainError):
-    """A reach result references state ids unknown to the given machine."""
+    """A reach result is used with a machine unequal to the one it was computed on."""
 
 
 class GoalNotReached(VulnchainError):

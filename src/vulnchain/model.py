@@ -269,13 +269,13 @@ class Fsm:
     """The assembled machine: the synthetic start state, then one state per
     finding, in id order.
 
-    The constructor is the only way a machine is put together. It builds
-    the start state from the environment ``facts``: no preconditions, never
-    a goal, and exactly the facts as postconditions. The start state is
-    implicitly connected to every state whose preconditions the facts alone
-    satisfy. ``findings`` may not hold a start state or repeat an id, and
-    ``diagnostics``, deterministic notes from assembly such as uncrawled
-    finding URIs, are stored deduplicated and sorted.
+    The constructor is the only way a machine is put together. It builds the
+    start state from the environment ``facts``: no preconditions, never a
+    goal, and the facts as postconditions, one per id with its first label.
+    The start state is implicitly connected to every state whose preconditions
+    the facts alone satisfy. ``findings`` may not hold a start state or repeat
+    an id, and ``diagnostics``, deterministic notes from assembly such as
+    uncrawled finding URIs, are stored deduplicated and sorted.
 
     States link only through their conditions, so every index is derived
     from them on first use and never stored: ``initial_conditions`` (what
@@ -299,7 +299,7 @@ class Fsm:
                 raise SchemaViolation(f"duplicate state id {later.id!r}")
         start = AttackState(
             vulnerability_name="", uri=normalize_uri("/"), is_start=True, label="S0",
-            postconditions=tuple(PostconditionRef(c) for c in {c.id: c for c in facts}.values()))
+            postconditions=tuple(map(PostconditionRef, {c.id: c for c in [*facts][::-1]}.values())))
         object.__setattr__(self, "states", (start, *ordered))
         object.__setattr__(self, "diagnostics", tuple(sorted(set(self.diagnostics))))
 
@@ -451,16 +451,16 @@ class AssumptionSet:
 
 @dataclass(frozen=True)
 class ReachResult:
-    """Closure of a reachability run: every reachability fact about it.
+    """Closure of a reachability run on ``fsm``: every reachability fact about it.
 
-    ``true_conditions`` is ``initial ∪ assumptions ∪ granted-by-visited``;
-    false-positive postconditions never appear. ``firing_order`` records
-    first-visit order, start first. ``granted_by`` is the first-grant
-    record: condition id -> the state whose firing first made it true, the
-    start state for each initial condition. The closure stores it as the
-    condition turns true, so under either semantics it names the visited
-    producer earliest in ``firing_order``; an assumed condition no visited
-    state grants has no entry.
+    ``true_conditions`` is ``initial ∪ assumptions ∪ granted-by-visited``,
+    though an assumption meets only user-action preconditions; false
+    positives never appear. ``firing_order`` records first-visit order,
+    start first. ``granted_by`` is the first-grant record: condition id ->
+    the state whose firing first made it true, the start state for each
+    initial condition. The closure stores it as the condition turns true,
+    so under either semantics it names the visited producer earliest in
+    ``firing_order``. Its keys are ``initial ∪ granted-by-visited``.
     """
 
     visited: frozenset[str]
@@ -469,6 +469,7 @@ class ReachResult:
     semantics: str
     assumptions: frozenset[str]
     granted_by: Mapping[str, str] = field(hash=False)
+    fsm: Fsm = field(compare=False, repr=False)
 
     @cached_property
     def firing_position(self) -> Mapping[str, int]:

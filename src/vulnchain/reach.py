@@ -18,9 +18,9 @@ Two semantics are provided:
   over-approximates. It is kept for comparison and regression analysis.
 
 A state fires when every ordinary precondition is in the true set and every
-user-action precondition is in the true set or the assumption set. Firing
-grants the state's non-false-positive postconditions; false positives are
-never granted under either semantics.
+user-action precondition is in the true set or the assumption set, that is
+when :func:`unmet_conditions` is empty. Firing grants the state's
+non-false-positive postconditions; false positives are never granted.
 """
 
 from __future__ import annotations
@@ -54,15 +54,18 @@ class ReachParams:
     assumptions: AssumptionSet = field(default_factory=AssumptionSet)
 
 
-def _satisfied(state: AttackState, true: Container[str], assumed: frozenset[str]) -> bool:
-    for ref in state.preconditions:
-        cid = ref.condition.id
-        if cid in true:
-            continue
-        if ref.requires_user_action and cid in assumed:
-            continue
-        return False
-    return True
+def unmet_conditions(state: AttackState, true: Container[str], assumed: Container[str]) -> set[str]:
+    """The firing rule: the ids of ``state``'s preconditions neither in
+    ``true`` nor an ``assumed`` user action; the state fires when none are."""
+    return {ref.condition.id for ref in state.preconditions
+            if ref.condition.id not in true
+            and not (ref.requires_user_action and ref.condition.id in assumed)}
+
+
+def check_result_fsm(result: ReachResult, fsm: Fsm) -> None:
+    """Raise :class:`ResultFsmMismatch` unless ``result`` is of ``fsm`` or an equal machine."""
+    if result.fsm is not fsm and result.fsm != fsm:
+        raise ResultFsmMismatch("the result was computed on another machine")
 
 
 def reach(fsm: Fsm, params: ReachParams | None = None) -> ReachResult:
@@ -94,6 +97,7 @@ def reach(fsm: Fsm, params: ReachParams | None = None) -> ReachResult:
         semantics=params.semantics.value,
         assumptions=assumed,
         granted_by=granted_by,
+        fsm=fsm,
     )
 
 
@@ -107,11 +111,7 @@ def _closure_fixed_point(fsm: Fsm, assumed: frozenset[str]):
     waiting: dict[str, set[str]] = {}
     ready: list[str] = []
     for state in fsm.non_start_states:
-        needed = {
-            ref.condition.id for ref in state.preconditions
-            if ref.condition.id not in true
-            and not (ref.requires_user_action and ref.condition.id in assumed)
-        }
+        needed = unmet_conditions(state, true, assumed)
         if needed:
             waiting[state.id] = needed
         else:
@@ -141,7 +141,7 @@ def _closure_single_descent(fsm: Fsm, assumed: frozenset[str]):
     # One forward pass in id order: each fire grants its postconditions and
     # the descent continues from the next position, never looking back.
     for state in fsm.non_start_states:
-        if _satisfied(state, true, assumed):
+        if not unmet_conditions(state, true, assumed):
             firing_order.append(state.id)
             for cid in state.granted_condition_ids():
                 true.setdefault(cid, state.id)
@@ -149,15 +149,9 @@ def _closure_single_descent(fsm: Fsm, assumed: frozenset[str]):
 
 
 def collect_goals(result: ReachResult, fsm: Fsm) -> frozenset[str]:
-    """Visited goal-flagged states.
-
-    Raises :class:`ResultFsmMismatch` if the result mentions state ids the
-    machine does not have.
-    """
-    unknown = result.visited - set(fsm.by_id)
-    if unknown:
-        raise ResultFsmMismatch(
-            "result references unknown states: " + ", ".join(sorted(unknown)))
+    """Visited goal-flagged states. Raises :class:`ResultFsmMismatch` if
+    ``result`` is of another machine."""
+    check_result_fsm(result, fsm)
     return result.visited & fsm.goal_ids
 
 
@@ -170,9 +164,10 @@ def extract_witness(fsm: Fsm, result: ReachResult, goal: str) -> AttackPath:
     position. The path is valid but not guaranteed globally minimal. An
     initial condition needs no step; a user-action precondition is
     charged to the assumption set when it is assumed. Raises
-    :class:`ResultFsmMismatch` if a charged state is not in ``fsm``.
+    :class:`ResultFsmMismatch` if ``result`` is of another machine.
     """
-    if goal not in result.visited or goal not in fsm.by_id:
+    check_result_fsm(result, fsm)
+    if goal not in result.visited:
         raise GoalNotReached(f"goal {goal!r} is not in the visited set")
 
     by_id, granted_by = fsm.by_id, result.granted_by
@@ -189,9 +184,6 @@ def extract_witness(fsm: Fsm, result: ReachResult, goal: str) -> AttackPath:
             if ref.requires_user_action and cid in result.assumptions:
                 assumptions_used.add(cid)
                 continue
-            if producer not in by_id:
-                raise ResultFsmMismatch(
-                    f"no visited producer for condition {cid!r} needed by {state.id}")
             if producer not in collected:
                 collected.add(producer)
                 frontier.append(producer)
@@ -208,8 +200,10 @@ def isolated_goals(fsm: Fsm, result: ReachResult) -> frozenset[str]:
     alone, with no other state firing first; the closure is not run again.
 
     The goals only chaining reaches, the paper's amplification, are
-    ``collect_goals(result, fsm) - isolated_goals(fsm, result)``.
+    ``collect_goals(result, fsm) - isolated_goals(fsm, result)``. Raises
+    :class:`ResultFsmMismatch` if ``result`` is of another machine.
     """
+    check_result_fsm(result, fsm)
     return frozenset(
         sid for sid in fsm.goal_ids
-        if _satisfied(fsm.by_id[sid], fsm.initial_conditions, result.assumptions))
+        if not unmet_conditions(fsm.by_id[sid], fsm.initial_conditions, result.assumptions))

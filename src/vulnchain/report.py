@@ -16,7 +16,7 @@ from .ingest import (_FINDING_KEYS, _child, _decode_json_object, _environment_fa
                      _finding, _finding_entry, _objects, _optional, _reject_duplicate_states,
                      _reject_unknown, _typed)
 from .model import START_STATE_ID, AttackPath, AttackState, Fsm, ReachResult
-from .reach import Semantics, collect_goals, isolated_goals
+from .reach import Semantics, check_result_fsm, collect_goals, isolated_goals, unmet_conditions
 
 FSM_FORMAT_VERSION = 2
 REPORT_FORMAT_VERSION = 1
@@ -39,9 +39,12 @@ def to_dot(fsm: Fsm, result: ReachResult | None = None) -> str:
     precondition with no drawable source gets a small point node feeding it,
     and a postcondition nobody consumes gets a point sink, so every state
     shows its full in/out degree. When a reach result is given, visited
-    states get bold outlines.
+    states get bold outlines, and one of another machine raises
+    :class:`ResultFsmMismatch`.
     """
-    visited = set(result.visited) if result is not None else set()
+    if result is not None:
+        check_result_fsm(result, fsm)
+    visited = result.visited if result is not None else frozenset()
     user_action = {(s.id, r.condition.id) for s in fsm.states for r in s.preconditions
                    if r.requires_user_action}
 
@@ -245,8 +248,7 @@ def to_report(
         reachable_goals=sorted(reached),
         unreachable_goals=[
             {"state": sid, "label": fsm.by_id[sid].label, "missing_conditions": sorted(
-                r.condition.id for r in fsm.by_id[sid].preconditions
-                if r.condition.id not in result.true_conditions)}
+                unmet_conditions(fsm.by_id[sid], result.granted_by, result.assumptions))}
             for sid in sorted(fsm.goal_ids - result.visited)
         ],
         isolated_goals=sorted(isolated),

@@ -244,6 +244,29 @@ def union_over_all_firing_sequences(fsm: Fsm, assumed: frozenset[str] = frozense
     return reached
 
 
+def granted_by_visited(fsm: Fsm, visited) -> set[str]:
+    """The initial conditions plus every non-false-positive postcondition
+    of the ``visited`` states: the true set of a run, less its assumptions."""
+    granted = set(fsm.initial_conditions)
+    for sid in visited:
+        granted.update(r.condition.id for r in fsm.by_id[sid].postconditions
+                       if not r.false_positive)
+    return granted
+
+
+def reference_missing_conditions(fsm: Fsm, goal: str, granted: set[str],
+                                 assumed: frozenset[str]) -> list[str]:
+    """The preconditions of ``goal`` that are not ``granted``, sorted; an
+    assumption meets only a user-action precondition."""
+    missing = []
+    for ref in fsm.by_id[goal].preconditions:
+        cid = ref.condition.id
+        if cid in granted or (ref.requires_user_action and cid in assumed):
+            continue
+        missing.append(cid)
+    return sorted(missing)
+
+
 def replay_witness(fsm: Fsm, path: AttackPath) -> bool:
     """Simulator for the witness invariant: grant only the initial conditions
     plus the path's assumptions, fire steps in order, and demand that every

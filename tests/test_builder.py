@@ -65,6 +65,12 @@ class TestAttachStartState:
         assert fsm.start.granted_condition_ids() == (fact.id,)
         assert fsm.producers[fact.id] == {START_STATE_ID}
 
+    def test_repeated_fact_keeps_its_first_label(self):
+        """As in a findings document, the first label of a fact wins."""
+        fsm = Fsm("s", [], [normalize_condition("Apache"), normalize_condition("apache")])
+        assert [r.condition.label for r in fsm.start.postconditions] == ["Apache"]
+        assert '"environment_facts":["Apache"]' in fsm_to_json(fsm)
+
     def test_facts_satisfy_preconditions_for_start_wiring(self):
         fact = normalize_condition("banner")
         f = single_finding("V", "/x", pres=("banner",), label="S1")

@@ -221,6 +221,29 @@ class TestAnalyze:
         report = json.loads((tmp_path / "vw.report.json").read_text())
         assert report["semantics"] == "paper-dfs"
 
+    def test_assumption_leaves_an_ordinary_precondition_missing(self, tmp_path, capsys):
+        """``S1`` needs the link clicked as a user action, the goal ``S2``
+        needs the same text as an ordinary precondition: assuming it fires
+        ``S1`` only, and the report names it as what blocks ``S2``."""
+        findings = tmp_path / "findings.json"
+        findings.write_text(json.dumps({"site": "s", "environment_facts": [], "findings": [
+            {"label": "S1", "vulnerability": "Phishing", "uri": "/a", "preconditions": [
+                {"condition": "user clicks link", "requires_user_action": True}]},
+            {"label": "S2", "vulnerability": "Takeover", "uri": "/b", "is_goal": True,
+             "preconditions": [{"condition": "user clicks link"}]}]}))
+        crawl = tmp_path / "crawl.txt"
+        crawl.write_text("/a\n/b\n")
+        fsm_path, report_path = tmp_path / "s.fsm.json", tmp_path / "s.report.json"
+        assert cli_main(["build", "--findings", str(findings),
+                         "--crawl", str(crawl), "--out", str(fsm_path)]) == 0
+        assert cli_main(["analyze", "--fsm", str(fsm_path), "--assume", "user clicks link",
+                         "--out", str(report_path)]) == 0
+        assert "goals reached: 0/1" in capsys.readouterr().out
+        report = json.loads(report_path.read_text())
+        (goal,) = report["unreachable_goals"]
+        assert goal["label"] == "S2"
+        assert goal["missing_conditions"] == ["user clicks link"]
+
     @pytest.mark.parametrize("command, flag", [
         ("analyze", "--assume"), ("whatif", "--toggle"), ("diff-isolated", "--assume")],
         ids=["analyze", "whatif", "diff-isolated"])

@@ -19,6 +19,7 @@ from vulnchain import (
     isolated_goals,
     normalize_condition,
     reach,
+    to_dot,
     to_report,
 )
 
@@ -281,12 +282,12 @@ class TestExtractWitness:
 
     def test_result_of_a_machine_with_another_producer_rejected(self):
         """The result's machine has the goal's producer, the given machine
-        only the goal: either the goal or its producer is unknown."""
+        only the goal or another producer: the machines differ."""
         producer = single_finding("P", "/p", posts=("c",), label="S1")
         goal = single_finding("G", "/g", pres=("c",), is_goal=True, label="S2")
         result = reach(fsm_of(producer, goal))
         for fsm in (fsm_of(goal), fsm_of(single_finding("Q", "/q", posts=("c",)), goal)):
-            with pytest.raises((ResultFsmMismatch, GoalNotReached)):
+            with pytest.raises(ResultFsmMismatch):
                 extract_witness(fsm, result, goal.id)
 
     def test_witnesses_match_the_reference_on_a_random_corpus(self):
@@ -304,6 +305,44 @@ class TestExtractWitness:
                     assumed_seen += bool(path.assumptions_used)
                     long_seen += len(path.steps) >= 3
         assert assumed_seen and long_seen
+
+
+RESULT_CONSUMERS = {
+    "collect_goals": lambda fsm, result, goal: collect_goals(result, fsm),
+    "isolated_goals": lambda fsm, result, goal: isolated_goals(fsm, result),
+    "extract_witness": lambda fsm, result, goal: extract_witness(fsm, result, goal),
+    "to_report": lambda fsm, result, goal: to_report(fsm, result),
+    "to_dot": lambda fsm, result, goal: to_dot(fsm, result),
+}
+
+
+class TestResultOfAnotherMachine:
+    """A result belongs to the machine it was computed on: state ids alone
+    do not tie it to a machine."""
+
+    @pytest.mark.parametrize("consumer", RESULT_CONSUMERS.values(), ids=RESULT_CONSUMERS)
+    def test_same_ids_other_grants_rejected(self, consumer):
+        """``P`` grants ``c`` in the result's machine and ``d`` in the given
+        one, so ``G``, which needs ``c``, is reached only in the first."""
+        goal = single_finding("G", "/g", pres=("c",), is_goal=True, label="S2")
+        ours = fsm_of(single_finding("P", "/p", posts=("c",), label="S1"), goal)
+        theirs = fsm_of(single_finding("P", "/p", posts=("d",), label="S1"), goal)
+        assert set(ours.by_id) == set(theirs.by_id)
+        result = reach(ours)
+        assert goal.id in result.visited
+        consumer(ours, result, goal.id)
+        with pytest.raises(ResultFsmMismatch):
+            consumer(theirs, result, goal.id)
+
+    @pytest.mark.parametrize("consumer", RESULT_CONSUMERS.values(), ids=RESULT_CONSUMERS)
+    def test_equal_machine_accepted(self, consumer, teacher_fsm):
+        result = reach(teacher_fsm)
+        (goal,) = collect_goals(result, teacher_fsm)
+        equal = Fsm(teacher_fsm.site, teacher_fsm.non_start_states,
+                    [r.condition for r in teacher_fsm.start.postconditions],
+                    teacher_fsm.diagnostics)
+        assert equal is not teacher_fsm and result.fsm is teacher_fsm
+        assert consumer(equal, result, goal) == consumer(teacher_fsm, result, goal)
 
 
 class TestDiffIsolatedVsChained:

@@ -16,6 +16,7 @@ from vulnchain import (
     Fsm,
     ReachParams,
     SchemaViolation,
+    Semantics,
     build_fsm,
     collect_goals,
     extract_witness,
@@ -31,11 +32,14 @@ from vulnchain import (
 from vulnchain.report import _json_text
 
 from tests.helpers import (
+    closure_by_exhaustion,
     fsm_of,
+    granted_by_visited,
     labels_of,
     random_assumptions,
     random_finding_set,
     reference_build_warnings,
+    reference_missing_conditions,
     reference_to_dot,
     single_finding,
 )
@@ -295,6 +299,43 @@ class TestToReport:
         assert "user fills up the login form on the third-party web page." in missing
         assert "user redirected to a third-party web page." in missing
 
+    def test_missing_conditions_match_the_reference_on_a_random_corpus(self):
+        """An assumption meets only user-action preconditions, so a condition
+        a goal needs as an ordinary precondition is missing until a visited
+        state grants it, assumed or not. The fixed point is closed, so each
+        goal it leaves unreachable misses at least one condition."""
+        rng = random.Random(29)
+        assumed_but_missing = 0
+        for _ in range(1000):
+            fsm = build_fsm(random_finding_set(rng))
+            assumptions = random_assumptions(rng, fsm)
+            assumed = assumptions.granted_user_actions
+            closed, _ = closure_by_exhaustion(fsm, assumed)
+            for semantics in Semantics:
+                result = reach(fsm, ReachParams(semantics, assumptions))
+                granted = granted_by_visited(
+                    fsm, closed if semantics is Semantics.FIXED_POINT else result.visited)
+                for goal in to_report(fsm, result).unreachable_goals:
+                    missing = goal["missing_conditions"]
+                    assert missing == reference_missing_conditions(
+                        fsm, goal["state"], granted, assumed)
+                    if semantics is Semantics.FIXED_POINT:
+                        assert missing
+                    assumed_but_missing += bool(assumed.intersection(missing))
+        assert assumed_but_missing
+
+    def test_paper_dfs_goal_blocked_by_scan_order_misses_nothing(self):
+        """The descent scans ``G`` before ``P`` grants what ``G`` needs, so
+        ``G`` stays unreachable with every precondition met."""
+        goal = single_finding("G", "/g", pres=("c",), is_goal=True, label="S1")
+        producer = single_finding("P", "/p", posts=("c",), label="S2")
+        assert goal.id < producer.id
+        fsm = fsm_of(goal, producer)
+        report = to_report(fsm, reach(fsm, ReachParams(Semantics.PAPER_DFS)))
+        assert report.unreachable_goals == [
+            {"state": goal.id, "label": "S1", "missing_conditions": []}]
+        assert to_report(fsm, reach(fsm)).reachable_goals == [goal.id]
+
     def test_reachable_plus_unreachable_covers_all_goals(self, vulnweb_fsm):
         report = to_report(vulnweb_fsm, reach(vulnweb_fsm))
         goals = set(report.reachable_goals) | {g["state"] for g in report.unreachable_goals}
@@ -338,6 +379,22 @@ class TestToReport:
         dot = to_dot(fsm)
         assert "edges" not in fsm.__dict__
         assert dot == (GOLDEN / name / "machine.dot").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("fixture", ["minimal_fsm", "vulnweb_fsm", "teacher_fsm"])
+    def test_result_used_with_the_reloaded_machine(self, fixture, request):
+        """A result is accepted with an equal machine, here the one its
+        machine file loads, and gives the same report and DOT bytes."""
+        fsm = request.getfixturevalue(fixture)
+        result = reach(fsm, ReachParams(assumptions=AssumptionSet(fsm.user_action_condition_ids)))
+        reloaded = fsm_from_json(fsm_to_json(fsm))
+        assert reloaded is not fsm
+
+        def outputs(machine):
+            witnesses = {goal: extract_witness(machine, result, goal)
+                         for goal in sorted(collect_goals(result, machine))}
+            return report_to_json(to_report(machine, result, witnesses)), to_dot(machine, result)
+
+        assert outputs(reloaded) == outputs(fsm)
 
     def test_assumptions_echoed(self, vulnweb_fsm):
         assumed = frozenset(vulnweb_fsm.user_action_condition_ids)

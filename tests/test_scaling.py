@@ -12,10 +12,12 @@ already at the smallest size.
 
 One walk over the refs derives the condition indexes, reading each ref
 once. The witnesses of one result read its firing order once in all and
-never the machine's producers. Loading a machine file or a findings
-document normalizes each distinct condition text and builds each distinct
-ref once, type-checks through the loader's helpers only the document-level
-fields and the distinct texts, and splits no URI that is already canonical.
+never the machine's producers, and a result used with the machine it was
+computed on is checked by identity alone. Loading a machine file or a
+findings document normalizes each distinct condition text and builds each
+distinct ref once, type-checks through the loader's helpers only the
+document-level fields and the distinct texts, and splits no URI that is
+already canonical.
 """
 
 import dataclasses
@@ -43,6 +45,7 @@ from vulnchain import (
     extract_witness,
     fsm_from_json,
     fsm_to_json,
+    isolated_goals,
     parse_crawl_list,
     parse_findings,
     reach,
@@ -219,6 +222,28 @@ def test_witnesses_never_read_the_producers(semantics):
     assert goals
     steps = [len(extract_witness(fsm, result, goal).steps) for goal in goals]
     assert max(steps) >= 3
+
+
+def test_a_result_of_the_same_machine_is_checked_by_identity(monkeypatch):
+    """The machine check compares no machine and no state when the result
+    was computed on the very machine given, and ``collect_goals`` then reads
+    nothing of it but the goal ids."""
+    states = [_state(i, pres=(f"c{i}",), posts=(f"c{i + 1}",), is_goal=i % 100 == 99)
+              for i in range(4_000)]
+    fsm = Fsm(site="", findings=states, facts=[_cond("c0")])
+    _cond.cache_clear()
+    result = reach(fsm)
+    expected = result.visited & fsm.goal_ids
+    isolated = isolated_goals(fsm, result)
+
+    def refuse(self, other):
+        raise AssertionError(f"compared a {type(self).__name__}")
+
+    monkeypatch.setattr(Fsm, "__eq__", refuse)
+    monkeypatch.setattr(AttackState, "__eq__", refuse)
+    assert isolated_goals(fsm, result) == isolated
+    fsm.__dict__["by_id"] = Refusing()
+    assert collect_goals(result, fsm) == expected and len(expected) == 40
 
 
 def test_witnesses_read_the_firing_order_once():
