@@ -1,7 +1,9 @@
 """Crawl-list and findings-document parsing, validation, and round trips."""
 
 import json
+import re
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -286,6 +288,74 @@ class TestOneReaderForFindingsAndMachineStates:
             if not agree:
                 disagreements.append(f"{case}: {found_error or found} / {loaded_error or loaded}")
         assert disagreements == []
+
+
+#: What a finding object reads for a field it omits.
+ABSENT_READS_AS = {"preconditions": [], "postconditions": [], "is_goal": False, "source": "",
+                   "label": None, "requires_user_action": False, "false_positive": False}
+
+#: Input kind -> its loader and the fields it may find absent; every other
+#: field of an object is required.
+LOADERS = {
+    "findings": (parse_findings, set(ABSENT_READS_AS)),
+    "machine": (fsm_from_json, {"source", "label"}),
+    "report": (report_from_json, set()),
+}
+
+
+def _object_fields(value, path="$", route=()):
+    """``(JSON path, route, key)`` for every field of every object nested
+    in ``value``; ``route`` leads from the top to the field's object."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        if isinstance(value, dict):
+            yield path, route, key
+            child_path = key if path == "$" else f"{path}.{key}"
+        else:
+            child_path = f"{path}[{key}]"
+        if isinstance(child, (dict, list)):
+            yield from _object_fields(child, child_path, (*route, key))
+
+
+class TestAbsentFields:
+    """Each field of each input, deleted from the vulnweb input of the CLI:
+    a required one is named with its object's path, and an optional one
+    reads as its default."""
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_every_field_deleted(self, kind):
+        load, optional = LOADERS[kind]
+        golden = json.loads(CLI_INPUTS[kind][0].read_bytes())
+        for path, route, key in _object_fields(golden):
+            doc = json.loads(json.dumps(golden))
+            obj = doc
+            for step in route:
+                obj = obj[step]
+            del obj[key]
+            text = json.dumps(doc)
+            if path == "labels":  # state id -> label, not fields
+                load(text)
+            elif key == "format_version":
+                expected = {"machine": "unsupported format_version None; expected 2 (rebuild "
+                                       "the machine with 'vulnchain build')",
+                            "report": "unsupported or missing report format_version"}[kind]
+                with pytest.raises(SchemaViolation, match=f"^{re.escape(expected)}$"):
+                    load(text)
+            elif kind == "machine" and path.startswith("states[0]") and key != "is_start":
+                with pytest.raises(SchemaViolation, match=r"^states\[0\]: start entry does "
+                                                          "not match the start state"):
+                    load(text)
+            elif key not in optional:
+                expected = f"{path}: missing required field {key!r}"
+                with pytest.raises(SchemaViolation, match=f"^{re.escape(expected)}$"):
+                    load(text)
+            elif kind == "findings":
+                obj[key] = ABSENT_READS_AS[key]
+                assert load(text) == load(json.dumps(doc))
+            else:
+                state = load(text).by_id[obj["id"]]
+                original = load(json.dumps(golden)).by_id[obj["id"]]
+                assert state == replace(original, **{key: ABSENT_READS_AS[key]})
 
 
 class TestMapFindingsToUris:
