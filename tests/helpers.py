@@ -566,6 +566,19 @@ def reference_consumers(fsm: Fsm) -> dict[str, frozenset[str]]:
     return {cid: frozenset(v) for cid, v in out.items()}
 
 
+def reference_edges(fsm: Fsm) -> tuple[tuple[str, str, str], ...]:
+    """Structural edges (producer id, consumer id, condition id), sorted:
+    each granted postcondition of each state, paired with every state
+    requiring it."""
+    consumers = reference_consumers(fsm)
+    out: set[tuple[str, str, str]] = set()
+    for s in fsm.states:
+        for cid in s.granted_condition_ids():
+            for consumer in consumers.get(cid, ()):
+                out.add((s.id, consumer, cid))
+    return tuple(sorted(out))
+
+
 def reference_edge_count(fsm: Fsm) -> int:
     """Labeled condition edges plus the plain start edges to
     precondition-free states."""

@@ -16,7 +16,7 @@ from vulnchain import (
 
 from tests.helpers import (fsm_of, ids_for, labels_of, load_finding_set, random_finding_set,
                            reference_condition_ids, reference_consumers, reference_edge_count,
-                           reference_producers, single_finding, start_successors)
+                           reference_edges, reference_producers, single_finding, start_successors)
 
 
 class TestBuildStates:
@@ -142,6 +142,7 @@ class TestDeriveEdges:
             assert fsm.condition_ids == reference_condition_ids(fsm)
             assert list(fsm.producers.items()) == list(producers.items())
             assert list(fsm.consumers.items()) == list(consumers.items())
+            assert fsm.edges == reference_edges(fsm)
             assert fsm.edge_count == reference_edge_count(fsm) == (
                 len(fsm.edges) + len(fsm.unconditional_start_targets))
 
