@@ -453,18 +453,15 @@ class AssumptionSet:
 class ReachResult:
     """Closure of a reachability run on ``fsm``: every reachability fact about it.
 
-    ``true_conditions`` is ``initial ∪ assumptions ∪ granted-by-visited``,
-    though an assumption meets only user-action preconditions; false
-    positives never appear. ``firing_order`` records first-visit order,
-    start first. ``granted_by`` is the first-grant record: condition id ->
-    the state whose firing first made it true, the start state for each
-    initial condition. The closure stores it as the condition turns true,
-    so under either semantics it names the visited producer earliest in
-    ``firing_order``. Its keys are ``initial ∪ granted-by-visited``.
+    ``firing_order`` records first-visit order, start first. ``granted_by``
+    is the first-grant record: condition id -> the state whose firing first
+    made it true, the start state for each initial condition. The closure
+    stores it as the condition turns true, so under either semantics it
+    names the visited producer earliest in ``firing_order``. Its keys are
+    ``initial ∪ granted-by-visited``; false positives never appear.
     """
 
     visited: frozenset[str]
-    true_conditions: frozenset[str]
     firing_order: tuple[str, ...]
     semantics: str
     assumptions: frozenset[str]

@@ -78,6 +78,7 @@ def reach(fsm: Fsm, params: ReachParams | None = None) -> ReachResult:
     runs return identical results including the firing order.
     """
     params = params or ReachParams()
+    semantics = Semantics(params.semantics)
     assumed = params.assumptions.granted_user_actions
     unknown = assumed - fsm.user_action_condition_ids
     if unknown:
@@ -85,16 +86,15 @@ def reach(fsm: Fsm, params: ReachParams | None = None) -> ReachResult:
             "not user-action preconditions of any state: "
             + ", ".join(repr(c) for c in sorted(unknown)))
 
-    if params.semantics is Semantics.FIXED_POINT:
+    if semantics is Semantics.FIXED_POINT:
         firing_order, granted_by = _closure_fixed_point(fsm, assumed)
     else:
         firing_order, granted_by = _closure_single_descent(fsm, assumed)
 
     return ReachResult(
         visited=frozenset(firing_order),
-        true_conditions=frozenset(granted_by) | assumed,
         firing_order=tuple(firing_order),
-        semantics=params.semantics.value,
+        semantics=semantics.value,
         assumptions=assumed,
         granted_by=granted_by,
         fsm=fsm,

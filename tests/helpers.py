@@ -244,6 +244,12 @@ def union_over_all_firing_sequences(fsm: Fsm, assumed: frozenset[str] = frozense
     return reached
 
 
+def true_conditions(result: ReachResult) -> frozenset[str]:
+    """The true set of a run: its first-grant record's conditions plus its
+    assumptions, though an assumption meets only user-action preconditions."""
+    return frozenset(result.granted_by) | result.assumptions
+
+
 def granted_by_visited(fsm: Fsm, visited) -> set[str]:
     """The initial conditions plus every non-false-positive postcondition
     of the ``visited`` states: the true set of a run, less its assumptions."""

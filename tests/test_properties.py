@@ -29,6 +29,7 @@ from tests.helpers import (
     closure_by_exhaustion,
     replay_witness,
     serialize_findings,
+    true_conditions,
     union_over_all_firing_sequences,
 )
 
@@ -80,7 +81,7 @@ def test_fixed_point_matches_exhaustion_oracle(case):
     expected_visited, expected_true = closure_by_exhaustion(
         fsm, assumptions.granted_user_actions)
     assert result.visited == expected_visited
-    assert result.true_conditions == expected_true
+    assert true_conditions(result) == expected_true
 
 
 @given(machines(max_states=4, max_conditions=5))
@@ -99,7 +100,7 @@ def test_paper_dfs_is_sound(case):
     dfs = reach(fsm, ReachParams(semantics=Semantics.PAPER_DFS, assumptions=assumptions))
     fp = reach(fsm, ReachParams(assumptions=assumptions))
     assert dfs.visited <= fp.visited
-    assert dfs.true_conditions <= fp.true_conditions
+    assert true_conditions(dfs) <= true_conditions(fp)
 
 
 @given(machines())
@@ -113,7 +114,7 @@ def test_monotone_in_assumptions(case):
     grown = AssumptionSet(assumptions.granted_user_actions | {sorted(remaining)[0]})
     bigger = reach(fsm, ReachParams(assumptions=grown))
     assert base.visited <= bigger.visited
-    assert base.true_conditions <= bigger.true_conditions
+    assert true_conditions(base) <= true_conditions(bigger)
 
 
 @given(machines())
@@ -127,7 +128,7 @@ def test_monotone_in_environment_facts(case):
     richer = _with_extra_fact(fsm, candidates[0])
     grown = reach(richer, ReachParams(assumptions=assumptions))
     assert base.visited <= grown.visited
-    assert base.true_conditions <= grown.true_conditions
+    assert true_conditions(base) <= true_conditions(grown)
 
 
 @given(machines())
@@ -140,7 +141,7 @@ def test_monotone_in_cleared_false_positive(case):
     base = reach(fsm, ReachParams(assumptions=assumptions))
     grown = reach(cleared, ReachParams(assumptions=assumptions))
     assert base.visited <= grown.visited
-    assert base.true_conditions <= grown.true_conditions
+    assert true_conditions(base) <= true_conditions(grown)
 
 
 def _with_extra_fact(fsm, condition_id):
@@ -196,7 +197,7 @@ def test_false_positive_only_conditions_never_true(case):
             if ref.false_positive and ref.condition.id not in granted_somewhere:
                 fp_only.add(ref.condition.id)
     result = reach(fsm, ReachParams(assumptions=assumptions))
-    assert fp_only.isdisjoint(result.true_conditions)
+    assert fp_only.isdisjoint(true_conditions(result))
 
 
 @given(machines())
@@ -231,9 +232,9 @@ def test_visited_preconditions_were_satisfied(case):
         for ref in state.preconditions:
             cid = ref.condition.id
             if ref.requires_user_action:
-                assert cid in result.true_conditions or cid in result.assumptions
+                assert cid in true_conditions(result) or cid in result.assumptions
             else:
-                assert cid in result.true_conditions
+                assert cid in true_conditions(result)
 
 
 @given(machines())

@@ -36,6 +36,7 @@ from tests.helpers import (
     reference_extract_witness,
     replay_witness,
     single_finding,
+    true_conditions,
 )
 
 
@@ -52,8 +53,8 @@ class TestFixedPoint:
     def test_minimal_false_positive_blocks_goal(self, minimal_fsm):
         result = reach(minimal_fsm)
         assert _visited_labels(minimal_fsm, result) == {"start", "S1", "S2", "S3"}
-        assert result.true_conditions == {"x1", "x3", "z1"}
-        assert "x2" not in result.true_conditions
+        assert true_conditions(result) == {"x1", "x3", "z1"}
+        assert "x2" not in true_conditions(result)
 
     def test_vulnweb_with_all_assumptions(self, vulnweb_fsm):
         result = reach(vulnweb_fsm, ReachParams(assumptions=_all_assumptions(vulnweb_fsm)))
@@ -70,14 +71,14 @@ class TestFixedPoint:
         fsm = Fsm(site="", findings=(), facts=())
         result = reach(fsm)
         assert result.visited == {fsm.start.id}
-        assert result.true_conditions == fsm.initial_conditions
+        assert true_conditions(result) == fsm.initial_conditions
 
     def test_matches_exhaustion_oracle_on_fixtures(self, minimal_fsm, vulnweb_fsm, teacher_fsm):
         for fsm in (minimal_fsm, vulnweb_fsm, teacher_fsm):
             expected_visited, expected_true = closure_by_exhaustion(fsm)
             result = reach(fsm)
             assert result.visited == expected_visited
-            assert result.true_conditions == expected_true
+            assert true_conditions(result) == expected_true
 
     def test_firing_order_matches_restart_scan_oracle(self):
         # Witnesses and goldens depend on the firing order, not only on the
@@ -89,7 +90,7 @@ class TestFixedPoint:
             result = reach(fsm, ReachParams(assumptions=assumptions))
             order, true = firing_order_by_restart_scan(fsm, assumptions.granted_user_actions)
             assert result.firing_order == tuple(order)
-            assert result.true_conditions == true
+            assert true_conditions(result) == true
 
     def test_idempotent(self, vulnweb_fsm):
         params = ReachParams(assumptions=_all_assumptions(vulnweb_fsm))
@@ -203,6 +204,14 @@ class TestPaperDfs:
     def test_deterministic(self, vulnweb_fsm):
         params = ReachParams(semantics=Semantics.PAPER_DFS)
         assert reach(vulnweb_fsm, params) == reach(vulnweb_fsm, params)
+
+
+@pytest.mark.parametrize("semantics", list(Semantics), ids=lambda s: s.value)
+def test_semantics_given_as_its_string_value(semantics, vulnweb_fsm):
+    assumptions = _all_assumptions(vulnweb_fsm)
+    by_value = reach(vulnweb_fsm, ReachParams(semantics=semantics.value, assumptions=assumptions))
+    assert by_value == reach(vulnweb_fsm, ReachParams(semantics=semantics, assumptions=assumptions))
+    assert by_value.semantics == semantics.value
 
 
 class TestCollectGoals:
