@@ -396,12 +396,9 @@ class Fsm:
         An edge exists iff some condition is a non-false-positive
         postcondition of the producer and a precondition of the consumer.
         """
-        out: set[tuple[str, str, str]] = set()
-        for s in self.states:
-            for cid in s.granted_condition_ids():
-                for consumer in self.consumers.get(cid, ()):
-                    out.add((s.id, consumer, cid))
-        return tuple(sorted(out))
+        consumers = self.consumers
+        return tuple(sorted((producer, consumer, cid) for cid, p in self.producers.items()
+                            for producer in p for consumer in consumers[cid]))
 
     @cached_property
     def edge_count(self) -> int:
