@@ -17,7 +17,8 @@ from .errors import (
     UnknownAssumptionFlag,
     VulnchainError,
 )
-from .ingest import FindingSet, build_fsm, parse_crawl_list, parse_findings
+from .ingest import (FindingSet, build_fsm, fsm_from_json, fsm_to_json, parse_crawl_list,
+                     parse_findings)
 from .model import (
     START_STATE_ID,
     URI_ALL,
@@ -45,8 +46,6 @@ from .reach import (
 )
 from .report import (
     AnalysisReport,
-    fsm_from_json,
-    fsm_to_json,
     report_from_json,
     report_to_json,
     to_dot,

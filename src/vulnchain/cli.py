@@ -13,11 +13,10 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import InvalidAssumption, SchemaViolation, VulnchainError
-from .ingest import build_fsm, parse_crawl_list, parse_findings
+from .ingest import build_fsm, fsm_from_json, fsm_to_json, parse_crawl_list, parse_findings
 from .model import AssumptionSet, Fsm, ReachResult, normalize_condition
 from .reach import ReachParams, Semantics, collect_goals, extract_witness, isolated_goals, reach
-from .report import (AnalysisReport, fsm_from_json, fsm_to_json, report_from_json, report_to_json,
-                     to_dot, to_report)
+from .report import AnalysisReport, report_from_json, report_to_json, to_dot, to_report
 
 
 class _UsageError(Exception):
@@ -110,7 +109,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    fsm = _load_fsm(args.fsm)
+    fsm = _in_file(args.fsm, fsm_from_json)
     result = _reach(fsm, args.assume, "--assume", args.semantics)
     reached = collect_goals(result, fsm)
     witnesses = {goal: extract_witness(fsm, result, goal) for goal in sorted(reached)}
@@ -121,7 +120,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_whatif(args) -> int:
-    fsm = _load_fsm(args.fsm)
+    fsm = _in_file(args.fsm, fsm_from_json)
     toggled: set[str] = set()
     for cid in _match_conditions(fsm, args.toggle, "--toggle"):
         toggled.symmetric_difference_update({cid})
@@ -134,7 +133,7 @@ def _cmd_whatif(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    fsm = _load_fsm(args.fsm)
+    fsm = _in_file(args.fsm, fsm_from_json)
     result = None
     if args.reach:
         result = _in_file(args.reach, lambda data: _replay_report(fsm, report_from_json(data)))
@@ -143,7 +142,7 @@ def _cmd_export_dot(args) -> int:
 
 
 def _cmd_diff_isolated(args) -> int:
-    fsm = _load_fsm(args.fsm)
+    fsm = _in_file(args.fsm, fsm_from_json)
     result = _reach(fsm, args.assume, "--assume", Semantics.FIXED_POINT)
     reached = collect_goals(result, fsm)
     isolated = isolated_goals(fsm, result)
@@ -170,10 +169,6 @@ def _in_file(path: str, parser):
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def _load_fsm(path: str) -> Fsm:
-    return _in_file(path, fsm_from_json)
-
-
 def _replay_report(fsm: Fsm, report: AnalysisReport) -> ReachResult:
     """Re-run the reach a report records; it must visit the states the
     report lists."""
@@ -183,31 +178,26 @@ def _replay_report(fsm: Fsm, report: AnalysisReport) -> ReachResult:
     return result
 
 
-def _match_condition(fsm: Fsm, text: str) -> str:
-    """Resolve a --assume/--toggle argument to a known user-action condition.
+def _match_conditions(fsm: Fsm, texts: list[str], name: str) -> list[str]:
+    """Resolve each --assume/--toggle argument to a known user-action
+    condition; an error names the offending entry as ``name[i]``.
 
     Unknown ids are a hard error listing near matches; silently absorbing a
     typo would fake reachability.
     """
-    cid = normalize_condition(text).id
-    known = sorted(fsm.user_action_condition_ids)
-    if cid in known:
-        return cid
-    import difflib  # only an error needs it, so starting the CLI does not load it
-    near = difflib.get_close_matches(cid, known, n=3)
-    hint = f"; did you mean: {', '.join(repr(n) for n in near)}" if near else ""
-    raise InvalidAssumption(f"{cid!r} is not a user-action precondition of any state{hint}")
-
-
-def _match_conditions(fsm: Fsm, texts: list[str], name: str) -> list[str]:
-    """Resolve each text with :func:`_match_condition`; an error names the
-    offending entry as ``name[i]``."""
     out = []
     for i, text in enumerate(texts):
         try:
-            out.append(_match_condition(fsm, text))
+            cid = normalize_condition(text).id
         except VulnchainError as exc:
             raise type(exc)(f"{name}[{i}]: {exc}") from exc
+        if cid not in fsm.user_action_condition_ids:
+            import difflib  # only an error needs it, so starting the CLI does not load it
+            near = difflib.get_close_matches(cid, sorted(fsm.user_action_condition_ids), n=3)
+            hint = f"; did you mean: {', '.join(repr(n) for n in near)}" if near else ""
+            raise InvalidAssumption(
+                f"{name}[{i}]: {cid!r} is not a user-action precondition of any state{hint}")
+        out.append(cid)
     return out
 
 

@@ -1,11 +1,12 @@
-"""Loading and validating crawl lists and normalized scanner findings, and
-building the machine they describe.
+"""Reading the crawl list, the findings document and the machine file,
+building the machine, and writing the machine file.
 
 Findings come in one format, the canonical findings JSON document. Native
 formats of individual scanners are out of scope; normalize them into it
-first. The helpers here own every loader rule, and the machine and report
-loaders in :mod:`vulnchain.report` use them too: a machine file's states are
-read by :func:`_finding`, the one reader of a finding object.
+first. A machine file's states are finding objects too, read by
+:func:`_finding`, the one reader of a finding object. The helpers here own
+every loader rule, and the report loader in :mod:`vulnchain.report` uses
+them too.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .model import (
     normalize_condition,
     normalize_uri,
 )
+
+FSM_FORMAT_VERSION = 2
 
 _FINDING_KEYS = frozenset({
     "vulnerability", "uri", "preconditions", "postconditions", "is_goal", "source", "label",
@@ -97,7 +100,7 @@ def parse_findings(document: str | bytes) -> FindingSet:
     """
     doc = _decode_json_object(document, what="findings document")
     _reject_unknown(doc, {"site", "environment_facts", "findings"}, path="$")
-    site = _expect(doc, "site", str, path="$")
+    site = _get(doc, "site", str, "$")
     facts = _environment_facts(doc)
     shared: dict = {}
     entries = [(path, _finding(item, path, shared, complete=False))
@@ -150,6 +153,94 @@ def _finding_entry(state: AttackState) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
+# Machine files
+# ---------------------------------------------------------------------------
+
+def _state_entry(state: AttackState) -> dict[str, Any]:
+    return {"id": state.id, "is_start": state.is_start, **_finding_entry(state)}
+
+
+def fsm_to_json(fsm: Fsm) -> str:
+    """Serialize the machine so later commands can skip re-ingestion.
+
+    Only the states, the environment facts and the diagnostics are stored;
+    every index is derived again on load. The file is an intermediate, not
+    a report, so it is written on one line with compact separators.
+    """
+    doc = {
+        "format_version": FSM_FORMAT_VERSION,
+        "site": fsm.site,
+        "environment_facts": [r.condition.label for r in fsm.start.postconditions],
+        "states": [_state_entry(s) for s in fsm.states],
+        "diagnostics": list(fsm.diagnostics),
+    }
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
+
+
+def fsm_from_json(document: str | bytes) -> Fsm:
+    """Load a machine written by :func:`fsm_to_json`.
+
+    Every field is type-checked where it is read, and errors name the JSON
+    path. Each state is read by :func:`_finding`, the reader of a finding
+    object, which here demands both ref lists, ``is_goal`` and every flag
+    and never a ``null`` label; its stored ``id`` must be the derived one,
+    and a repeated vulnerability and URI is rejected by the same check as a
+    repeated finding. The machine is then assembled by the :class:`Fsm`
+    constructor, like a freshly built one, and the start entry must be
+    exactly the entry of its start state. A file without a
+    ``format_version``, or of another one, is rejected.
+
+    Condition texts recur across states, so each distinct text is
+    normalized once per call and the immutable refs are shared; a ref
+    entry equal to one already checked is accepted by that equality, and a
+    text's label is kept as written. Any JSON layout loads.
+    """
+    doc = _decode_json_object(document, what="machine file")
+    version = _get(doc, "format_version", int, "$", None)
+    if version != FSM_FORMAT_VERSION:
+        raise SchemaViolation(
+            f"unsupported format_version {version!r}; expected {FSM_FORMAT_VERSION} "
+            "(rebuild the machine with 'vulnchain build')")
+    _reject_unknown(doc, {"format_version", "site", "environment_facts", "states", "diagnostics"},
+                    path="$")
+    facts = _environment_facts(doc)
+    diagnostics = [
+        _typed(note, str, f"diagnostics[{i}]")
+        for i, note in enumerate(_get(doc, "diagnostics", list, "$"))
+    ]
+
+    states = []
+    start_entries = []
+    shared: dict = {}
+    for path, entry in _objects(doc, "states", _FINDING_KEYS | {"id", "is_start"}, "$"):
+        is_start = entry.get("is_start")
+        if type(is_start) is not bool:
+            is_start = _get(entry, "is_start", bool, path)
+        if is_start:
+            start_entries.append((path, entry))
+            continue
+        stored_id = entry.get("id")
+        if type(stored_id) is not str or not stored_id.isascii():
+            stored_id = _get(entry, "id", str, path)
+        state = _finding(entry, path, shared, complete=True)
+        if stored_id != state.id:
+            raise SchemaViolation(
+                f"id {stored_id!r} differs from {state.id!r}, the id of its vulnerability and URI",
+                path=f"{path}.id")
+        states.append((path, state))
+    _reject_duplicate_states(states)
+    if len(start_entries) != 1:
+        raise SchemaViolation(f"expected exactly one start state, found {len(start_entries)}",
+                              path="states")
+    fsm = Fsm(_get(doc, "site", str, "$"), (state for _, state in states), facts, diagnostics)
+    path, entry = start_entries[0]
+    if entry != _state_entry(fsm.start):
+        raise SchemaViolation(
+            "start entry does not match the start state of environment_facts", path=path)
+    return fsm
+
+
+# ---------------------------------------------------------------------------
 # Shared validation
 # ---------------------------------------------------------------------------
 
@@ -157,7 +248,7 @@ def _environment_facts(doc: dict) -> tuple[Condition, ...]:
     """``doc["environment_facts"]`` as conditions sorted by id, one per id
     (the first label wins)."""
     facts: dict[str, Condition] = {}
-    for i, label in enumerate(_expect(doc, "environment_facts", list, path="$")):
+    for i, label in enumerate(_get(doc, "environment_facts", list, "$")):
         path = f"environment_facts[{i}]"
         cond = _condition(_typed(label, str, path), path)
         facts.setdefault(cond.id, cond)
@@ -190,20 +281,20 @@ def _finding(item: dict, path: str, shared: dict, *, complete: bool) -> AttackSt
     """
     vuln = item.get("vulnerability")
     if type(vuln) is not str or not vuln.isascii():
-        vuln = _expect(item, "vulnerability", str, path=path)
+        vuln = _get(item, "vulnerability", str, path)
     uri_text = item.get("uri")
     if type(uri_text) is not str or not uri_text.isascii():
-        uri_text = _expect(item, "uri", str, path=path)
+        uri_text = _get(item, "uri", str, path)
     pres = _refs(item, "preconditions", PreconditionRef, "requires_user_action",
                  path, shared, complete)
     posts = _refs(item, "postconditions", PostconditionRef, "false_positive",
                   path, shared, complete)
     is_goal = item.get("is_goal")
     if type(is_goal) is not bool:
-        is_goal = _field(item, "is_goal", bool, path, complete)
+        is_goal = _get(item, "is_goal", bool, path, _REQUIRED if complete else False)
     source = item.get("source", "")
     if type(source) is not str or not source.isascii():
-        source = _optional(item, "source", str, "", path=path)
+        source = _get(item, "source", str, path, "")
     label = item.get("label")
     if (type(label) is not str or not label.isascii()) and (
             label is not None or (complete and "label" in item)):
@@ -232,7 +323,7 @@ def _refs(item: dict, key: str, make: type, flag: str, path: str, shared: dict,
     """
     entries = item.get(key)
     if type(entries) is not list:
-        entries = _field(item, key, list, path, complete)
+        entries = _get(item, key, list, path, _REQUIRED if complete else ())
     refs = []
     for j, ref in enumerate(entries):
         text = value = None
@@ -245,10 +336,10 @@ def _refs(item: dict, key: str, make: type, flag: str, path: str, shared: dict,
                 raise UnknownAssumptionFlag(
                     "requires_user_action is only valid on preconditions", path=ref_path)
             _reject_unknown(ref, {"condition", flag}, path=ref_path)
-            text = _expect(ref, "condition", str, path=ref_path)
+            text = _get(ref, "condition", str, ref_path)
             if text not in shared:
                 shared[text] = _condition(text, ref_path)
-            value = _field(ref, flag, bool, ref_path, complete)
+            value = _get(ref, flag, bool, ref_path, _REQUIRED if complete else False)
         made = shared.get((make, text, value))
         if made is None:
             condition = shared.get(text)
@@ -307,7 +398,7 @@ def _objects(obj: dict, key: str, keys: set[str], path: str) -> list[tuple[str, 
     """``(path, entry)`` for each entry of the list ``obj[key]``; every entry
     must be an object with no field outside ``keys``."""
     out = []
-    for i, entry in enumerate(_expect(obj, key, list, path=path)):
+    for i, entry in enumerate(_get(obj, key, list, path)):
         entry_path = f"{_child(path, key)}[{i}]"
         if type(entry) is not dict:
             _typed(entry, dict, entry_path)
@@ -316,24 +407,17 @@ def _objects(obj: dict, key: str, keys: set[str], path: str) -> list[tuple[str, 
     return out
 
 
-def _expect(obj: dict, key: str, kind: type, path: str) -> Any:
-    if key not in obj:
-        raise SchemaViolation(f"missing required field {key!r}", path=path)
-    return _typed(obj[key], kind, path, what=f"field {key!r}")
+_REQUIRED = object()
 
 
-def _optional(obj: dict, key: str, kind: type, default: Any, path: str) -> Any:
+def _get(obj: dict, key: str, kind: type, path: str, default: Any = _REQUIRED) -> Any:
+    """``obj[key]`` checked by :func:`_typed`, or ``default`` if the key is
+    absent; a field without a default is required."""
     if key not in obj:
+        if default is _REQUIRED:
+            raise SchemaViolation(f"missing required field {key!r}", path=path)
         return default
     return _typed(obj[key], kind, path, what=f"field {key!r}")
-
-
-def _field(obj: dict, key: str, kind: type, path: str, required: bool) -> Any:
-    """``obj[key]`` if ``required``, else ``obj[key]`` or ``kind()`` if
-    absent: an empty list, or ``False``."""
-    if required:
-        return _expect(obj, key, kind, path=path)
-    return _optional(obj, key, kind, kind(), path=path)
 
 
 def _typed(value: Any, kind: type, path: str, what: str = "value") -> Any:

@@ -1,24 +1,21 @@
-"""Serialization surfaces: DOT export, machine JSON, and analysis reports.
+"""Outputs: the analysis report and the DOT export, plus the report loader.
 
 All emission is byte-deterministic: collections serialize sorted, JSON is
-written with sorted keys, and files end with a single newline.
+written with sorted keys, and files end with a single newline. The machine
+file is written and read in :mod:`vulnchain.ingest`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Mapping
 
 from .errors import SchemaViolation
-from .ingest import (_FINDING_KEYS, _child, _decode_json_object, _environment_facts, _expect,
-                     _finding, _finding_entry, _objects, _optional, _reject_duplicate_states,
-                     _reject_unknown, _typed)
+from .ingest import _child, _decode_json_object, _get, _objects, _reject_unknown, _typed
 from .model import START_STATE_ID, AttackPath, AttackState, Fsm, ReachResult
 from .reach import Semantics, check_result_fsm, collect_goals, isolated_goals, unmet_conditions
 
-FSM_FORMAT_VERSION = 2
 REPORT_FORMAT_VERSION = 1
 
 
@@ -108,94 +105,6 @@ def _node_label(state: AttackState) -> str:
     if state.label:
         name = f"{state.label}: {name}"
     return f"{name}\n{state.uri.display()}"
-
-
-# ---------------------------------------------------------------------------
-# Machine on-disk format
-# ---------------------------------------------------------------------------
-
-def _state_entry(state: AttackState) -> dict[str, Any]:
-    return {"id": state.id, "is_start": state.is_start, **_finding_entry(state)}
-
-
-def fsm_to_json(fsm: Fsm) -> str:
-    """Serialize the machine so later commands can skip re-ingestion.
-
-    Only the states, the environment facts and the diagnostics are stored;
-    every index is derived again on load. The file is an intermediate, not
-    a report, so it is written on one line with compact separators.
-    """
-    doc = {
-        "format_version": FSM_FORMAT_VERSION,
-        "site": fsm.site,
-        "environment_facts": [r.condition.label for r in fsm.start.postconditions],
-        "states": [_state_entry(s) for s in fsm.states],
-        "diagnostics": list(fsm.diagnostics),
-    }
-    return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
-
-
-def fsm_from_json(document: str | bytes) -> Fsm:
-    """Load a machine written by :func:`fsm_to_json`.
-
-    Every field is type-checked where it is read, and errors name the JSON
-    path. Each state is read by the same reader as a finding, which here
-    demands both ref lists, ``is_goal`` and every flag and never a ``null``
-    label; its stored ``id`` must be the derived one, and a repeated
-    vulnerability and URI is rejected by the same check as a repeated
-    finding. The machine is then assembled by the :class:`Fsm` constructor,
-    like a freshly built one, and the start entry must be exactly the entry
-    of its start state. Files of another ``format_version`` are rejected.
-
-    Condition texts recur across states, so each distinct text is
-    normalized once per call and the immutable refs are shared; a ref
-    entry equal to one already checked is accepted by that equality, and a
-    text's label is kept as written. Any JSON layout loads.
-    """
-    doc = _decode_json_object(document, what="machine file")
-    version = _optional(doc, "format_version", int, None, path="$")
-    if version != FSM_FORMAT_VERSION:
-        raise SchemaViolation(
-            f"unsupported format_version {version!r}; expected {FSM_FORMAT_VERSION} "
-            "(rebuild the machine with 'vulnchain build')")
-    _reject_unknown(doc, {"format_version", "site", "environment_facts", "states", "diagnostics"},
-                    path="$")
-    facts = _environment_facts(doc)
-    diagnostics = [
-        _typed(note, str, f"diagnostics[{i}]")
-        for i, note in enumerate(_expect(doc, "diagnostics", list, path="$"))
-    ]
-
-    states = []
-    start_entries = []
-    shared: dict = {}
-    for path, entry in _objects(doc, "states", _FINDING_KEYS | {"id", "is_start"}, "$"):
-        is_start = entry.get("is_start")
-        if type(is_start) is not bool:
-            is_start = _expect(entry, "is_start", bool, path=path)
-        if is_start:
-            start_entries.append((path, entry))
-            continue
-        stored_id = entry.get("id")
-        if type(stored_id) is not str or not stored_id.isascii():
-            stored_id = _expect(entry, "id", str, path=path)
-        state = _finding(entry, path, shared, complete=True)
-        if stored_id != state.id:
-            raise SchemaViolation(
-                f"id {stored_id!r} differs from {state.id!r}, the id of its vulnerability and URI",
-                path=f"{path}.id")
-        states.append((path, state))
-    _reject_duplicate_states(states)
-    if len(start_entries) != 1:
-        raise SchemaViolation(f"expected exactly one start state, found {len(start_entries)}",
-                              path="states")
-    fsm = Fsm(_expect(doc, "site", str, path="$"), (state for _, state in states), facts,
-              diagnostics)
-    path, entry = start_entries[0]
-    if entry != _state_entry(fsm.start):
-        raise SchemaViolation(
-            "start entry does not match the start state of environment_facts", path=path)
-    return fsm
 
 
 # ---------------------------------------------------------------------------
@@ -318,42 +227,42 @@ _REPORT_KEYS = {"format_version"} | {f.name for f in fields(AnalysisReport)}
 def report_from_json(document: str | bytes) -> AnalysisReport:
     """Load a report written by :func:`report_to_json`.
 
-    Like :func:`fsm_from_json`, every field is type-checked, unknown fields
+    Like :func:`vulnchain.ingest.fsm_from_json`, every field is type-checked, unknown fields
     are rejected and errors name the JSON path. The checked document, less
     its ``format_version``, is the report.
     """
     doc = _decode_json_object(document, what="report")
-    if _optional(doc, "format_version", int, None, path="$") != REPORT_FORMAT_VERSION:
+    if _get(doc, "format_version", int, "$", None) != REPORT_FORMAT_VERSION:
         raise SchemaViolation("unsupported or missing report format_version")
     _reject_unknown(doc, _REPORT_KEYS, path="$")
-    semantics = _expect(doc, "semantics", str, path="$")
+    semantics = _get(doc, "semantics", str, "$")
     if semantics not in {s.value for s in Semantics}:
         raise SchemaViolation(f"unknown semantics {semantics!r}", path="semantics")
-    counts = _expect(doc, "fsm", dict, path="$")
+    counts = _get(doc, "fsm", dict, "$")
     _reject_unknown(counts, {"states", "edges", "goals"}, path="fsm")
-    _expect(doc, "site", str, path="$")
+    _get(doc, "site", str, "$")
     _strings(doc, "assumptions", "$")
     for key in ("states", "edges", "goals"):
-        _expect(counts, key, int, path="fsm")
+        _get(counts, key, int, "fsm")
     _strings(doc, "reachable_states", "$")
     _strings(doc, "reachable_goals", "$")
     for path, goal in _objects(doc, "unreachable_goals",
                                {"state", "label", "missing_conditions"}, "$"):
-        _expect(goal, "state", str, path=path)
+        _get(goal, "state", str, path)
         _label(goal, path)
         _strings(goal, "missing_conditions", path)
     for key in ("isolated_goals", "chained_goals", "chained_only_goals"):
         _strings(doc, key, "$")
     for path, witness in _objects(doc, "witnesses",
                                   {"goal", "label", "assumptions_used", "steps"}, "$"):
-        _expect(witness, "goal", str, path=path)
+        _get(witness, "goal", str, path)
         _label(witness, path)
         _strings(witness, "assumptions_used", path)
         for step_path, step in _objects(witness, "steps", {"state", "label", "grants"}, path):
-            _expect(step, "state", str, path=step_path)
+            _get(step, "state", str, step_path)
             _label(step, step_path)
             _strings(step, "grants", step_path)
-    for sid, label in _expect(doc, "labels", dict, path="$").items():
+    for sid, label in _get(doc, "labels", dict, "$").items():
         _typed(label, str, f"labels.{sid}")
     del doc["format_version"]
     return AnalysisReport(**doc)
@@ -361,11 +270,11 @@ def report_from_json(document: str | bytes) -> AnalysisReport:
 
 def _strings(obj: dict, key: str, path: str) -> None:
     """Check that ``obj[key]`` is a list of strings."""
-    for i, v in enumerate(_expect(obj, key, list, path=path)):
+    for i, v in enumerate(_get(obj, key, list, path)):
         _typed(v, str, f"{_child(path, key)}[{i}]")
 
 
 def _label(obj: dict, path: str) -> None:
     """Check that ``obj["label"]`` is present and a string or null."""
     if "label" not in obj or obj["label"] is not None:
-        _expect(obj, "label", str, path=path)
+        _get(obj, "label", str, path)

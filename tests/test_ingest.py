@@ -20,8 +20,7 @@ from vulnchain import (
     parse_findings,
     report_from_json,
 )
-from vulnchain.ingest import _finding_entry
-from vulnchain.report import FSM_FORMAT_VERSION
+from vulnchain.ingest import FSM_FORMAT_VERSION, _finding_entry
 
 from tests.helpers import CLI_INPUTS, load_finding_set, load_tree, serialize_findings
 from tests.test_fuzz import RETYPED, _entries
