@@ -12,6 +12,7 @@ import random
 import re
 import string
 from pathlib import Path
+from typing import Any
 from urllib.parse import unquote, urlsplit
 
 from vulnchain import (
@@ -37,7 +38,7 @@ from vulnchain import (
     parse_crawl_list,
     parse_findings,
 )
-from vulnchain.ingest import _finding_entry
+from vulnchain.ingest import FSM_FORMAT_VERSION
 from vulnchain.report import _esc, _node_label
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -140,7 +141,7 @@ def serialize_findings(finding_set: FindingSet) -> str:
     doc = {
         "site": finding_set.site,
         "environment_facts": [c.label for c in finding_set.environment_facts],
-        "findings": [_finding_entry(f) for f in finding_set.findings],
+        "findings": [finding_entry(f) for f in finding_set.findings],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -635,3 +636,53 @@ def reference_extract_witness(fsm: Fsm, result: ReachResult, goal: str) -> Attac
         (sid, fsm.by_id[sid].granted_condition_ids()) for sid in ordered
     )
     return AttackPath(goal=goal, steps=steps, assumptions_used=frozenset(assumptions_used))
+
+
+# ---------------------------------------------------------------------------
+# Reference machine file writer
+# ---------------------------------------------------------------------------
+# The machine file writer as it was when it built a dict per state and per
+# ref and ran ``json.dumps(sort_keys=True)`` over the document.
+
+def finding_entry(state: AttackState) -> dict[str, Any]:
+    """The finding object of one state, every field spelled out, as the
+    machine file stores it and :func:`_finding` reads it back."""
+    entry: dict[str, Any] = {
+        "vulnerability": state.vulnerability_name,
+        "uri": state.uri.raw,
+        "preconditions": [
+            {"condition": r.condition.label, "requires_user_action": r.requires_user_action}
+            for r in state.preconditions
+        ],
+        "postconditions": [
+            {"condition": r.condition.label, "false_positive": r.false_positive}
+            for r in state.postconditions
+        ],
+        "is_goal": state.is_goal,
+    }
+    if state.source:
+        entry["source"] = state.source
+    if state.label is not None:
+        entry["label"] = state.label
+    return entry
+
+
+def state_entry(state: AttackState) -> dict[str, Any]:
+    return {"id": state.id, "is_start": state.is_start, **finding_entry(state)}
+
+
+def reference_fsm_to_json(fsm: Fsm) -> str:
+    """Serialize the machine so later commands can skip re-ingestion.
+
+    Only the states, the environment facts and the diagnostics are stored;
+    every index is derived again on load. The file is an intermediate, not
+    a report, so it is written on one line with compact separators.
+    """
+    doc = {
+        "format_version": FSM_FORMAT_VERSION,
+        "site": fsm.site,
+        "environment_facts": [r.condition.label for r in fsm.start.postconditions],
+        "states": [state_entry(s) for s in fsm.states],
+        "diagnostics": list(fsm.diagnostics),
+    }
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"

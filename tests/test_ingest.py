@@ -20,9 +20,9 @@ from vulnchain import (
     parse_findings,
     report_from_json,
 )
-from vulnchain.ingest import FSM_FORMAT_VERSION, _finding_entry
+from vulnchain.ingest import FSM_FORMAT_VERSION
 
-from tests.helpers import CLI_INPUTS, load_finding_set, load_tree, serialize_findings
+from tests.helpers import CLI_INPUTS, finding_entry, load_finding_set, load_tree, serialize_findings
 from tests.test_fuzz import RETYPED, _entries
 
 
@@ -214,7 +214,7 @@ def _vulnweb_object(label: str, *, false_positive: bool = False) -> dict:
     """The finding object of vulnweb state ``label``, every field spelled
     out; with ``false_positive`` its first postcondition is marked so."""
     state = next(f for f in load_finding_set("vulnweb").findings if f.label == label)
-    obj = _finding_entry(state)
+    obj = finding_entry(state)
     obj["postconditions"][0]["false_positive"] = false_positive
     return obj
 

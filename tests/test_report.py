@@ -13,7 +13,12 @@ from hypothesis import given, settings
 from vulnchain import (
     AnalysisReport,
     AssumptionSet,
+    AttackState,
+    Condition,
     Fsm,
+    NormalizedUri,
+    PostconditionRef,
+    PreconditionRef,
     ReachParams,
     SchemaViolation,
     Semantics,
@@ -39,6 +44,7 @@ from tests.helpers import (
     random_assumptions,
     random_finding_set,
     reference_build_warnings,
+    reference_fsm_to_json,
     reference_missing_conditions,
     reference_to_dot,
     single_finding,
@@ -51,6 +57,8 @@ GOLDEN_REPORTS = sorted(GOLDEN.glob("*/report*.json"))
 #: and backslashes, and, often, lone surrogates (Cs) and control characters (Cc).
 JSON_TEXT = (st.text(st.characters(categories=["L", "M", "N", "P", "S", "Z", "C"]))
              | st.text(st.characters(categories=["Cs", "Cc"])))
+#: The same, less lone surrogates.
+ENCODABLE_TEXT = st.text(st.characters(exclude_categories=["Cs"]))
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2**200, 2**200) | JSON_TEXT,
     lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
@@ -193,6 +201,38 @@ class TestFsmSerialization:
     def test_written_compact_on_one_line_with_sorted_keys(self, fixture, request):
         text = fsm_to_json(request.getfixturevalue(fixture))
         assert text == json.dumps(json.loads(text), separators=(",", ":"), sort_keys=True) + "\n"
+
+    def test_writer_matches_the_reference_on_a_random_corpus(self):
+        rng = random.Random(20)
+        for _ in range(1_000):
+            fsm = build_fsm(random_finding_set(rng, punctuation_variants=True),
+                            frozenset({"/", "/r00", "/r03"}))
+            assert fsm_to_json(fsm) == reference_fsm_to_json(fsm)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_writer_matches_the_reference_on_any_text(self, data):
+        """Every text the file stores, from any Unicode category: the site,
+        the notes, fact and ref labels, sources, URIs and vulnerability
+        names, and labels present, absent or empty. A vulnerability name
+        is hashed as UTF-8 into its state's id, so it holds no lone
+        surrogate."""
+        texts = st.lists(JSON_TEXT, max_size=3)
+
+        def refs(make):
+            labels = data.draw(st.lists(JSON_TEXT, max_size=4))
+            return tuple(make(Condition(id=f"c{i}", label=label), data.draw(st.booleans()))
+                         for i, label in enumerate(labels))
+
+        states = [AttackState(
+            vulnerability_name=f"v{i} " + data.draw(ENCODABLE_TEXT),
+            uri=NormalizedUri(raw=data.draw(JSON_TEXT), canonical=f"/r{i}"),
+            preconditions=refs(PreconditionRef), postconditions=refs(PostconditionRef),
+            is_goal=data.draw(st.booleans()), source=data.draw(JSON_TEXT),
+            label=data.draw(st.none() | JSON_TEXT)) for i in range(data.draw(st.integers(0, 3)))]
+        facts = [Condition(id=f"f{i}", label=label) for i, label in enumerate(data.draw(texts))]
+        fsm = Fsm(data.draw(JSON_TEXT), states, facts, tuple(data.draw(texts)))
+        assert fsm_to_json(fsm) == reference_fsm_to_json(fsm)
 
     def test_condition_spelled_two_ways_keeps_each_label(self):
         spellings = ("SQL  Injection", "sql injection")
