@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from typing import Any, Iterable
 
@@ -129,52 +130,51 @@ def build_fsm(findings: FindingSet, crawled: frozenset[str] | None = None) -> Fs
     return Fsm(findings.site, findings.findings, findings.environment_facts, diagnostics)
 
 
-def _finding_entry(state: AttackState) -> dict[str, Any]:
-    """The finding object of one state, every field spelled out, as the
-    machine file stores it and :func:`_finding` reads it back."""
-    entry: dict[str, Any] = {
-        "vulnerability": state.vulnerability_name,
-        "uri": state.uri.raw,
-        "preconditions": [
-            {"condition": r.condition.label, "requires_user_action": r.requires_user_action}
-            for r in state.preconditions
-        ],
-        "postconditions": [
-            {"condition": r.condition.label, "false_positive": r.false_positive}
-            for r in state.postconditions
-        ],
-        "is_goal": state.is_goal,
-    }
-    if state.source:
-        entry["source"] = state.source
-    if state.label is not None:
-        entry["label"] = state.label
-    return entry
-
-
 # ---------------------------------------------------------------------------
 # Machine files
 # ---------------------------------------------------------------------------
-
-def _state_entry(state: AttackState) -> dict[str, Any]:
-    return {"id": state.id, "is_start": state.is_start, **_finding_entry(state)}
-
 
 def fsm_to_json(fsm: Fsm) -> str:
     """Serialize the machine so later commands can skip re-ingestion.
 
     Only the states, the environment facts and the diagnostics are stored;
     every index is derived again on load. The file is an intermediate, not
-    a report, so it is written on one line with compact separators.
+    a report, so it is written on one line with compact separators and
+    sorted keys: the bytes of ``json.dumps(doc, separators=(",", ":"),
+    sort_keys=True)``, non-ASCII as ``\\uXXXX`` escapes. Each state entry
+    is written as text by :func:`_state_text`, its strings through the C
+    string encoder and its keys in their fixed sorted order, so no object
+    tree is built for the file.
     """
-    doc = {
-        "format_version": FSM_FORMAT_VERSION,
-        "site": fsm.site,
-        "environment_facts": [r.condition.label for r in fsm.start.postconditions],
-        "states": [_state_entry(s) for s in fsm.states],
-        "diagnostics": list(fsm.diagnostics),
-    }
-    return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
+    return ('{"diagnostics":[' + ",".join(map(_quote, fsm.diagnostics))
+            + '],"environment_facts":['
+            + ",".join([_quote(r.condition.label) for r in fsm.start.postconditions])
+            + f'],"format_version":{FSM_FORMAT_VERSION},"site":' + _quote(fsm.site)
+            + ',"states":[' + ",".join(map(_state_text, fsm.states)) + "]}\n")
+
+
+def _state_text(state: AttackState) -> str:
+    """The compact JSON text of one state's entry in the machine file: its
+    finding object, every field spelled out, plus ``id`` and ``is_start``.
+    A ``source`` is written only if non-empty and a ``label`` only if
+    present, as :func:`_finding` reads them back."""
+    return "".join((
+        '{"id":', _quote(state.id),
+        ',"is_goal":true' if state.is_goal else ',"is_goal":false',
+        ',"is_start":true' if state.is_start else ',"is_start":false',
+        "" if state.label is None else ',"label":' + _quote(state.label),
+        ',"postconditions":[', ",".join([
+            '{"condition":' + _quote(r.condition.label)
+            + (',"false_positive":true}' if r.false_positive else ',"false_positive":false}')
+            for r in state.postconditions]),
+        '],"preconditions":[', ",".join([
+            '{"condition":' + _quote(r.condition.label)
+            + (',"requires_user_action":true}' if r.requires_user_action
+               else ',"requires_user_action":false}')
+            for r in state.preconditions]),
+        "]", ',"source":' + _quote(state.source) if state.source else "",
+        ',"uri":', _quote(state.uri.raw),
+        ',"vulnerability":', _quote(state.vulnerability_name), "}"))
 
 
 def fsm_from_json(document: str | bytes) -> Fsm:
@@ -186,9 +186,11 @@ def fsm_from_json(document: str | bytes) -> Fsm:
     and never a ``null`` label; its stored ``id`` must be the derived one,
     and a repeated vulnerability and URI is rejected by the same check as a
     repeated finding. The machine is then assembled by the :class:`Fsm`
-    constructor, like a freshly built one, and the start entry must be
-    exactly the entry of its start state. A file without a
-    ``format_version``, or of another one, is rejected.
+    constructor, like a freshly built one. The start entry is not read as
+    a finding: re-dumped in the file's own compact sorted form, it must be
+    exactly :func:`_state_text` of the assembled start state, the text the
+    writer gives it. A file without a ``format_version``, or of another
+    one, is rejected.
 
     Condition texts recur across states, so each distinct text is
     normalized once per call and the immutable refs are shared; a ref
@@ -234,7 +236,7 @@ def fsm_from_json(document: str | bytes) -> Fsm:
                               path="states")
     fsm = Fsm(_get(doc, "site", str, "$"), (state for _, state in states), facts, diagnostics)
     path, entry = start_entries[0]
-    if entry != _state_entry(fsm.start):
+    if json.dumps(entry, separators=(",", ":"), sort_keys=True) != _state_text(fsm.start):
         raise SchemaViolation(
             "start entry does not match the start state of environment_facts", path=path)
     return fsm

@@ -276,6 +276,8 @@ class TestFsmSerialization:
             lambda start, facts: start["preconditions"].append(
                 {"condition": "x", "requires_user_action": False}),
             lambda start, facts: start.update(is_goal=True),
+            lambda start, facts: start.update(is_goal=0),
+            lambda start, facts: start["postconditions"][0].update(false_positive=0.0),
             lambda start, facts: start.update(label="S9"),
             lambda start, facts: facts.append("another fact"),
         ]
