@@ -313,9 +313,10 @@ def _refs(item: dict, key: str, make: type, flag: str, path: str, shared: dict,
     """Pre- or postconditions of one finding object, built as
     ``make(condition, item[flag])``.
 
-    ``shared`` maps each raw condition text to its condition and each
-    ``(make, text, flag value)`` to its ref, so within one document a
-    repeated text is normalized once and a repeated ref built once. An
+    ``shared`` maps each raw condition text to its condition and ``make``
+    to two tables, for the flag values ``false`` and ``true``, of the refs
+    built by text, so within one document a repeated text is normalized
+    once and a repeated ref built once and found by one lookup. An
     entry of exactly its two keys, a str text and a bool flag, is looked up
     in ``shared``; if its text is new, only the text is checked, for a lone
     surrogate and then a blank. Any other entry is checked in order: its
@@ -326,6 +327,9 @@ def _refs(item: dict, key: str, make: type, flag: str, path: str, shared: dict,
     entries = item.get(key)
     if type(entries) is not list:
         entries = _get(item, key, list, path, _REQUIRED if complete else ())
+    built = shared.get(make)
+    if built is None:
+        built = shared[make] = ({}, {})
     refs = []
     for j, ref in enumerate(entries):
         text = value = None
@@ -342,14 +346,14 @@ def _refs(item: dict, key: str, make: type, flag: str, path: str, shared: dict,
             if text not in shared:
                 shared[text] = _condition(text, ref_path)
             value = _get(ref, flag, bool, ref_path, _REQUIRED if complete else False)
-        made = shared.get((make, text, value))
+        made = built[value].get(text)
         if made is None:
             condition = shared.get(text)
             if condition is None:
                 ref_path = f"{_child(path, key)}[{j}]"
                 condition = shared[text] = _condition(
                     _typed(text, str, ref_path, what="field 'condition'"), ref_path)
-            made = shared[make, text, value] = make(condition, value)
+            made = built[value][text] = make(condition, value)
         refs.append(made)
     return tuple(refs)
 

@@ -133,7 +133,7 @@ def normalize_uri(raw: str) -> NormalizedUri:
     inside the path).
     """
     if _CANONICAL_PATH.fullmatch(raw):
-        return NormalizedUri(raw=raw, canonical=raw)
+        return NormalizedUri(raw, raw)
     if raw == "":
         # Re-entrant form of the NULL sentinel's canonical.
         return NormalizedUri(raw="", canonical=URI_NULL)
@@ -194,9 +194,18 @@ _CONDITION_ID = attrgetter("condition.id")
 
 def _sorted_refs(refs, kind: str, state: AttackState) -> tuple:
     """``refs`` as a tuple sorted by condition id; a repeated id is
-    rejected, naming the state by vulnerability and URI. Fewer than two
-    refs are returned as they are."""
-    if len(refs) < 2:
+    rejected, naming the state by vulnerability and URI.
+
+    Refs in strictly ascending id order, as every file stores them, are
+    returned as they are: one pass proves both the order and that no id
+    repeats (ids are never empty). Only other lists are sorted."""
+    previous = ""
+    for ref in refs:
+        cid = ref.condition.id
+        if cid <= previous:
+            break
+        previous = cid
+    else:
         return tuple(refs)
     ordered = tuple(sorted(refs, key=_CONDITION_ID))
     previous = None
@@ -217,7 +226,7 @@ def state_id(vulnerability_name: str, uri: NormalizedUri) -> str:
     """
     name = " ".join(vulnerability_name.split()).lower()
     key = f"{name}@{uri.canonical}"
-    return hashlib.sha256(key.encode("utf-8")).digest()[:6].hex()
+    return hashlib.sha256(key.encode("utf-8")).hexdigest()[:12]
 
 
 # ---------------------------------------------------------------------------
