@@ -192,9 +192,10 @@ def _json_text(value: Any, newline: str) -> str:
     """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes
     it, where ``newline`` is the line break and indent of its own level.
 
-    Strings go through the C string encoder. A tuple is written as a list;
-    dict keys must be str, and a float or any other type raises
-    :class:`TypeError`.
+    Strings go through the C string encoder, and a str list item or dict
+    value is quoted in place rather than by a call of its own. A tuple is
+    written as a list; dict keys must be str, and a float or any other
+    type raises :class:`TypeError`.
     """
     if isinstance(value, str):
         return _quote(value)
@@ -203,13 +204,14 @@ def _json_text(value: Any, newline: str) -> str:
         if not value:
             return "{}"
         return "{" + inner + ("," + inner).join(
-            [_quote(k) + ": " + _json_text(v, inner)
+            [_quote(k) + ": " + (_quote(v) if type(v) is str else _json_text(v, inner))
              for k, v in sorted(value.items())]) + newline + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         return "[" + inner + ("," + inner).join(
-            [_json_text(v, inner) for v in value]) + newline + "]"
+            [_quote(v) if type(v) is str else _json_text(v, inner)
+             for v in value]) + newline + "]"
     if value is None:
         return "null"
     if value is True:
