@@ -219,6 +219,79 @@ class TestRecords:
                     setattr(record, f.name, getattr(record, f.name))
 
 
+def _login_state(pres=(), posts=(), **fields) -> AttackState:
+    """A ``Weak password @ /login.php`` state with the named conditions."""
+    return AttackState(
+        vulnerability_name="Weak password", uri=normalize_uri("/login.php"),
+        preconditions=tuple(PreconditionRef(normalize_condition(c)) for c in pres),
+        postconditions=tuple(PostconditionRef(normalize_condition(c)) for c in posts),
+        **fields)
+
+
+class TestAttackStateRecord:
+    """A state is a frozen record whose id is derived from its fields and
+    whose ref lists are stored in id order, each id at most once."""
+
+    def test_frozen_and_replace_derives_the_id_again(self):
+        state = _login_state(pres=["a"], posts=["b"], label="S1")
+        for f in fields(state):
+            with pytest.raises(FrozenInstanceError):
+                setattr(state, f.name, getattr(state, f.name))
+        renamed = replace(state, vulnerability_name="SQL injection")
+        assert renamed.id == state_id("SQL injection", normalize_uri("/login.php"))
+        assert replace(state, label="S2").id == state.id
+        assert replace(state, preconditions=tuple(reversed(
+            state.preconditions + renamed.postconditions))).preconditions == (
+            *state.preconditions, *renamed.postconditions)
+
+    def test_equality_hash_and_repr(self):
+        state = AttackState(
+            vulnerability_name="Weak password", uri=normalize_uri("/login.php"),
+            preconditions=(PreconditionRef(normalize_condition("B")),
+                           PreconditionRef(normalize_condition("A"), True)),
+            postconditions=(PostconditionRef(normalize_condition("C"), True),), label="S1")
+        twin = replace(state)
+        assert twin == state and twin is not state and hash(twin) == hash(state)
+        assert hash(state) == hash(tuple(getattr(state, f.name) for f in fields(state)))
+        for change in ({"label": "S2"}, {"is_goal": True}, {"source": "zap"},
+                       {"uri": normalize_uri("/x")}):
+            assert replace(state, **change) != state
+        assert repr(state) == (
+            "AttackState(id='e74e75cdfc60', vulnerability_name='Weak password', "
+            "uri=NormalizedUri(raw='/login.php', canonical='/login.php'), "
+            "preconditions=(PreconditionRef(condition=Condition(id='a', label='A'), "
+            "requires_user_action=True), PreconditionRef(condition=Condition(id='b', "
+            "label='B'), requires_user_action=False)), "
+            "postconditions=(PostconditionRef(condition=Condition(id='c', label='C'), "
+            "false_positive=True),), is_goal=False, is_start=False, source='', label='S1')")
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_refs_are_stored_sorted(self, n):
+        ids = [f"c{i}" for i in range(n)]
+        rng = random.Random(n)
+        orders = [ids[::-1], *(rng.sample(ids, n) for _ in range(10))]
+        for order in orders:
+            state = _login_state(pres=order, posts=order)
+            assert [r.condition.id for r in state.preconditions] == ids
+            assert [r.condition.id for r in state.postconditions] == ids
+        ascending = tuple(PreconditionRef(normalize_condition(c)) for c in ids)
+        assert AttackState(vulnerability_name="A", uri=normalize_uri("/a"),
+                           preconditions=ascending).preconditions is ascending
+
+    @pytest.mark.parametrize("order", [["a", "a"], ["a", "a", "b"], ["b", "a", "a"],
+                                       ["a", "b", "a"], ["b", "a", "c", "b"],
+                                       ["a", "b", "c", "A"]],
+                             ids=lambda order: "".join(order))
+    @pytest.mark.parametrize("kind, argument", [("precondition", "pres"),
+                                                ("postcondition", "posts")])
+    def test_repeated_condition_id_rejected(self, kind, argument, order):
+        repeated = next(c for c in order if order.count(c) > 1 or c.lower() != c).lower()
+        with pytest.raises(SchemaViolation) as caught:
+            _login_state(**{argument: order})
+        assert str(caught.value) == (
+            f"Weak password @ /login.php: duplicate {kind} condition {repeated!r}")
+
+
 class TestUriTree:
     """The crawled-URI set answers membership like a tree of the site:
     every directory above a crawled resource is a member too."""

@@ -17,14 +17,18 @@ computed on is checked by identity alone. Loading a machine file or a
 findings document normalizes each distinct condition text and builds each
 distinct ref once, type-checks through the loader's helpers only the
 document-level fields and the distinct texts, and splits no URI that is
-already canonical.
+already canonical. Loading a machine file derives each state's id once
+and sorts no ref list that the file stores in ascending order, and writing
+one builds no dict per state or per ref.
 """
 
 import dataclasses
+import dis
 import functools
 import heapq
 import importlib
 import json
+import sys
 import types
 from collections.abc import Mapping
 from pathlib import Path
@@ -388,3 +392,90 @@ def test_canonical_uris_never_reach_the_general_path(monkeypatch):
     assert fsm_to_json(loaded) == text
     assert parse_findings(findings).findings == loaded.non_start_states
     assert len(parse_crawl_list(crawl)) == 1 + 2 * 2_000
+
+
+def test_machine_load_derives_each_state_id_once(monkeypatch):
+    text, doc, _, _ = _repeated_ref_machine()
+    model_module = importlib.import_module("vulnchain.model")
+    derived = Counter()
+    monkeypatch.setattr(model_module, "state_id", _counting(model_module.state_id, derived))
+    loaded = fsm_from_json(text)
+    assert derived.n == len(loaded.non_start_states) == len(doc["states"]) - 1
+
+
+def _count_ref_sorts(monkeypatch) -> Counter:
+    """Count the ``sorted`` calls of :mod:`vulnchain.model` on a list of
+    refs; the machine's own sorts of states and condition ids are not
+    counted."""
+    model_module = importlib.import_module("vulnchain.model")
+    sorts = Counter()
+    ref_types = (PreconditionRef, PostconditionRef)
+
+    def counting_sorted(items, **kwargs):
+        items = list(items)
+        if items and isinstance(items[0], ref_types):
+            sorts.n += 1
+        return sorted(items, **kwargs)
+
+    monkeypatch.setattr(model_module, "sorted", counting_sorted, raising=False)
+    return sorts
+
+
+def test_machine_load_sorts_no_ascending_ref_list(monkeypatch):
+    """The file stores each ref list in id order, and the loader takes it
+    as it is; a list stored out of order is still sorted, once."""
+    text, doc, _, _ = _repeated_ref_machine()
+    sorts = _count_ref_sorts(monkeypatch)
+    loaded = fsm_from_json(text)
+    assert sorts.n == 0
+    assert fsm_to_json(loaded) == text
+
+    entry = doc["states"][1]
+    assert len(entry["preconditions"]) >= 2
+    entry["preconditions"].reverse()
+    assert fsm_to_json(fsm_from_json(json.dumps(doc))) == text
+    assert sorts.n == 1
+
+
+#: Opcodes that build or fill a dict.
+_DICT_OPCODES = frozenset(dis.opmap[name] for name in (
+    "BUILD_MAP", "BUILD_CONST_KEY_MAP", "DICT_MERGE", "DICT_UPDATE", "MAP_ADD")
+    if name in dis.opmap)
+
+
+def _count_dicts_built(call) -> tuple:
+    """``(call(), the dict-building opcodes run by Python code within it)``,
+    from an opcode trace."""
+    built = Counter()
+    offsets: dict = {}
+
+    def trace(frame, event, arg):
+        frame.f_trace_opcodes = True
+        if event == "opcode":
+            code = frame.f_code
+            if code not in offsets:
+                offsets[code] = {i.offset: i.opcode for i in dis.get_instructions(code)}
+            if offsets[code].get(frame.f_lasti) in _DICT_OPCODES:
+                built.n += 1
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        result = call()
+    finally:
+        sys.settrace(previous)
+    return result, built.n
+
+
+def test_machine_write_builds_no_dict_per_state_or_ref():
+    """The writer puts each entry's text together directly; the counter
+    itself is checked on a call that builds one dict per state."""
+    text, doc, _, _ = _repeated_ref_machine()
+    fsm = fsm_from_json(text)
+    states = len(fsm.states)
+    written, built = _count_dicts_built(lambda: fsm_to_json(fsm))
+    assert written == text
+    assert built < states, f"{built} dicts built for {states} states"
+    _, control = _count_dicts_built(lambda: [{"id": s.id} for s in fsm.states])
+    assert control == states
