@@ -140,11 +140,11 @@ def fsm_to_json(fsm: Fsm) -> str:
     Only the states, the environment facts and the diagnostics are stored;
     every index is derived again on load. The file is an intermediate, not
     a report, so it is written on one line with compact separators and
-    sorted keys: the bytes of ``json.dumps(doc, separators=(",", ":"),
-    sort_keys=True)``, non-ASCII as ``\\uXXXX`` escapes. Each state entry
-    is written as text by :func:`_state_text`, its strings through the C
-    string encoder and its keys in their fixed sorted order, so no object
-    tree is built for the file.
+    sorted keys, non-ASCII as ``\\uXXXX`` escapes: the bytes ``json.dumps``
+    writes with ``separators=(",", ":")`` and ``sort_keys=True``. No
+    document is built for them. Each state entry is written as text by
+    :func:`_state_text`, its strings through the C string encoder and its
+    keys in their fixed sorted order.
     """
     return ('{"diagnostics":[' + ",".join(map(_quote, fsm.diagnostics))
             + '],"environment_facts":['
@@ -166,13 +166,13 @@ def _state_text(state: AttackState) -> str:
         ',"postconditions":[', ",".join([
             '{"condition":' + _quote(r.condition.label)
             + (',"false_positive":true}' if r.false_positive else ',"false_positive":false}')
-            for r in state.postconditions]),
-        '],"preconditions":[', ",".join([
+            for r in state.postconditions]), "]",
+        ',"preconditions":[', ",".join([
             '{"condition":' + _quote(r.condition.label)
             + (',"requires_user_action":true}' if r.requires_user_action
                else ',"requires_user_action":false}')
-            for r in state.preconditions]),
-        "]", ',"source":' + _quote(state.source) if state.source else "",
+            for r in state.preconditions]), "]",
+        ',"source":' + _quote(state.source) if state.source else "",
         ',"uri":', _quote(state.uri.raw),
         ',"vulnerability":', _quote(state.vulnerability_name), "}"))
 
@@ -195,7 +195,8 @@ def fsm_from_json(document: str | bytes) -> Fsm:
     Condition texts recur across states, so each distinct text is
     normalized once per call and the immutable refs are shared; a ref
     entry equal to one already checked is accepted by that equality, and a
-    text's label is kept as written. Any JSON layout loads.
+    text's label is kept as written. A ref list in ascending id order, as
+    the writer stores it, is kept as it is. Any JSON layout loads.
     """
     doc = _decode_json_object(document, what="machine file")
     version = _get(doc, "format_version", int, "$", None)
