@@ -646,7 +646,7 @@ def reference_extract_witness(fsm: Fsm, result: ReachResult, goal: str) -> Attac
 
 def finding_entry(state: AttackState) -> dict[str, Any]:
     """The finding object of one state, every field spelled out, as the
-    machine file stores it and :func:`_finding` reads it back."""
+    machine file stores it and ``ingest._finding`` reads it back."""
     entry: dict[str, Any] = {
         "vulnerability": state.vulnerability_name,
         "uri": state.uri.raw,
