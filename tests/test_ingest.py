@@ -257,6 +257,231 @@ def _load(load):
         return None, (type(exc), str(exc))
 
 
+#: The base finding object of ``TestPinnedReaderMessages``, every field
+#: spelled out and each ref list holding one entry.
+PINNED_OBJECT = {"vulnerability": "V", "uri": "/x",
+                 "preconditions": [{"condition": "c", "requires_user_action": False}],
+                 "postconditions": [{"condition": "d", "false_positive": False}],
+                 "is_goal": False, "source": "s", "label": "L"}
+
+#: Per loader, ``(field, value, path, message)`` for the base object with
+#: ``field`` set to ``value`` or deleted: the ``SchemaViolation`` the loader
+#: raises, or ``(field, value, None)`` where the object loads. ``id`` and
+#: ``is_start`` are read only in a machine file.
+PINNED_READS = {
+    "findings": [
+        ("vulnerability", DELETED, "findings[0]", "missing required field 'vulnerability'"),
+        ("vulnerability", 1, "findings[0]", "field 'vulnerability' must be str"),
+        ("vulnerability", True, "findings[0]", "field 'vulnerability' must be str"),
+        ("vulnerability", None, "findings[0]", "field 'vulnerability' must be str"),
+        ("vulnerability", "\ud800", "findings[0]",
+         "field 'vulnerability' contains a lone surrogate"),
+        ("uri", DELETED, "findings[0]", "missing required field 'uri'"),
+        ("uri", 1, "findings[0]", "field 'uri' must be str"),
+        ("uri", True, "findings[0]", "field 'uri' must be str"),
+        ("uri", None, "findings[0]", "field 'uri' must be str"),
+        ("uri", "\ud800", "findings[0]", "field 'uri' contains a lone surrogate"),
+        ("preconditions", DELETED, None),
+        ("preconditions", 1, "findings[0]", "field 'preconditions' must be list"),
+        ("preconditions", "x", "findings[0]", "field 'preconditions' must be list"),
+        ("preconditions", None, "findings[0]", "field 'preconditions' must be list"),
+        ("postconditions", DELETED, None),
+        ("postconditions", 1, "findings[0]", "field 'postconditions' must be list"),
+        ("postconditions", "x", "findings[0]", "field 'postconditions' must be list"),
+        ("postconditions", None, "findings[0]", "field 'postconditions' must be list"),
+        ("is_goal", DELETED, None),
+        ("is_goal", 1, "findings[0]", "field 'is_goal' must be bool"),
+        ("is_goal", "x", "findings[0]", "field 'is_goal' must be bool"),
+        ("is_goal", None, "findings[0]", "field 'is_goal' must be bool"),
+        ("source", DELETED, None),
+        ("source", 1, "findings[0]", "field 'source' must be str"),
+        ("source", True, "findings[0]", "field 'source' must be str"),
+        ("source", None, "findings[0]", "field 'source' must be str"),
+        ("source", "\ud800", "findings[0]", "field 'source' contains a lone surrogate"),
+        ("label", DELETED, None),
+        ("label", 1, "findings[0]", "field 'label' must be str"),
+        ("label", True, "findings[0]", "field 'label' must be str"),
+        ("label", None, None),
+        ("label", "\ud800", "findings[0]", "field 'label' contains a lone surrogate"),
+        ("preconditions[0].condition", DELETED, "findings[0].preconditions[0]",
+         "missing required field 'condition'"),
+        ("preconditions[0].condition", 1, "findings[0].preconditions[0]",
+         "field 'condition' must be str"),
+        ("preconditions[0].condition", True, "findings[0].preconditions[0]",
+         "field 'condition' must be str"),
+        ("preconditions[0].condition", None, "findings[0].preconditions[0]",
+         "field 'condition' must be str"),
+        ("preconditions[0].condition", "\ud800", "findings[0].preconditions[0]",
+         "field 'condition' contains a lone surrogate"),
+        ("preconditions[0].requires_user_action", DELETED, None),
+        ("preconditions[0].requires_user_action", 1, "findings[0].preconditions[0]",
+         "field 'requires_user_action' must be bool"),
+        ("preconditions[0].requires_user_action", "x", "findings[0].preconditions[0]",
+         "field 'requires_user_action' must be bool"),
+        ("preconditions[0].requires_user_action", None, "findings[0].preconditions[0]",
+         "field 'requires_user_action' must be bool"),
+        ("postconditions[0].false_positive", DELETED, None),
+        ("postconditions[0].false_positive", 1, "findings[0].postconditions[0]",
+         "field 'false_positive' must be bool"),
+        ("postconditions[0].false_positive", "x", "findings[0].postconditions[0]",
+         "field 'false_positive' must be bool"),
+        ("postconditions[0].false_positive", None, "findings[0].postconditions[0]",
+         "field 'false_positive' must be bool"),
+    ],
+    "machine": [
+        ("vulnerability", DELETED, "states[0]", "missing required field 'vulnerability'"),
+        ("vulnerability", 1, "states[0]", "field 'vulnerability' must be str"),
+        ("vulnerability", True, "states[0]", "field 'vulnerability' must be str"),
+        ("vulnerability", None, "states[0]", "field 'vulnerability' must be str"),
+        ("vulnerability", "\ud800", "states[0]",
+         "field 'vulnerability' contains a lone surrogate"),
+        ("uri", DELETED, "states[0]", "missing required field 'uri'"),
+        ("uri", 1, "states[0]", "field 'uri' must be str"),
+        ("uri", True, "states[0]", "field 'uri' must be str"),
+        ("uri", None, "states[0]", "field 'uri' must be str"),
+        ("uri", "\ud800", "states[0]", "field 'uri' contains a lone surrogate"),
+        ("preconditions", DELETED, "states[0]", "missing required field 'preconditions'"),
+        ("preconditions", 1, "states[0]", "field 'preconditions' must be list"),
+        ("preconditions", "x", "states[0]", "field 'preconditions' must be list"),
+        ("preconditions", None, "states[0]", "field 'preconditions' must be list"),
+        ("postconditions", DELETED, "states[0]", "missing required field 'postconditions'"),
+        ("postconditions", 1, "states[0]", "field 'postconditions' must be list"),
+        ("postconditions", "x", "states[0]", "field 'postconditions' must be list"),
+        ("postconditions", None, "states[0]", "field 'postconditions' must be list"),
+        ("is_goal", DELETED, "states[0]", "missing required field 'is_goal'"),
+        ("is_goal", 1, "states[0]", "field 'is_goal' must be bool"),
+        ("is_goal", "x", "states[0]", "field 'is_goal' must be bool"),
+        ("is_goal", None, "states[0]", "field 'is_goal' must be bool"),
+        ("source", DELETED, None),
+        ("source", 1, "states[0]", "field 'source' must be str"),
+        ("source", True, "states[0]", "field 'source' must be str"),
+        ("source", None, "states[0]", "field 'source' must be str"),
+        ("source", "\ud800", "states[0]", "field 'source' contains a lone surrogate"),
+        ("label", DELETED, None),
+        ("label", 1, "states[0]", "field 'label' must be str"),
+        ("label", True, "states[0]", "field 'label' must be str"),
+        ("label", None, "states[0]", "field 'label' must be str"),
+        ("label", "\ud800", "states[0]", "field 'label' contains a lone surrogate"),
+        ("id", DELETED, "states[0]", "missing required field 'id'"),
+        ("id", 1, "states[0]", "field 'id' must be str"),
+        ("id", True, "states[0]", "field 'id' must be str"),
+        ("id", None, "states[0]", "field 'id' must be str"),
+        ("id", "\ud800", "states[0]", "field 'id' contains a lone surrogate"),
+        ("is_start", DELETED, "states[0]", "missing required field 'is_start'"),
+        ("is_start", 1, "states[0]", "field 'is_start' must be bool"),
+        ("is_start", "x", "states[0]", "field 'is_start' must be bool"),
+        ("is_start", None, "states[0]", "field 'is_start' must be bool"),
+        ("preconditions[0].condition", DELETED, "states[0].preconditions[0]",
+         "missing required field 'condition'"),
+        ("preconditions[0].condition", 1, "states[0].preconditions[0]",
+         "field 'condition' must be str"),
+        ("preconditions[0].condition", True, "states[0].preconditions[0]",
+         "field 'condition' must be str"),
+        ("preconditions[0].condition", None, "states[0].preconditions[0]",
+         "field 'condition' must be str"),
+        ("preconditions[0].condition", "\ud800", "states[0].preconditions[0]",
+         "field 'condition' contains a lone surrogate"),
+        ("preconditions[0].requires_user_action", DELETED, "states[0].preconditions[0]",
+         "missing required field 'requires_user_action'"),
+        ("preconditions[0].requires_user_action", 1, "states[0].preconditions[0]",
+         "field 'requires_user_action' must be bool"),
+        ("preconditions[0].requires_user_action", "x", "states[0].preconditions[0]",
+         "field 'requires_user_action' must be bool"),
+        ("preconditions[0].requires_user_action", None, "states[0].preconditions[0]",
+         "field 'requires_user_action' must be bool"),
+        ("postconditions[0].false_positive", DELETED, "states[0].postconditions[0]",
+         "missing required field 'false_positive'"),
+        ("postconditions[0].false_positive", 1, "states[0].postconditions[0]",
+         "field 'false_positive' must be bool"),
+        ("postconditions[0].false_positive", "x", "states[0].postconditions[0]",
+         "field 'false_positive' must be bool"),
+        ("postconditions[0].false_positive", None, "states[0].postconditions[0]",
+         "field 'false_positive' must be bool"),
+    ],
+}
+
+#: ``(loader, field, value, path, message)`` for the top-level fields read
+#: by ``_get`` with an exact kind, including a bool where an int is wanted.
+PINNED_DOCUMENT_READS = [
+    ("machine", "format_version", True, "$", "field 'format_version' must be int"),
+    ("machine", "format_version", 2.0, "$", "field 'format_version' must be int"),
+    ("machine", "format_version", "2", "$", "field 'format_version' must be int"),
+    ("machine", "format_version", None, "$", "field 'format_version' must be int"),
+    ("machine", "format_version", DELETED, None,
+     "unsupported format_version None; expected 2 (rebuild the machine with 'vulnchain build')"),
+    ("findings", "site", True, "$", "field 'site' must be str"),
+    ("findings", "site", 1, "$", "field 'site' must be str"),
+    ("findings", "site", None, "$", "field 'site' must be str"),
+    ("findings", "site", "\ud800", "$", "field 'site' contains a lone surrogate"),
+]
+
+
+def _pinned_input(loader: str, field: str, value) -> str:
+    """The one-finding input of ``loader`` whose object is
+    ``PINNED_OBJECT`` with ``field`` (``key`` or ``key[0].flag``) set to
+    ``value`` or deleted; a machine state keeps the base object's id."""
+    obj = json.loads(json.dumps(PINNED_OBJECT))
+    if loader == "machine":
+        obj.update(id=parse_findings(_doc([PINNED_OBJECT])).findings[0].id, is_start=False)
+    container, key = obj, field
+    if "[0]." in field:
+        name, key = field.split("[0].")
+        container = obj[name][0]
+    if value == DELETED:
+        del container[key]
+    else:
+        container[key] = value
+    if loader == "findings":
+        return _doc([obj])
+    start = json.loads(fsm_to_json(Fsm(site="", findings=(), facts=())))["states"][0]
+    return json.dumps({"format_version": FSM_FORMAT_VERSION, "site": "test",
+                       "environment_facts": [], "diagnostics": [], "states": [obj, start]})
+
+
+def _raised(load, document):
+    """``(path, message)`` of the ``SchemaViolation`` that ``load(document)``
+    raises, its exact type checked, or ``None`` if it loads."""
+    try:
+        load(document)
+    except SchemaViolation as exc:
+        assert type(exc) is SchemaViolation
+        message = str(exc)
+        if exc.path is not None:
+            assert message.startswith(f"{exc.path}: ")
+            message = message[len(exc.path) + 2:]
+        return exc.path, message
+    return None
+
+
+class TestPinnedReaderMessages:
+    """Every field of a finding object, and a machine state's ``id`` and
+    ``is_start``, given absent, ``1``, a value of the wrong kind, ``null``
+    and, for a str, a lone surrogate: each loader's exact error type, path
+    and message, or that the object loads."""
+
+    @pytest.mark.parametrize("loader,field,value,expected", [
+        (loader, row[0], row[1], row[2:] if row[2] is not None else None)
+        for loader, rows in PINNED_READS.items() for row in rows])
+    def test_finding_object_reads(self, loader, field, value, expected):
+        load = {"findings": parse_findings, "machine": fsm_from_json}[loader]
+        assert _raised(load, _pinned_input(loader, field, value)) == expected
+
+    @pytest.mark.parametrize("loader,field,value,path,message", PINNED_DOCUMENT_READS)
+    def test_document_field_reads(self, loader, field, value, path, message):
+        if loader == "findings":
+            doc = json.loads(_doc())
+            load = parse_findings
+        else:
+            doc = {"format_version": FSM_FORMAT_VERSION, "site": "test",
+                   "environment_facts": [], "diagnostics": [], "states": []}
+            load = fsm_from_json
+        if value == DELETED:
+            del doc[field]
+        else:
+            doc[field] = value
+        assert _raised(load, json.dumps(doc)) == (path, message)
+
+
 class TestOneReaderForFindingsAndMachineStates:
     """A finding object reads the same in a findings document and as a
     machine state: the same state, or the same error apart from the
