@@ -180,12 +180,12 @@ def _state_text(state: AttackState) -> str:
 def fsm_from_json(document: str | bytes) -> Fsm:
     """Load a machine written by :func:`fsm_to_json`.
 
-    Every field is type-checked where it is read, and errors name the JSON
-    path. Each state is read by :func:`_finding`, the reader of a finding
-    object, which here demands both ref lists, ``is_goal`` and every flag
-    and never a ``null`` label; its stored ``id`` must be the derived one,
-    and a repeated vulnerability and URI is rejected by the same check as a
-    repeated finding. The machine is then assembled by the :class:`Fsm`
+    Every field is read and type-checked by :func:`_get`, and errors name
+    the JSON path. Each state is read by :func:`_finding`, the reader of a
+    finding object, which here demands both ref lists, ``is_goal`` and
+    every flag and never a ``null`` label; its stored ``id`` must be the
+    derived one, and a repeated vulnerability and URI is rejected by the
+    same check as a repeated finding. The machine is then assembled by the :class:`Fsm`
     constructor, like a freshly built one. The start entry is not read as
     a finding: re-dumped in the file's own compact sorted form, it must be
     exactly :func:`_state_text` of the assembled start state, the text the
@@ -216,15 +216,10 @@ def fsm_from_json(document: str | bytes) -> Fsm:
     start_entries = []
     shared: dict = {}
     for path, entry in _objects(doc, "states", _FINDING_KEYS | {"id", "is_start"}, "$"):
-        is_start = entry.get("is_start")
-        if type(is_start) is not bool:
-            is_start = _get(entry, "is_start", bool, path)
-        if is_start:
+        if _get(entry, "is_start", bool, path):
             start_entries.append((path, entry))
             continue
-        stored_id = entry.get("id")
-        if type(stored_id) is not str or not stored_id.isascii():
-            stored_id = _get(entry, "id", str, path)
+        stored_id = _get(entry, "id", str, path)
         state = _finding(entry, path, shared, complete=True)
         if stored_id != state.id:
             raise SchemaViolation(
@@ -277,31 +272,19 @@ def _finding(item: dict, path: str, shared: dict, *, complete: bool) -> AttackSt
     Otherwise these default to empty, ``false`` and ``false``, and a
     ``null`` label is no label. ``shared`` is passed on to :func:`_refs`.
 
-    Each field is read with one inline exact-type test, an ASCII str or a
-    bool. Only a value that fails it goes through the checking helpers, in
-    the order above, so a non-ASCII text is still checked for a lone
-    surrogate and every error keeps its message and path.
+    Every field is read by :func:`_get`, in the order vulnerability, URI,
+    ref lists, ``is_goal``, ``source``, ``label``: an error names the first.
     """
-    vuln = item.get("vulnerability")
-    if type(vuln) is not str or not vuln.isascii():
-        vuln = _get(item, "vulnerability", str, path)
-    uri_text = item.get("uri")
-    if type(uri_text) is not str or not uri_text.isascii():
-        uri_text = _get(item, "uri", str, path)
+    vuln = _get(item, "vulnerability", str, path)
+    uri_text = _get(item, "uri", str, path)
     pres = _refs(item, "preconditions", PreconditionRef, "requires_user_action",
                  path, shared, complete)
     posts = _refs(item, "postconditions", PostconditionRef, "false_positive",
                   path, shared, complete)
-    is_goal = item.get("is_goal")
-    if type(is_goal) is not bool:
-        is_goal = _get(item, "is_goal", bool, path, _REQUIRED if complete else False)
-    source = item.get("source", "")
-    if type(source) is not str or not source.isascii():
-        source = _get(item, "source", str, path, "")
-    label = item.get("label")
-    if (type(label) is not str or not label.isascii()) and (
-            label is not None or (complete and "label" in item)):
-        label = _typed(label, str, path, what="field 'label'")
+    is_goal = _get(item, "is_goal", bool, path, _REQUIRED if complete else False)
+    source = _get(item, "source", str, path, "")
+    label = (None if not complete and item.get("label") is None
+             else _get(item, "label", str, path, None))
     try:
         return AttackState(vuln, normalize_uri(uri_text), pres, posts, is_goal, False, source,
                            label)
@@ -325,9 +308,7 @@ def _refs(item: dict, key: str, make: type, flag: str, path: str, shared: dict,
     condition's type, its text, then the flag. An entry's JSON path is
     built only when it is checked.
     """
-    entries = item.get(key)
-    if type(entries) is not list:
-        entries = _get(item, key, list, path, _REQUIRED if complete else ())
+    entries = _get(item, key, list, path, _REQUIRED if complete else ())
     built = shared.get(make)
     if built is None:
         built = shared[make] = ({}, {})
@@ -418,20 +399,25 @@ _REQUIRED = object()
 
 
 def _get(obj: dict, key: str, kind: type, path: str, default: Any = _REQUIRED) -> Any:
-    """``obj[key]`` checked by :func:`_typed`, or ``default`` if the key is
-    absent; a field without a default is required."""
-    if key not in obj:
+    """``obj[key]``, the one reader of a JSON field, or ``default`` if the
+    key is absent; a field without a default is required. A value of type
+    ``kind``, a str only if ASCII, returns at once; any other goes through
+    :func:`_typed`, so a non-ASCII str is checked for a lone surrogate."""
+    value = obj.get(key, _REQUIRED)
+    if type(value) is kind and (kind is not str or value.isascii()):
+        return value
+    if value is _REQUIRED:
         if default is _REQUIRED:
             raise SchemaViolation(f"missing required field {key!r}", path=path)
         return default
-    return _typed(obj[key], kind, path, what=f"field {key!r}")
+    return _typed(value, kind, path, what=f"field {key!r}")
 
 
 def _typed(value: Any, kind: type, path: str, what: str = "value") -> Any:
-    """``value`` itself if it is a ``kind``. A bool never counts as an int,
-    and a str must be encodable as UTF-8, so a lone surrogate is rejected."""
-    if type(value) is not kind and (
-            not isinstance(value, kind) or (kind is not bool and isinstance(value, bool))):
+    """``value`` itself if its type is exactly ``kind``: ``json.loads`` makes
+    no subclass, and a bool never counts as an int. A str must be encodable
+    as UTF-8, so a lone surrogate is rejected."""
+    if type(value) is not kind:
         raise SchemaViolation(f"{what} must be {kind.__name__}", path=path)
     if kind is str and not value.isascii():
         try:

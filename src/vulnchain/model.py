@@ -290,7 +290,9 @@ class Fsm:
     from them on first use and never stored: ``initial_conditions`` (what
     the start state grants), ``condition_ids``, ``producers`` and
     ``consumers`` (one walk over the refs derives all three), ``edges``
-    and the content ``warnings``.
+    and the content ``warnings``. ``producers`` and ``consumers`` hold lists
+    of state ids in state order, keyed in first-seen order; of the indexes
+    only ``condition_ids`` is sorted, as the one an output reads in order.
     """
 
     site: str
@@ -334,9 +336,10 @@ class Fsm:
         return frozenset(self.start.granted_condition_ids())
 
     @cached_property
-    def _links(self) -> tuple[Mapping[str, frozenset[str]], Mapping[str, frozenset[str]]]:
-        """``(producers, consumers)``, keyed by condition id in id order,
-        from one walk that reads each ref of each state once."""
+    def _links(self) -> tuple[Mapping[str, list[str]], Mapping[str, list[str]]]:
+        """``(producers, consumers)``, keyed by condition id in first-seen
+        order, from one walk that reads each ref of each state once and
+        hands out the lists it appends to."""
         links: defaultdict[str, tuple[list[str], list[str]]] = defaultdict(lambda: ([], []))
         for s in self.states:
             for r in s.preconditions:
@@ -345,29 +348,28 @@ class Fsm:
                 granters = links[r.condition.id][0]
                 if not r.false_positive:
                     granters.append(s.id)
-        ordered = sorted(links.items())
-        return ({cid: frozenset(p) for cid, (p, _) in ordered},
-                {cid: frozenset(c) for cid, (_, c) in ordered})
+        return ({cid: p for cid, (p, _) in links.items()},
+                {cid: c for cid, (_, c) in links.items()})
 
     @cached_property
     def condition_ids(self) -> tuple[str, ...]:
         """Every condition id any state lists, sorted."""
-        return tuple(self.producers)
+        return tuple(sorted(self.producers))
 
     @cached_property
-    def producers(self) -> Mapping[str, frozenset[str]]:
+    def producers(self) -> Mapping[str, list[str]]:
         """Condition id -> states granting it through non-false-positive
         postconditions (the start state grants the environment facts).
 
-        Every condition id appears, in id order, possibly with an empty
-        set: an unsatisfiable precondition keeps an empty producer set.
+        Every condition id appears, in first-seen order, possibly with an
+        empty list: an unsatisfiable precondition keeps no producer.
         """
         return self._links[0]
 
     @cached_property
-    def consumers(self) -> Mapping[str, frozenset[str]]:
-        """Condition id -> states requiring it; every condition id appears,
-        in id order."""
+    def consumers(self) -> Mapping[str, list[str]]:
+        """Condition id -> states requiring it, in state order; every
+        condition id appears, in first-seen order."""
         return self._links[1]
 
     @cached_property

@@ -63,7 +63,7 @@ class TestAttachStartState:
         fsm = Fsm(site="", findings=(), facts=(fact,))
         assert fsm.initial_conditions == {fact.id}
         assert fsm.start.granted_condition_ids() == (fact.id,)
-        assert fsm.producers[fact.id] == {START_STATE_ID}
+        assert set(fsm.producers[fact.id]) == {START_STATE_ID}
 
     def test_repeated_fact_keeps_its_first_label(self):
         """As in a findings document, the first label of a fact wins."""
@@ -131,7 +131,7 @@ class TestDeriveEdges:
             assert cid in vulnweb_fsm.consumers
 
     def test_unproducible_precondition_keeps_empty_producer_set(self, minimal_fsm):
-        assert minimal_fsm.producers["x2"] == frozenset()
+        assert set(minimal_fsm.producers["x2"]) == set()
         assert minimal_fsm.consumers["x2"]
 
     def test_indexes_match_the_reference_walks_on_a_random_corpus(self):
@@ -140,8 +140,17 @@ class TestDeriveEdges:
             fsm = build_fsm(random_finding_set(rng, 10, 15))
             producers, consumers = reference_producers(fsm), reference_consumers(fsm)
             assert fsm.condition_ids == reference_condition_ids(fsm)
-            assert list(fsm.producers.items()) == list(producers.items())
-            assert list(fsm.consumers.items()) == list(consumers.items())
+            assert {cid: set(p) for cid, p in fsm.producers.items()} == producers
+            assert {cid: set(c) for cid, c in fsm.consumers.items()} == consumers
+            # Keys in the order the walk first meets them; each list in
+            # state order, without repeats.
+            first_seen = dict.fromkeys(r.condition.id for s in fsm.states
+                                       for r in (*s.preconditions, *s.postconditions))
+            assert list(fsm.producers) == list(fsm.consumers) == list(first_seen)
+            position = {s.id: i for i, s in enumerate(fsm.states)}
+            for ids in (*fsm.producers.values(), *fsm.consumers.values()):
+                positions = [position[sid] for sid in ids]
+                assert positions == sorted(set(positions))
             assert fsm.edges == reference_edges(fsm)
             assert fsm.edge_count == reference_edge_count(fsm) == (
                 len(fsm.edges) + len(fsm.unconditional_start_targets))
