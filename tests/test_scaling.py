@@ -13,7 +13,8 @@ already at the smallest size.
 One walk over the refs derives the condition indexes, reading each ref
 once. The witnesses of one result read its firing order once in all and
 never the machine's producers, and a result used with the machine it was
-computed on is checked by identity alone. Loading a machine file or a
+computed on is checked by identity alone; with an equal machine, the
+consumers of one result compare the two machines once in all. Loading a machine file or a
 findings document normalizes each distinct condition text and builds each
 distinct ref once, type-checks through the loader's helpers only the
 document-level fields and the distinct texts, and splits no URI that is
@@ -53,6 +54,7 @@ from vulnchain import (
     parse_crawl_list,
     parse_findings,
     reach,
+    to_report,
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -250,6 +252,27 @@ def test_a_result_of_the_same_machine_is_checked_by_identity(monkeypatch):
     assert collect_goals(result, fsm) == expected and len(expected) == 40
 
 
+def test_an_equal_machine_is_compared_once_per_result(monkeypatch):
+    """With a machine reloaded from its file, equal to the result's but not
+    the same object, ``collect_goals``, ``isolated_goals``, every
+    ``extract_witness`` and ``to_report`` run ``Fsm.__eq__`` once in all."""
+    states = [_state(i, pres=(f"c{i}",), posts=(f"c{i + 1}",), is_goal=i % 100 == 99)
+              for i in range(1_000)]
+    fsm = Fsm(site="", findings=states, facts=[_cond("c0")])
+    _cond.cache_clear()
+    reloaded = fsm_from_json(fsm_to_json(fsm))
+    result = reach(fsm)
+    assert reloaded is not fsm
+    compared = Counter()
+    monkeypatch.setattr(Fsm, "__eq__", _counting(Fsm.__eq__, compared))
+    goals = sorted(collect_goals(result, reloaded))
+    isolated_goals(reloaded, result)
+    witnesses = {goal: extract_witness(reloaded, result, goal) for goal in goals}
+    to_report(reloaded, result, witnesses)
+    assert len(goals) == 10
+    assert compared.n <= 1, f"{compared.n} machine comparisons for one result"
+
+
 def test_witnesses_read_the_firing_order_once():
     n = 4_000
     states = [_state(i, pres=(f"c{i}",), posts=(f"c{i + 1}",), is_goal=i % 100 == 99)
@@ -337,9 +360,9 @@ def test_machine_load_work_scales_with_distinct_refs(monkeypatch):
 
 @pytest.mark.parametrize("name", ["repeated", "minimal", "vulnweb", "teacher"])
 def test_machine_load_checks_scale_with_fields_and_texts(name, monkeypatch):
-    """Each state's fields pass one inline test; only the document-level
-    fields, each fact and note, and each distinct condition text go
-    through ``_typed``."""
+    """Each state's fields pass ``_get``'s exact-type test; only the
+    document-level fields, each fact and note, and each distinct condition
+    text go through ``_typed``."""
     if name == "repeated":
         text, doc, _, texts = _repeated_ref_machine()
     else:
