@@ -8,6 +8,7 @@ Subcommands: ``build``, ``analyze``, ``whatif``, ``export-dot`` and
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -89,6 +90,10 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
+    """The console-script entry: :func:`cli_main` with the cyclic garbage
+    collector off, since vulnchain's data holds no reference cycles. Tests
+    and library callers run :func:`cli_main`, which leaves it as it is."""
+    gc.disable()
     sys.exit(cli_main())
 
 

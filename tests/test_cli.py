@@ -1,5 +1,6 @@
 """End-to-end CLI behavior over the bundled fixtures."""
 
+import gc
 import json
 import os
 import re
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from vulnchain import (AttackState, Fsm, PostconditionRef, PreconditionRef, fsm_to_json,
+                       normalize_condition, normalize_uri)
 from vulnchain.cli import cli_main
 
 from tests.helpers import CLI_INPUTS, FIXTURES
@@ -633,6 +636,53 @@ class TestStartUp:
             capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
+
+
+#: Runs ``main()`` on ``argv[1:]`` in a fresh interpreter and prints its
+#: exit status and the number of full (generation 2) collections it ran.
+COUNT_FULL_COLLECTIONS = """
+import gc, sys
+from vulnchain.cli import main
+starts = []
+gc.callbacks.append(lambda phase, info: phase == "start" and starts.append(info["generation"]))
+sys.argv = ["vulnchain", *sys.argv[1:]]
+try:
+    main()
+except SystemExit as exc:
+    print(exc.code, starts.count(2))
+"""
+
+
+class TestCyclicCollector:
+    def test_main_runs_no_full_collection(self, tmp_path):
+        """A 6,000-state chain is large enough that ``analyze`` with the
+        collector on runs full collections; ``main()`` turns it off."""
+        states = [AttackState(f"V{i}", normalize_uri(f"/p{i}"),
+                              (PreconditionRef(normalize_condition(f"c{i}")),),
+                              (PostconditionRef(normalize_condition(f"c{i + 1}")),),
+                              is_goal=i % 1000 == 999)
+                  for i in range(6_000)]
+        machine = tmp_path / "chain.fsm.json"
+        machine.write_text(fsm_to_json(Fsm("chain", states, [normalize_condition("c0")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", COUNT_FULL_COLLECTIONS, "analyze", "--fsm", str(machine),
+             "--out", str(tmp_path / "report.json")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 0"
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_cli_main_leaves_the_collector_as_it_found_it(self, built, tmp_path, enabled):
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            code = cli_main(["analyze", "--fsm", str(built["vulnweb"]),
+                             "--out", str(tmp_path / "report.json")])
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert code == 0
 
 
 class TestAnalyzeFixturesScript:
