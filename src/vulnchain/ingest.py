@@ -185,12 +185,12 @@ def fsm_from_json(document: str | bytes) -> Fsm:
     finding object, which here demands both ref lists, ``is_goal`` and
     every flag and never a ``null`` label; its stored ``id`` must be the
     derived one, and a repeated vulnerability and URI is rejected by the
-    same check as a repeated finding. The machine is then assembled by the :class:`Fsm`
-    constructor, like a freshly built one. The start entry is not read as
-    a finding: re-dumped in the file's own compact sorted form, it must be
-    exactly :func:`_state_text` of the assembled start state, the text the
-    writer gives it. A file without a ``format_version``, or of another
-    one, is rejected.
+    same check as a repeated finding. The machine is then assembled by the
+    :class:`Fsm` constructor, like a freshly built one. The start entry is
+    not read as a finding: re-dumped in the file's own compact sorted form,
+    it must be exactly :func:`_state_text` of the assembled start state,
+    the text the writer gives it. A file without a ``format_version``, or
+    of another one, is rejected.
 
     Condition texts recur across states, so each distinct text is
     normalized once per call and the immutable refs are shared; a ref

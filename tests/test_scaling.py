@@ -14,13 +14,13 @@ One walk over the refs derives the condition indexes, reading each ref
 once. The witnesses of one result read its firing order once in all and
 never the machine's producers, and a result used with the machine it was
 computed on is checked by identity alone; with an equal machine, the
-consumers of one result compare the two machines once in all. Loading a machine file or a
-findings document normalizes each distinct condition text and builds each
-distinct ref once, type-checks through the loader's helpers only the
-document-level fields and the distinct texts, and splits no URI that is
-already canonical. Loading a machine file derives each state's id once
-and sorts no ref list that the file stores in ascending order, and writing
-one builds no dict per state or per ref.
+consumers of one result compare the two machines once in all. Loading a
+machine file or a findings document normalizes each distinct condition
+text and builds each distinct ref once, type-checks through the loader's
+helpers only the document-level fields and the distinct texts, and splits
+no URI that is already canonical. Loading a machine file derives each
+state's id once and sorts no ref list that the file stores in ascending
+order, and writing one builds no dict per state or per ref.
 """
 
 import dataclasses
