@@ -189,8 +189,9 @@ def fsm_from_json(document: str | bytes) -> Fsm:
     :class:`Fsm` constructor, like a freshly built one. The start entry is
     not read as a finding: re-dumped in the file's own compact sorted form,
     it must be exactly :func:`_state_text` of the assembled start state,
-    the text the writer gives it. A file without a ``format_version``, or
-    of another one, is rejected.
+    the text the writer gives it. A file without a ``format_version`` is
+    rejected as missing a required field, and one of another version at
+    the path ``format_version``.
 
     Condition texts recur across states, so each distinct text is
     normalized once per call and the immutable refs are shared; a ref
@@ -199,11 +200,11 @@ def fsm_from_json(document: str | bytes) -> Fsm:
     the writer stores it, is kept as it is. Any JSON layout loads.
     """
     doc = _decode_json_object(document, what="machine file")
-    version = _get(doc, "format_version", int, "$", None)
+    version = _get(doc, "format_version", int, "$")
     if version != FSM_FORMAT_VERSION:
         raise SchemaViolation(
             f"unsupported format_version {version!r}; expected {FSM_FORMAT_VERSION} "
-            "(rebuild the machine with 'vulnchain build')")
+            "(rebuild the machine with 'vulnchain build')", path="format_version")
     _reject_unknown(doc, {"format_version", "site", "environment_facts", "states", "diagnostics"},
                     path="$")
     facts = _environment_facts(doc)
@@ -306,7 +307,7 @@ def _refs(item: dict, key: str, make: type, flag: str, path: str, shared: dict,
     surrogate and then a blank. Any other entry is checked in order: its
     type, a ``requires_user_action`` flag on a postcondition, its keys, the
     condition's type, its text, then the flag. An entry's JSON path is
-    built only when it is checked.
+    built only when the entry is checked in full or its new text fails.
     """
     entries = _get(item, key, list, path, _REQUIRED if complete else ())
     built = shared.get(make)
@@ -332,9 +333,15 @@ def _refs(item: dict, key: str, make: type, flag: str, path: str, shared: dict,
         if made is None:
             condition = shared.get(text)
             if condition is None:
-                ref_path = f"{_child(path, key)}[{j}]"
-                condition = shared[text] = _condition(
-                    _typed(text, str, ref_path, what="field 'condition'"), ref_path)
+                try:
+                    if not text.isascii():
+                        text.encode("utf-8")
+                    condition = shared[text] = normalize_condition(text)
+                except (UnicodeEncodeError, EmptyCondition):
+                    # Check the text again, now naming its JSON path.
+                    ref_path = f"{_child(path, key)}[{j}]"
+                    _condition(_typed(text, str, ref_path, what="field 'condition'"), ref_path)
+                    raise
             made = built[value][text] = make(condition, value)
         refs.append(made)
     return tuple(refs)

@@ -60,7 +60,7 @@ def normalize_condition(label: str) -> Condition:
     collapsed = " ".join(label.split())
     if not collapsed:
         raise EmptyCondition("condition label is empty or whitespace-only")
-    return Condition(id=collapsed.lower(), label=label)
+    return Condition(collapsed.lower(), label)
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +467,9 @@ class ReachResult:
     stores it as the condition turns true, so under either semantics it
     names the visited producer earliest in ``firing_order``. Its keys are
     ``initial ∪ granted-by-visited``; false positives never appear.
+    ``witness_steps`` records each state's witness step the first time a
+    witness of this result needs it, so every path through the state
+    shares one tuple.
     """
 
     visited: frozenset[str]
@@ -480,6 +483,12 @@ class ReachResult:
     def firing_position(self) -> Mapping[str, int]:
         """Visited state id -> its index in ``firing_order``."""
         return {sid: i for i, sid in enumerate(self.firing_order)}
+
+    @cached_property
+    def witness_steps(self) -> dict[str, tuple[str, tuple[str, ...]]]:
+        """Visited state id -> its step ``(id, granted condition ids)``,
+        filled by :func:`vulnchain.reach.extract_witness` on first use."""
+        return {}
 
 
 @dataclass(frozen=True)

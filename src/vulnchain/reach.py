@@ -166,7 +166,9 @@ def extract_witness(fsm: Fsm, result: ReachResult, goal: str) -> AttackPath:
     earliest firing position, then orders the collected states by firing
     position. The path is valid but not guaranteed globally minimal. An
     initial condition needs no step; a user-action precondition is
-    charged to the assumption set when it is assumed. Raises
+    charged to the assumption set when it is assumed. Each state's step is
+    built once per result and kept in ``result.witness_steps``, so the
+    paths of all goals share it. Raises
     :class:`ResultFsmMismatch` if ``result`` is of another machine.
     """
     check_result_fsm(result, fsm)
@@ -191,11 +193,14 @@ def extract_witness(fsm: Fsm, result: ReachResult, goal: str) -> AttackPath:
                 collected.add(producer)
                 frontier.append(producer)
 
-    ordered = sorted(collected, key=result.firing_position.__getitem__)
-    steps = tuple(
-        (sid, by_id[sid].granted_condition_ids()) for sid in ordered
-    )
-    return AttackPath(goal=goal, steps=steps, assumptions_used=frozenset(assumptions_used))
+    record = result.witness_steps
+    steps = []
+    for sid in sorted(collected, key=result.firing_position.__getitem__):
+        step = record.get(sid)
+        if step is None:
+            step = record[sid] = (sid, by_id[sid].granted_condition_ids())
+        steps.append(step)
+    return AttackPath(goal=goal, steps=tuple(steps), assumptions_used=frozenset(assumptions_used))
 
 
 def isolated_goals(fsm: Fsm, result: ReachResult) -> frozenset[str]:

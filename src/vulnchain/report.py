@@ -144,9 +144,24 @@ def to_report(
 
     ``witnesses`` maps reachable goal ids to extracted attack paths; pass
     the output of :func:`vulnchain.reach.extract_witness` per goal.
+
+    The step entries are shared: a step that is one object in several
+    paths, as ``extract_witness`` gives each state's step, becomes one
+    ``{"state", "label", "grants"}`` dict that every witness listing it
+    holds, so changing one changes them all.
     """
     reached = collect_goals(result, fsm)
     isolated = isolated_goals(fsm, result)
+    entries: dict[int, dict[str, Any]] = {}
+
+    def entry(step: tuple[str, tuple[str, ...]]) -> dict[str, Any]:
+        made = entries.get(id(step))
+        if made is None:
+            sid, grants = step
+            made = entries[id(step)] = {
+                "state": sid, "label": fsm.by_id[sid].label, "grants": list(grants)}
+        return made
+
     return AnalysisReport(
         site=fsm.site,
         semantics=result.semantics,
@@ -166,8 +181,7 @@ def to_report(
         witnesses=[
             {"goal": goal, "label": fsm.by_id[goal].label,
              "assumptions_used": sorted(path.assumptions_used),
-             "steps": [{"state": sid, "label": fsm.by_id[sid].label, "grants": list(grants)}
-                       for sid, grants in path.steps]}
+             "steps": [entry(step) for step in path.steps]}
             for goal, path in sorted((witnesses or {}).items())
         ],
         labels={s.id: s.label for s in fsm.states if s.label is not None},
@@ -192,26 +206,68 @@ def _json_text(value: Any, newline: str) -> str:
     """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes
     it, where ``newline`` is the line break and indent of its own level.
 
-    Strings go through the C string encoder, and a str list item or dict
-    value is quoted in place rather than by a call of its own. A tuple is
-    written as a list; dict keys must be str, and a float or any other
-    type raises :class:`TypeError`.
+    The text is gathered as fragments by :func:`_write` and joined once.
+    A list or dict that recurs at one indent, such as a report's shared
+    step entries, is encoded once: its fragments are found again by its
+    identity and indent and repeated. That record lives for the one call.
+    A tuple is written as a list; dict keys must be str, and a float or
+    any other type raises :class:`TypeError`.
     """
-    if isinstance(value, str):
-        return _quote(value)
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return _scalar_text(value)
+    parts: list[str] = []
+    _write(value, newline, parts, {})
+    return "".join(parts)
+
+
+def _write(value: dict | list | tuple, newline: str, parts: list[str],
+           spans: dict[tuple[int, str], tuple[int, int]]) -> None:
+    """Append the fragments of a non-empty list or dict to ``parts``, or
+    repeat those ``spans`` records for it at this indent. Strings go
+    through the C string encoder, and a str list item or dict value is
+    quoted into its fragment rather than by a call of its own."""
+    span = spans.get((id(value), newline))
+    if span is not None:
+        parts.extend(parts[span[0]:span[1]])
+        return
+    start = len(parts)
     inner = newline + "  "
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        return "{" + inner + ("," + inner).join(
-            [_quote(k) + ": " + (_quote(v) if type(v) is str else _json_text(v, inner))
-             for k, v in sorted(value.items())]) + newline + "}"
+        sep = "{" + inner
+        for k, v in sorted(value.items()):
+            if type(v) is str:
+                parts.append(sep + _quote(k) + ": " + _quote(v))
+            elif isinstance(v, (dict, list, tuple)) and v:
+                parts.append(sep + _quote(k) + ": ")
+                _write(v, inner, parts, spans)
+            else:
+                parts.append(sep + _quote(k) + ": " + _scalar_text(v))
+            sep = "," + inner
+        parts.append(newline + "}")
+    else:
+        sep = "[" + inner
+        for v in value:
+            if type(v) is str:
+                parts.append(sep + _quote(v))
+            elif isinstance(v, (dict, list, tuple)) and v:
+                parts.append(sep)
+                _write(v, inner, parts, spans)
+            else:
+                parts.append(sep + _scalar_text(v))
+            sep = "," + inner
+        parts.append(newline + "]")
+    spans[id(value), newline] = start, len(parts)
+
+
+def _scalar_text(value: Any) -> str:
+    """The JSON text of a str, an empty list or dict, ``None``, a bool or
+    an int."""
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, dict):
+        return "{}"
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        return "[" + inner + ("," + inner).join(
-            [_quote(v) if type(v) is str else _json_text(v, inner)
-             for v in value]) + newline + "]"
+        return "[]"
     if value is None:
         return "null"
     if value is True:
@@ -234,8 +290,11 @@ def report_from_json(document: str | bytes) -> AnalysisReport:
     its ``format_version``, is the report.
     """
     doc = _decode_json_object(document, what="report")
-    if _get(doc, "format_version", int, "$", None) != REPORT_FORMAT_VERSION:
-        raise SchemaViolation("unsupported or missing report format_version")
+    version = _get(doc, "format_version", int, "$")
+    if version != REPORT_FORMAT_VERSION:
+        raise SchemaViolation(
+            f"unsupported report format_version {version!r}; expected {REPORT_FORMAT_VERSION}",
+            path="format_version")
     _reject_unknown(doc, _REPORT_KEYS, path="$")
     semantics = _get(doc, "semantics", str, "$")
     if semantics not in {s.value for s in Semantics}:

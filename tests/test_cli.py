@@ -381,7 +381,7 @@ class TestMalformedMachine:
         code = cli_main(["analyze", "--fsm", str(old), "--out", str(tmp_path / "r.json")])
         err = capsys.readouterr().err
         assert code == 1
-        assert f"{old}: unsupported format_version 1" in err
+        assert f"{old}: format_version: unsupported format_version 1;" in err
 
 
 MALFORMED_REPORTS = {

@@ -1,5 +1,6 @@
 """DOT export, machine serialization, and analysis reports."""
 
+import gc
 import json
 import random
 import re
@@ -263,7 +264,7 @@ class TestFsmSerialization:
     def test_version_1_rejected(self, minimal_fsm):
         doc = json.loads(fsm_to_json(minimal_fsm))
         doc["format_version"] = 1
-        with pytest.raises(SchemaViolation, match="unsupported format_version 1"):
+        with pytest.raises(SchemaViolation, match="^format_version: unsupported format_version 1;"):
             fsm_from_json(json.dumps(doc))
 
     def test_tampered_start_entry_rejected(self):
@@ -481,6 +482,24 @@ class TestReportSerialization:
         data = golden.read_bytes()
         assert report_to_json(report_from_json(data)).encode("utf-8") == data
 
+    def test_report_path_leaves_nothing_for_the_cyclic_collector(self, vulnweb_fsm):
+        """The console script turns the cyclic collector off, so the
+        witnesses, the report and its text must be freed by reference
+        counts alone."""
+        result = reach(vulnweb_fsm)
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            witnesses = {g: extract_witness(vulnweb_fsm, result, g)
+                         for g in collect_goals(result, vulnweb_fsm)}
+            report_to_json(to_report(vulnweb_fsm, result, witnesses))
+            del witnesses
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_fields_are_the_file_keys(self):
         doc = json.loads((GOLDEN / "vulnweb" / "report.json").read_bytes())
         assert {f.name for f in fields(AnalysisReport)} == set(doc) - {"format_version"}
@@ -490,12 +509,33 @@ class TestReportSerialization:
         assert report_to_json(report) == report_to_json(report)
 
     def test_bad_version(self):
-        with pytest.raises(SchemaViolation):
+        with pytest.raises(SchemaViolation, match="^format_version: unsupported report "
+                                                  "format_version 0; expected 1$"):
             report_from_json('{"format_version": 0}')
 
     @given(JSON_VALUES)
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_writer_matches_indented_json_dumps(self, value):
+        assert _json_text(value, "\n") == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("place", [
+        lambda v: [v, v, "x", v],
+        lambda v: {"a": v, "b": [v, [v]], "c": {"d": {"e": v}}},
+        lambda v: [{"k": v, "l": [v]}, v, ({"m": v},)],
+    ], ids=["one depth", "several depths", "in a list and in a dict"])
+    @pytest.mark.parametrize("shared", [
+        {"state": "s1", "label": None, "grants": ["a", "b"]},
+        [1, ["a", {"b": True}], {}],
+        {}, [], ("t", ("u",)),
+    ], ids=["step", "nested list", "empty dict", "empty list", "tuple"])
+    def test_writer_matches_indented_json_dumps_on_a_repeated_object(self, place, shared):
+        value = place(shared)
+        assert _json_text(value, "\n") == json.dumps(value, indent=2, sort_keys=True)
+
+    @given(JSON_VALUES)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_writer_matches_indented_json_dumps_with_a_value_repeated(self, v):
+        value = [v, v, {"k": v}]
         assert _json_text(value, "\n") == json.dumps(value, indent=2, sort_keys=True)
 
     @pytest.mark.parametrize("value", [1.5, {1: "a"}, {"a": {2, 3}}, [b"x"]], ids=repr)

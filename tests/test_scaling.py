@@ -14,11 +14,14 @@ One walk over the refs derives the condition indexes, reading each ref
 once. The witnesses of one result read its firing order once in all and
 never the machine's producers, and a result used with the machine it was
 computed on is checked by identity alone; with an equal machine, the
-consumers of one result compare the two machines once in all. Loading a
-machine file or a findings document normalizes each distinct condition
-text and builds each distinct ref once, type-checks through the loader's
-helpers only the document-level fields and the distinct texts, and splits
-no URI that is already canonical. Loading a machine file derives each
+consumers of one result compare the two machines once in all. However
+many goals' paths pass through a state, the witnesses build its step
+once, the report builds one entry for it and the report writer quotes at
+most four strings per state plus edge. Loading a machine file or a
+findings document normalizes each distinct condition text and builds
+each distinct ref once, type-checks through the loader's helpers only the
+document-level fields and the distinct texts, and splits no URI that is
+already canonical. Loading a machine file derives each
 state's id once and sorts no ref list that the file stores in ascending
 order, and writing one builds no dict per state or per ref.
 """
@@ -54,6 +57,7 @@ from vulnchain import (
     parse_crawl_list,
     parse_findings,
     reach,
+    report_to_json,
     to_report,
 )
 
@@ -502,3 +506,44 @@ def test_machine_write_builds_no_dict_per_state_or_ref():
     assert built < states, f"{built} dicts built for {states} states"
     _, control = _count_dicts_built(lambda: [{"id": s.id} for s in fsm.states])
     assert control == states
+
+
+def _goal_chain(n: int) -> Fsm:
+    """The chain of ``test_witnesses_read_the_firing_order_once``: every
+    100th state a goal, so each state lies on the path of every later goal."""
+    states = [_state(i, pres=(f"c{i}",), posts=(f"c{i + 1}",), is_goal=i % 100 == 99)
+              for i in range(n)]
+    fsm = Fsm(site="", findings=states, facts=[_cond("c0")])
+    _cond.cache_clear()
+    return fsm
+
+
+@pytest.mark.parametrize("n", SIZES[:2])
+def test_each_witness_step_is_built_and_written_once_per_state(n, monkeypatch):
+    """The witnesses build one step per visited state, the report one step
+    entry per distinct state, and the writer quotes a bounded number of
+    strings per state plus edge, however many goals' paths share a state."""
+    fsm = _goal_chain(n)
+    result = reach(fsm)
+    built_steps = Counter()
+    monkeypatch.setattr(AttackState, "granted_condition_ids",
+                        _counting(AttackState.granted_condition_ids, built_steps))
+    witnesses = {goal: extract_witness(fsm, result, goal)
+                 for goal in collect_goals(result, fsm)}
+    assert len(witnesses) == n // 100
+    assert built_steps.n <= len(result.visited), (
+        f"{built_steps.n} steps built for {len(result.visited)} visited states")
+
+    report, dicts = _count_dicts_built(lambda: to_report(fsm, result, witnesses))
+    distinct = {sid for path in witnesses.values() for sid, _ in path.steps}
+    # One per distinct step and one per witness, plus the machine counts,
+    # the step table and the labels, which hold the start state's label.
+    assert dicts <= len(distinct) + len(witnesses) + 4, (
+        f"{dicts} dicts built for {len(distinct)} distinct steps")
+
+    report_module = importlib.import_module("vulnchain.report")
+    quotes = Counter()
+    monkeypatch.setattr(report_module, "_quote", _counting(report_module._quote, quotes))
+    report_to_json(report)
+    size = len(fsm.states) + fsm.edge_count
+    assert quotes.n <= BOUND * size, f"{quotes.n} strings quoted for {size} states plus edges"
