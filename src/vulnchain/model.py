@@ -13,7 +13,7 @@ import hashlib
 import re
 import string
 from collections import defaultdict
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, fields
 from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Mapping
@@ -30,10 +30,23 @@ START_STATE_ID = "start"
 
 
 # ---------------------------------------------------------------------------
+# Per-state records
+# ---------------------------------------------------------------------------
+# Each record below is a frozen, slotted dataclass whose own ``__init__``
+# stores each field once, through the field's slot descriptor, where the
+# generated one stores it by name through ``object.__setattr__``.
+
+def _slot_setters(cls: type) -> tuple:
+    """The ``__set__`` of each field's slot descriptor of the dataclass
+    ``cls``, in field order."""
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
+# ---------------------------------------------------------------------------
 # Conditions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Condition:
     """An atomic fact about the victim environment.
 
@@ -44,9 +57,14 @@ class Condition:
     id: str
     label: str = field(compare=False)
 
-    def __post_init__(self) -> None:
-        if not self.id:
+    def __init__(self, id: str, label: str) -> None:
+        if not id:
             raise EmptyCondition("condition id must be non-empty")
+        _set_condition_id(self, id)
+        _set_condition_label(self, label)
+
+
+_set_condition_id, _set_condition_label = _slot_setters(Condition)
 
 
 def normalize_condition(label: str) -> Condition:
@@ -67,7 +85,7 @@ def normalize_condition(label: str) -> Condition:
 # URIs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class NormalizedUri:
     """A victim resource identifier in canonical form.
 
@@ -80,6 +98,10 @@ class NormalizedUri:
 
     raw: str = field(compare=False)
     canonical: str
+
+    def __init__(self, raw: str, canonical: str) -> None:
+        _set_uri_raw(self, raw)
+        _set_uri_canonical(self, canonical)
 
     @property
     def path(self) -> str:
@@ -95,10 +117,14 @@ class NormalizedUri:
         return self.canonical
 
 
+_set_uri_raw, _set_uri_canonical = _slot_setters(NormalizedUri)
+
 _CONTROL_CHARS = re.compile(r"[\x00-\x1f\x7f]")
-#: The root, or slash-led segments of unreserved characters: no step of the
-#: general path changes such a URI.
-_CANONICAL_PATH = re.compile(r"/|(?:/[A-Za-z0-9._~-]+)+")
+#: The root, or slash-led segments of unreserved characters, after an
+#: optional ``scheme://host[:port]`` of a plain host name or address: the
+#: general path gives such a URI's path group, unchanged, as its canonical.
+_CANONICAL_PATH = re.compile(
+    r"(?:[A-Za-z][A-Za-z0-9+.-]*://[A-Za-z0-9.-]+(?::[0-9]+)?)?(/|(?:/[A-Za-z0-9._~-]+)+)")
 #: Percent-decoding passes allowed per path; bounds work on hostile input.
 _MAX_DECODES = 16
 
@@ -123,17 +149,21 @@ def normalize_uri(raw: str) -> NormalizedUri:
 
     "ALL URI" maps to the reserved canonical ``*`` and "NULL" to the empty
     canonical. A scheme and authority, if present, are dropped; relative
-    paths gain a leading slash; fragments are discarded. A URI already in
-    canonical form, the root or slash-led segments of letters, digits and
-    ``._~-``, is its own canonical and skips these steps.
+    paths gain a leading slash; fragments are discarded. Two canonical
+    forms skip these steps, since no step changes their path: the root or
+    slash-led segments of letters, digits and ``._~-``, its own canonical,
+    and the absolute form ``scheme://host[:port]`` before such a path, its
+    host only letters, digits, dots and hyphens and its port only digits,
+    whose canonical is that path.
 
     Raises :class:`MalformedUri` for whitespace-only input, control
     characters, percent-escapes nested more than 16 levels deep, or paths
     whose percent-decoded form cannot be re-parsed (decoded ``#`` or ``?``
     inside the path).
     """
-    if _CANONICAL_PATH.fullmatch(raw):
-        return NormalizedUri(raw, raw)
+    canonical = _CANONICAL_PATH.fullmatch(raw)
+    if canonical:
+        return NormalizedUri(raw, canonical[1])
     if raw == "":
         # Re-entrant form of the NULL sentinel's canonical.
         return NormalizedUri(raw="", canonical=URI_NULL)
@@ -173,28 +203,40 @@ def normalize_uri(raw: str) -> NormalizedUri:
 # Condition references
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PreconditionRef:
     """A condition a state requires; dotted-edge flag for user actions."""
 
     condition: Condition
     requires_user_action: bool = False
 
+    def __init__(self, condition: Condition, requires_user_action: bool = False) -> None:
+        _set_pre_condition(self, condition)
+        _set_pre_user_action(self, requires_user_action)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class PostconditionRef:
     """A condition a state grants; false positives are never granted."""
 
     condition: Condition
     false_positive: bool = False
 
+    def __init__(self, condition: Condition, false_positive: bool = False) -> None:
+        _set_post_condition(self, condition)
+        _set_post_false_positive(self, false_positive)
+
+
+_set_pre_condition, _set_pre_user_action = _slot_setters(PreconditionRef)
+_set_post_condition, _set_post_false_positive = _slot_setters(PostconditionRef)
+
 
 _CONDITION_ID = attrgetter("condition.id")
 
 
-def _sorted_refs(refs, kind: str, state: AttackState) -> tuple:
+def _sorted_refs(refs, kind: str, vulnerability_name: str, uri: NormalizedUri) -> tuple:
     """``refs`` as a tuple sorted by condition id; a repeated id is
-    rejected, naming the state by vulnerability and URI.
+    rejected, naming the state by its vulnerability and URI.
 
     Refs in strictly ascending id order, as every file stores them, are
     returned as they are: one pass proves both the order and that no id
@@ -213,7 +255,7 @@ def _sorted_refs(refs, kind: str, state: AttackState) -> tuple:
         cid = ref.condition.id
         if cid == previous:
             raise SchemaViolation(f"duplicate {kind} condition {cid!r}",
-                                  path=f"{state.vulnerability_name} @ {state.uri.display()}")
+                                  path=f"{vulnerability_name} @ {uri.display()}")
         previous = cid
     return ordered
 
@@ -233,7 +275,7 @@ def state_id(vulnerability_name: str, uri: NormalizedUri) -> str:
 # Machine states
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AttackState:
     """A node of the machine: one vulnerability on one URI, plus conditions.
 
@@ -253,20 +295,33 @@ class AttackState:
     source: str = ""
     label: str | None = None
 
-    def __post_init__(self) -> None:
-        if not self.is_start and not self.vulnerability_name.strip():
+    def __init__(self, vulnerability_name: str, uri: NormalizedUri,
+                 preconditions: tuple[PreconditionRef, ...] = (),
+                 postconditions: tuple[PostconditionRef, ...] = (),
+                 is_goal: bool = False, is_start: bool = False, source: str = "",
+                 label: str | None = None) -> None:
+        if not is_start and not vulnerability_name.strip():
             raise SchemaViolation("vulnerability name must be non-empty")
-        object.__setattr__(
-            self, "preconditions", _sorted_refs(self.preconditions, "precondition", self))
-        object.__setattr__(
-            self, "postconditions", _sorted_refs(self.postconditions, "postcondition", self))
-        object.__setattr__(
-            self, "id",
-            START_STATE_ID if self.is_start else state_id(self.vulnerability_name, self.uri))
+        preconditions = _sorted_refs(preconditions, "precondition", vulnerability_name, uri)
+        postconditions = _sorted_refs(postconditions, "postcondition", vulnerability_name, uri)
+        _set_state_id(self, START_STATE_ID if is_start else state_id(vulnerability_name, uri))
+        _set_state_vulnerability_name(self, vulnerability_name)
+        _set_state_uri(self, uri)
+        _set_state_preconditions(self, preconditions)
+        _set_state_postconditions(self, postconditions)
+        _set_state_is_goal(self, is_goal)
+        _set_state_is_start(self, is_start)
+        _set_state_source(self, source)
+        _set_state_label(self, label)
 
     def granted_condition_ids(self) -> tuple[str, ...]:
         """Condition ids this state makes true when it fires (FP excluded)."""
         return tuple(r.condition.id for r in self.postconditions if not r.false_positive)
+
+
+(_set_state_id, _set_state_vulnerability_name, _set_state_uri, _set_state_preconditions,
+ _set_state_postconditions, _set_state_is_goal, _set_state_is_start, _set_state_source,
+ _set_state_label) = _slot_setters(AttackState)
 
 
 # ---------------------------------------------------------------------------

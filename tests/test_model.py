@@ -1,7 +1,9 @@
 """Domain-type behavior: normalization, identity, and the crawled-URI set."""
 
+import copy
 import inspect
 import json
+import pickle
 import random
 import string
 from dataclasses import FrozenInstanceError, fields, replace
@@ -13,9 +15,11 @@ from hypothesis import given, settings
 from vulnchain import (
     START_STATE_ID,
     AttackState,
+    Condition,
     EmptyCondition,
     Fsm,
     MalformedUri,
+    NormalizedUri,
     PostconditionRef,
     PreconditionRef,
     SchemaViolation,
@@ -27,7 +31,13 @@ from vulnchain import (
     state_id,
 )
 
-from tests.helpers import FIXTURES, load_finding_set, random_finding_set, reference_normalize_uri
+from tests.helpers import (
+    FIXTURES,
+    load_finding_set,
+    random_finding_set,
+    reference_crawl_list,
+    reference_normalize_uri,
+)
 
 
 class TestNormalizeCondition:
@@ -114,6 +124,10 @@ class TestNormalizeUri:
 
 #: A path segment of the canonical shape, with its leading slash.
 SEGMENT = st.text(string.ascii_letters + string.digits + "._~-", min_size=1, max_size=4).map("/{}".format)
+#: Scheme-and-host prefixes: the absolute canonical form, and near misses
+#: (a scheme led by a digit, userinfo, a bracketed host, a bad or empty port).
+SCHEME_AND_HOST = ["http://h", "HTTP://h.example:8080", "a+b.c-d://x", "1x://h", "http://u@h",
+                   "http://[::1]", "http://h:x", "http://h:"]
 #: URI-shaped text: canonical segments, single characters (ASCII punctuation
 #: of URIs, blanks, control characters, non-ASCII) and pieces every
 #: normalization step acts on.
@@ -121,7 +135,8 @@ URI_PIECES = st.one_of(
     SEGMENT,
     st.sampled_from(string.ascii_letters + string.digits + "/._~-%?#:@!$&'()*+,;=" + " \t\x00\x7f"),
     st.characters(min_codepoint=0x80),
-    st.sampled_from(["%2F", "%25", "//", "http://h", "/.", "/..", "ALL URI", "NULL", "*"]),
+    st.sampled_from(["%2F", "%25", "//", "/.", "/..", "ALL URI", "NULL", "*"]),
+    st.sampled_from(SCHEME_AND_HOST),
 )
 #: A canonical path, alone or with one character of the URI alphabet
 #: outside the canonical one, or one piece, put in at any position.
@@ -161,6 +176,15 @@ class TestNormalizeUriMatchesReference:
             for at in range(len("/ab/c") + 1):
                 raw = "/ab/c"[:at] + char + "/ab/c"[at:]
                 assert _normalized(normalize_uri, raw) == _normalized(reference_normalize_uri, raw)
+
+    def test_every_scheme_and_host_before_every_near_canonical_path(self):
+        paths = ["", "/", "/ab", "/ab/", "/a/b.c", "//ab", "/a%41", "/a b", "/a?q=1", "/a#f", "ab"]
+        for prefix in SCHEME_AND_HOST + ["h://h.-9", "x://h:0", "x:/h/a", "x//h", "://h",
+                                         "http://[", "http://h]", "http://[h]", "http://h:1:2"]:
+            for path in paths:
+                for raw in (prefix + path, " " + prefix + path, prefix.upper() + path):
+                    assert _normalized(normalize_uri, raw) == _normalized(
+                        reference_normalize_uri, raw)
 
     def test_fixture_and_random_corpus_uris(self):
         raws = []
@@ -292,6 +316,84 @@ class TestAttackStateRecord:
             f"Weak password @ /login.php: duplicate {kind} condition {repeated!r}")
 
 
+#: One record of each kind but ``AttackState``, with its pinned repr.
+RECORDS = {
+    "Condition": (Condition("weak password", "Weak  Password"),
+                  "Condition(id='weak password', label='Weak  Password')"),
+    "NormalizedUri": (NormalizedUri("http://h/a/", "/a"),
+                      "NormalizedUri(raw='http://h/a/', canonical='/a')"),
+    "PreconditionRef": (PreconditionRef(Condition("a", "A"), True),
+                        "PreconditionRef(condition=Condition(id='a', label='A'), "
+                        "requires_user_action=True)"),
+    "PostconditionRef": (PostconditionRef(Condition("c", "C")),
+                         "PostconditionRef(condition=Condition(id='c', label='C'), "
+                         "false_positive=False)"),
+}
+
+
+class TestRecordContract:
+    """The smaller records keep the contract of ``TestAttackStateRecord``:
+    frozen, copyable and picklable, compared on their identity fields, with
+    a pinned repr and constructor signature."""
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_frozen(self, name):
+        record, _ = RECORDS[name]
+        for f in fields(record):
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, f.name, getattr(record, f.name))
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_replace_copy_and_pickle_give_an_equal_record(self, name):
+        record, _ = RECORDS[name]
+        twin = replace(record)
+        assert twin == record and twin is not record and hash(twin) == hash(record)
+        for copied in (copy.copy(record), copy.deepcopy(record),
+                       pickle.loads(pickle.dumps(record))):
+            assert copied == record and hash(copied) == hash(record)
+            assert repr(copied) == repr(record)
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_repr_is_pinned(self, name):
+        record, text = RECORDS[name]
+        assert repr(record) == text
+
+    def test_identity_fields(self):
+        assert Condition("a", "A") == Condition("a", "other")
+        assert hash(Condition("a", "A")) == hash(Condition("a", "other"))
+        assert Condition("a", "A") != Condition("b", "A")
+        assert NormalizedUri("/a/", "/a") == NormalizedUri("http://h/a", "/a")
+        assert hash(NormalizedUri("/a/", "/a")) == hash(NormalizedUri("/a", "/a"))
+        assert NormalizedUri("/a", "/a") != NormalizedUri("/a", "/b")
+        cond = Condition("a", "A")
+        assert PreconditionRef(cond) == PreconditionRef(Condition("a", "x"), False)
+        assert PreconditionRef(cond) != PreconditionRef(cond, True)
+        assert PostconditionRef(cond) != PostconditionRef(cond, True)
+        assert PostconditionRef(cond) != PostconditionRef(Condition("b", "A"))
+
+    def test_signatures(self):
+        def parameters(cls):
+            return [(p.name, p.kind, p.default)
+                    for p in inspect.signature(cls).parameters.values()]
+
+        plain, empty = inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty
+        assert parameters(Condition) == [("id", plain, empty), ("label", plain, empty)]
+        assert parameters(NormalizedUri) == [("raw", plain, empty), ("canonical", plain, empty)]
+        assert parameters(PreconditionRef) == [("condition", plain, empty),
+                                               ("requires_user_action", plain, False)]
+        assert parameters(PostconditionRef) == [("condition", plain, empty),
+                                                ("false_positive", plain, False)]
+        assert parameters(AttackState) == [
+            ("vulnerability_name", plain, empty), ("uri", plain, empty),
+            ("preconditions", plain, ()), ("postconditions", plain, ()),
+            ("is_goal", plain, False), ("is_start", plain, False), ("source", plain, ""),
+            ("label", plain, None)]
+
+    def test_blank_condition_id_rejected(self):
+        with pytest.raises(EmptyCondition, match="^condition id must be non-empty$"):
+            Condition("", "x")
+
+
 class TestUriTree:
     """The crawled-URI set answers membership like a tree of the site:
     every directory above a crawled resource is a member too."""
@@ -344,3 +446,28 @@ class TestUriTree:
     def test_query_uri_adds_its_directories_but_not_its_path(self):
         assert parse_crawl_list("/a/b?q=1\n") == {"/", "/a", "/a/b?q=1"}
         assert parse_crawl_list("/?q=1\n") == {"/", "/?q=1"}
+
+    def test_fixtures_match_the_per_line_expansion(self):
+        for name in ("minimal", "vulnweb", "teacher"):
+            text = (FIXTURES / name / "crawl.txt").read_text(encoding="utf-8")
+            assert parse_crawl_list(text) == reference_crawl_list(text)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_lists_match_the_per_line_expansion(self, seed):
+        """Lines share prefixes, repeat, carry queries, ``//``, trailing
+        slashes and a scheme and host; a deep line comes before its own
+        prefix."""
+        rng = random.Random(seed)
+        names = ["a", "b", "c.php", "d e", "%41"]
+        lines = []
+        for _ in range(rng.randint(1, 40)):
+            line = "".join(rng.choice(["/", "/", "//"]) + rng.choice(names)
+                           for _ in range(rng.randint(1, 6)))
+            line += rng.choice(["", "", "/", "//", "?q=1", "?q=/x/y", "/?q"])
+            line = rng.choice(["", "", "http://h.example", "HTTP://h:8080", "x"]) + line
+            lines += [line] * rng.choice([1, 1, 2])
+        deep = "/a/b/c.php/a/b"
+        lines.insert(rng.randrange(len(lines) + 1), deep)
+        lines.append(deep.rsplit("/", 2)[0])
+        text = "\n".join(lines) + rng.choice(["", "\n", "\r\n"])
+        assert parse_crawl_list(text) == reference_crawl_list(text)

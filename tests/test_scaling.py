@@ -21,9 +21,10 @@ most four strings per state plus edge. Loading a machine file or a
 findings document normalizes each distinct condition text and builds
 each distinct ref once, type-checks through the loader's helpers only the
 document-level fields and the distinct texts, and splits no URI that is
-already canonical. Loading a machine file derives each
+already canonical, absolute or not. Loading a machine file derives each
 state's id once and sorts no ref list that the file stores in ascending
-order, and writing one builds no dict per state or per ref.
+order, and writing one builds no dict per state or per ref. Each record
+stores each of its fields once.
 """
 
 import dataclasses
@@ -402,12 +403,17 @@ def test_findings_parse_work_scales_with_distinct_refs(monkeypatch):
 
 
 def test_canonical_uris_never_reach_the_general_path(monkeypatch):
-    """A URI already in canonical form is its own canonical: loading the
+    """A URI already in canonical form is its own canonical, and one after
+    a plain ``scheme://host:port`` has its path as canonical: loading the
     machine file, the findings document and a crawl list of such URIs
     splits and percent-decodes none of them."""
     text, doc, _, _ = _repeated_ref_machine()
     findings = _findings_document(doc)
     crawl = "".join(f"/d{i}/r{i}\n" for i in range(2_000))
+    absolute_doc = json.loads(findings)
+    for entry in absolute_doc["findings"]:
+        entry["uri"] = f"http://h.example:8080{entry['uri']}"
+    absolute_crawl = "".join(f"http://h.example:8080/d{i}/r{i}\n" for i in range(2_000))
 
     def general_path(*args, **kwargs):
         raise AssertionError("a canonical URI took the general path")
@@ -419,6 +425,11 @@ def test_canonical_uris_never_reach_the_general_path(monkeypatch):
     assert fsm_to_json(loaded) == text
     assert parse_findings(findings).findings == loaded.non_start_states
     assert len(parse_crawl_list(crawl)) == 1 + 2 * 2_000
+    absolute = parse_findings(json.dumps(absolute_doc)).findings
+    assert absolute == loaded.non_start_states
+    assert [s.uri.raw for s in absolute] == [f"http://h.example:8080{s.uri.raw}"
+                                             for s in loaded.non_start_states]
+    assert parse_crawl_list(absolute_crawl) == parse_crawl_list(crawl)
 
 
 def test_machine_load_derives_each_state_id_once(monkeypatch):
@@ -493,6 +504,15 @@ def _count_dicts_built(call) -> tuple:
     finally:
         sys.settrace(previous)
     return result, built.n
+
+
+def test_records_store_each_field_once():
+    """Each per-state record is built by its own ``__init__``, which stores
+    each field through its slot once: there is no ``__post_init__`` storing
+    fields a second time, and no ``__setattr__`` by name."""
+    for cls in (Condition, NormalizedUri, PreconditionRef, PostconditionRef, AttackState):
+        assert not hasattr(cls, "__post_init__"), cls.__name__
+        assert "__setattr__" not in cls.__init__.__code__.co_names, cls.__name__
 
 
 def test_machine_write_builds_no_dict_per_state_or_ref():
