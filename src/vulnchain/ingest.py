@@ -81,14 +81,8 @@ def parse_crawl_list(document: str | bytes) -> frozenset[str]:
         except MalformedUri as exc:
             raise MalformedUri(f"line {lineno}: {exc}") from exc
         crawled.add(uri.canonical)
-        # Directories deepest first, up to the first already a member: it
-        # was added with every directory above it.
         names = [seg for seg in uri.path.split("/") if seg]
-        for depth in range(len(names) - 1, 0, -1):
-            directory = "/" + "/".join(names[:depth])
-            if directory in crawled:
-                break
-            crawled.add(directory)
+        crawled.update("/" + "/".join(names[:depth]) for depth in range(1, len(names)))
     return frozenset(crawled)
 
 

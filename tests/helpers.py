@@ -360,22 +360,6 @@ def reference_normalize_uri(raw: str) -> NormalizedUri:
     return NormalizedUri(raw=raw, canonical=canonical)
 
 
-def reference_crawl_list(document: str) -> frozenset[str]:
-    """The crawled set as each line's expansion gave it: the line's
-    canonical, then every directory above it, whatever the set holds
-    already. Only for crawl lists that load without error."""
-    crawled = {"/"}
-    for line in document.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
-        entry = line.strip(" \t")
-        if not entry or entry.startswith("#"):
-            continue
-        uri = reference_normalize_uri(entry)
-        crawled.add(uri.canonical)
-        names = [seg for seg in uri.path.split("/") if seg]
-        crawled.update("/" + "/".join(names[:depth]) for depth in range(1, len(names)))
-    return frozenset(crawled)
-
-
 # ---------------------------------------------------------------------------
 # Reference derivations of the condition relation
 # ---------------------------------------------------------------------------
