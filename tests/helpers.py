@@ -96,16 +96,20 @@ def random_finding_set(
     max_conditions: int = 15,
     *,
     punctuation_variants: bool = False,
+    hostile_text: bool = False,
 ) -> FindingSet:
     """One random machine input: states draw pre/postconditions from a
     shared pool with random user-action, false-positive, and goal flags.
 
     With ``punctuation_variants`` the pool also holds ``c3.`` beside ``c3``
     for some conditions, so near-miss warnings occur; without it the draws
-    are the same as ever for a given ``rng`` state.
+    are the same as ever for a given ``rng`` state. With ``hostile_text``
+    every condition text holds ``"`` and ``\\``, and every vulnerability
+    name and label also a newline; the draws stay the same.
     """
+    quirk = ' "q\\' if hostile_text else ""
     n_conds = rng.randint(1, max_conditions)
-    pool = [normalize_condition(f"c{i}") for i in range(n_conds)]
+    pool = [normalize_condition(f"c{i}{quirk}") for i in range(n_conds)]
     if punctuation_variants:
         pool += [normalize_condition(f"c{i}.") for i in range(n_conds) if rng.random() < 0.3]
     n_states = rng.randint(0, max_states)
@@ -121,12 +125,12 @@ def random_finding_set(
             for c in rng.sample(pool, k=rng.randint(0, min(3, len(pool))))
         )
         findings.append(AttackState(
-            vulnerability_name=f"v{i:02d}",
+            vulnerability_name=f"v{i:02d}{quirk}\nz" if hostile_text else f"v{i:02d}",
             uri=normalize_uri(f"/r{i:02d}"),
             preconditions=pres,
             postconditions=posts,
             is_goal=rng.random() < 0.3,
-            label=f"S{i + 1}",
+            label=f"S{i + 1}{quirk}\nz" if hostile_text else f"S{i + 1}",
         ))
     facts = tuple(rng.sample(pool, k=rng.randint(0, min(2, len(pool)))))
     raw = FindingSet(site="random", environment_facts=facts, findings=tuple(findings))

@@ -467,6 +467,22 @@ class TestOversizedJson:
         assert message in err
 
 
+@pytest.mark.parametrize("kind", ["findings", "machine", "report"])
+def test_json_input_that_is_not_an_object_exits_1_naming_file(kind, built, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[]")
+    argv = {
+        "findings": ["build", "--findings", str(bad),
+                     "--crawl", str(FIXTURES / "minimal" / "crawl.txt")],
+        "machine": ["analyze", "--fsm", str(bad)],
+        "report": ["export-dot", "--fsm", str(built["minimal"]), "--reach", str(bad)],
+    }[kind]
+    capsys.readouterr()
+    code = cli_main([*argv, "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {bad}: top-level value must be an object\n"
+
+
 @pytest.mark.parametrize("kind", sorted(CLI_INPUTS))
 def test_byte_order_mark_is_ignored(kind, tmp_path, capsys):
     """Every command given a vulnweb input that starts with a UTF-8

@@ -199,6 +199,15 @@ def test_byte_order_mark_is_ignored(kind, load):
     assert load("\ufeff" + data.decode("utf-8")) == expected
 
 
+@pytest.mark.parametrize("document", ["[]", "1", '"x"', "null", "true"])
+@pytest.mark.parametrize("load", [parse_findings, fsm_from_json, report_from_json],
+                         ids=lambda load: load.__name__)
+def test_json_value_that_is_not_an_object_is_rejected(load, document):
+    with pytest.raises(SchemaViolation) as caught:
+        load(document)
+    assert str(caught.value) == "top-level value must be an object"
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ["minimal", "vulnweb", "teacher"])
     def test_parse_serialize_identity(self, name):

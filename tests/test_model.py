@@ -115,6 +115,12 @@ class TestNormalizeUri:
         with pytest.raises(MalformedUri):
             normalize_uri("http://[")  # unbalanced IPv6 authority
 
+    @pytest.mark.parametrize("raw", ["/a%0Ab", "/a%7Fb", "http://h.example/a%00b", "/a%250Ab"])
+    def test_percent_decoded_control_character_rejected(self, raw):
+        with pytest.raises(MalformedUri) as caught:
+            normalize_uri(raw)
+        assert str(caught.value) == f"percent-decoded path contains control characters: {raw!r}"
+
 
 #: A path segment of the canonical shape, with its leading slash.
 SEGMENT = st.text(string.ascii_letters + string.digits + "._~-", min_size=1, max_size=4).map("/{}".format)

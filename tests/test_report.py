@@ -466,6 +466,22 @@ class TestConditionRelationOracle:
             assert to_dot(fsm, result) == reference_to_dot(fsm, result)
         assert near_misses > 100 and diagnosed > 100
 
+    def test_dot_matches_the_reference_on_hostile_text(self):
+        """Condition texts with ``"`` and ``\\``, as source points, sinks and
+        edge labels, and vulnerability names and labels that add a newline:
+        both DOT exports escape them as the reference does."""
+        rng = random.Random(20261020)
+        sources = sinks = 0
+        for _ in range(1000):
+            fsm = build_fsm(random_finding_set(rng, hostile_text=True))
+            result = reach(fsm, ReachParams(assumptions=random_assumptions(rng, fsm)))
+            dot = to_dot(fsm)
+            assert dot == reference_to_dot(fsm)
+            assert to_dot(fsm, result) == reference_to_dot(fsm, result)
+            sources += dot.count('"in:c')
+            sinks += dot.count('"out:c')
+        assert sources > 1000 and sinks > 1000
+
 
 class TestReportSerialization:
     def test_round_trip(self, vulnweb_fsm):
