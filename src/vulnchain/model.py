@@ -235,12 +235,13 @@ _CONDITION_ID = attrgetter("condition.id")
 
 
 def _sorted_refs(refs, kind: str, vulnerability_name: str, uri: NormalizedUri) -> tuple:
-    """``refs`` as a tuple sorted by condition id; a repeated id is
-    rejected, naming the state by its vulnerability and URI.
+    """``refs``, any iterable, as a tuple sorted by condition id; a
+    repeated id is rejected, naming the state by its vulnerability and URI.
 
     Refs in strictly ascending id order, as every file stores them, are
     returned as they are: one pass proves both the order and that no id
     repeats (ids are never empty). Only other lists are sorted."""
+    refs = tuple(refs)
     previous = ""
     for ref in refs:
         cid = ref.condition.id
@@ -248,7 +249,7 @@ def _sorted_refs(refs, kind: str, vulnerability_name: str, uri: NormalizedUri) -
             break
         previous = cid
     else:
-        return tuple(refs)
+        return refs
     ordered = tuple(sorted(refs, key=_CONDITION_ID))
     previous = None
     for ref in ordered:

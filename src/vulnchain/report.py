@@ -27,6 +27,12 @@ def _esc(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
+#: A state's attributes after its shape, by (goal, visited).
+_NODE_STYLES = {(False, False): "", (False, True): ', style="bold"',
+                (True, False): ', fillcolor=red, style="filled"',
+                (True, True): ', fillcolor=red, style="filled,bold"'}
+
+
 def to_dot(fsm: Fsm, result: ReachResult | None = None) -> str:
     """Render the machine as a deterministic Graphviz digraph.
 
@@ -35,67 +41,46 @@ def to_dot(fsm: Fsm, result: ReachResult | None = None) -> str:
     edges are dashed red; user-action precondition edges are dashed. A
     precondition with no drawable source gets a small point node feeding it,
     and a postcondition nobody consumes gets a point sink, so every state
-    shows its full in/out degree. When a reach result is given, visited
-    states get bold outlines, and one of another machine raises
-    :class:`ResultFsmMismatch`.
+    shows its full in/out degree. State ids (12 hex digits or ``start``) are
+    written as they are; point names and labels are escaped. When a reach
+    result is given, visited states get bold outlines, and one of another
+    machine raises :class:`ResultFsmMismatch`.
     """
     if result is not None:
         check_result_fsm(result, fsm)
     visited = result.visited if result is not None else frozenset()
-    user_action = {(s.id, r.condition.id) for s in fsm.states for r in s.preconditions
-                   if r.requires_user_action}
+    dashed = {(s.id, r.condition.id): ", style=dashed" for s in fsm.states
+              for r in s.preconditions if r.requires_user_action}
 
-    # (src, dst, label, kind), each at most once. A postcondition nobody
-    # consumes feeds its point sink.
-    edges = [(START_STATE_ID, sid, "", "plain") for sid in fsm.unconditional_start_targets]
+    # (source, target, label, attributes after the label). (source, target,
+    # label) is unique, so the attributes never break a tie. A postcondition
+    # nobody consumes feeds its point sink.
+    edges = [(START_STATE_ID, sid, "", "") for sid in fsm.unconditional_start_targets]
     posted: set[str] = set()
     for s in fsm.states:
         for ref in s.postconditions:
             cid = ref.condition.id
             posted.add(cid)
             for dst in fsm.consumers[cid] or (f"out:{cid}",):
-                kind = "dashed" if (dst, cid) in user_action else "solid"
-                edges.append((s.id, dst, cid, "fp" if ref.false_positive else kind))
+                edges.append((s.id, dst, cid, ", style=dashed, color=red" if ref.false_positive
+                              else dashed.get((dst, cid), "")))
     # A precondition has a drawable source iff some state lists it as a
-    # postcondition, granted or false positive.
+    # postcondition, granted or false positive. Only point names are escaped.
     sources = [cid for cid in fsm.condition_ids if cid not in posted]
-    edges.extend((f"in:{cid}", dst, cid, "dashed" if (dst, cid) in user_action else "solid")
+    edges.extend((f"in:{cid}", dst, cid, dashed.get((dst, cid), ""))
                  for cid in sources for dst in fsm.consumers[cid])
-    points = sorted([f"in:{cid}" for cid in sources]
-                    + [f"out:{cid}" for cid in posted if not fsm.consumers[cid]])
+    points = {name: _esc(name) for name in [f"in:{cid}" for cid in sources]
+              + [f"out:{cid}" for cid in posted if not fsm.consumers[cid]]}
 
     lines = ["digraph vulnerability_chains {", "  rankdir=LR;"]
-    for state in fsm.states:
-        attrs = [f'label="{_esc(_node_label(state))}"']
-        if state.is_start:
-            attrs.append("shape=doublecircle")
-        else:
-            attrs.append("shape=ellipse")
-        styles = []
-        if state.is_goal:
-            styles.append("filled")
-            attrs.append("fillcolor=red")
-        if state.id in visited:
-            styles.append("bold")
-        if styles:
-            attrs.append(f'style="{",".join(styles)}"')
-        lines.append(f'  "{_esc(state.id)}" [{", ".join(attrs)}];')
-    for node in points:
-        lines.append(f'  "{_esc(node)}" [shape=point];')
-
-    for src, dst, label, kind in sorted(edges):
-        attrs = []
-        if label:
-            attrs.append(f'label="{_esc(label)}"')
-        if kind == "fp":
-            attrs.append("style=dashed")
-            attrs.append("color=red")
-        elif kind == "dashed":
-            attrs.append("style=dashed")
-        suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f'  "{_esc(src)}" -> "{_esc(dst)}"{suffix};')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.extend(f'  "{s.id}" [label="{_esc(_node_label(s))}", '
+                 f'shape={"doublecircle" if s.is_start else "ellipse"}'
+                 f'{_NODE_STYLES[s.is_goal, s.id in visited]}];' for s in fsm.states)
+    lines.extend(f'  "{points[name]}" [shape=point];' for name in sorted(points))
+    for src, dst, label, attrs in sorted(edges):
+        head = f'  "{points.get(src, src)}" -> "{points.get(dst, dst)}"'
+        lines.append(f'{head} [label="{_esc(label)}"{attrs}];' if label else f"{head};")
+    return "\n".join(lines) + "\n}\n"
 
 
 def _node_label(state: AttackState) -> str:

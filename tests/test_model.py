@@ -314,6 +314,24 @@ class TestAttackStateRecord:
             _login_state(**{argument: order})
         assert str(caught.value) == (
             f"Weak password @ /login.php: duplicate {kind} condition {repeated!r}")
+        make = PreconditionRef if kind == "precondition" else PostconditionRef
+        with pytest.raises(SchemaViolation) as from_iterator:
+            AttackState("Weak password", normalize_uri("/login.php"),
+                        **{f"{kind}s": (make(normalize_condition(c)) for c in order)})
+        assert str(from_iterator.value) == str(caught.value)
+
+    @pytest.mark.parametrize("order", [["a", "b", "c"], ["c", "a", "b"]],
+                             ids=["ascending", "unsorted"])
+    @pytest.mark.parametrize("field, make", [("preconditions", PreconditionRef),
+                                             ("postconditions", PostconditionRef)],
+                             ids=["preconditions", "postconditions"])
+    def test_refs_given_as_a_one_shot_iterator_are_all_kept(self, field, make, order):
+        refs = [make(normalize_condition(c)) for c in order]
+        expected = tuple(sorted(refs, key=lambda ref: ref.condition.id))
+        state = AttackState("Weak password", normalize_uri("/login.php"),
+                            **{field: (ref for ref in refs)})
+        assert getattr(state, field) == expected
+        assert getattr(replace(_login_state(), **{field: iter(refs)}), field) == expected
 
 
 #: One record of each kind but ``AttackState``, with its pinned repr.
