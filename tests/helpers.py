@@ -107,7 +107,7 @@ def random_finding_set(
     every condition text holds ``"`` and ``\\``, and every vulnerability
     name and label also a newline; the draws stay the same.
     """
-    quirk = ' "q\\' if hostile_text else ""
+    quirk = '"q\\' if hostile_text else ""
     n_conds = rng.randint(1, max_conditions)
     pool = [normalize_condition(f"c{i}{quirk}") for i in range(n_conds)]
     if punctuation_variants:
