@@ -68,6 +68,9 @@ MALFORMED_FINDINGS = {
     "lone surrogate in source": (
         lambda doc: doc["findings"][1].update(source="s\ud800"),
         "findings[1]: field 'source' contains a lone surrogate"),
+    "percent-decoded control character at the uri's end": (
+        lambda doc: doc["findings"][1].update(uri="/a%0D"),
+        "findings[1]: percent-decoded path contains control characters: '/a%0D'"),
 }
 
 

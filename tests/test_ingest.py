@@ -64,7 +64,7 @@ class TestParseCrawlList:
         with pytest.raises(MalformedUri, match="line 3"):
             parse_crawl_list("/ok\n# fine\n/bad\x00uri\n")
         # Only CR LF, CR and LF end a line; a trailing Unicode line boundary
-        # is stripped by normalization like other trailing whitespace.
+        # is part of the URI.
         for char in "\u2028\u2029\x85":
             with pytest.raises(MalformedUri, match=r"^line 2: "):
                 parse_crawl_list(f"/a{char}\n/b\x00\n")
@@ -80,6 +80,16 @@ class TestParseCrawlList:
                     parse_crawl_list(text)
         with pytest.raises(MalformedUri, match=r"^line 1: URI contains control characters"):
             parse_crawl_list("/a\x0c\n\x1f/b\n")
+
+    @pytest.mark.parametrize("entry", ["/a%0D", "a%0D", "/a%1F", "%0D/a"])
+    def test_percent_decoded_control_character_at_an_end_names_its_line(self, entry):
+        with pytest.raises(MalformedUri) as caught:
+            parse_crawl_list(f"/ok\n# fine\n{entry}\n")
+        assert str(caught.value) == (
+            f"line 3: percent-decoded path contains control characters: {entry!r}")
+
+    def test_unicode_line_boundary_at_a_line_end_is_kept(self):
+        assert parse_crawl_list("/a\u2028\n/b%C2%85\n") == {"/", "/a\u2028", "/b\x85"}
 
 
 class TestParseFindings:
@@ -123,6 +133,19 @@ class TestParseFindings:
         with pytest.raises(DuplicateState,
                            match=r"^findings\[1\]: same vulnerability and URI as findings\[0\]$"):
             parse_findings(doc)
+
+    def test_uri_ending_in_a_decoded_control_character_is_rejected_not_merged(self):
+        with pytest.raises(SchemaViolation) as caught:
+            parse_findings(_doc([_row(vuln="v", uri="/a"), _row(vuln="v", uri="/a%0D")]))
+        assert type(caught.value) is SchemaViolation
+        assert str(caught.value) == (
+            "findings[1]: percent-decoded path contains control characters: '/a%0D'")
+
+    def test_uri_ending_in_a_non_ascii_space_is_its_own_state(self):
+        fs = parse_findings(_doc([_row(vuln="v", uri=uri)
+                                  for uri in ("/a", "/a\x85", "/a%C2%A0", "/a ")]))
+        assert {f.uri.canonical for f in fs.findings} == {"/a", "/a\x85", "/a\xa0", "/a "}
+        assert len({f.id for f in fs.findings}) == 4
 
     def test_label_may_be_null_but_not_a_lone_surrogate(self):
         assert parse_findings(_doc([_row(label=None)])).findings[0].label is None

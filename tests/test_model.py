@@ -99,7 +99,7 @@ class TestNormalizeUri:
     def test_idempotent_on_canonical(self):
         nested_15 = "/a%" + "25" * 15 + "41"  # the deepest nesting accepted
         for raw in ("/a/b/", "/Flash/add%20fla", "ALL URI", "NULL", "/", "/x?q=%00", "/a%2520b",
-                    nested_15):
+                    nested_15, "/a /", "/a%20/", "/a%20/%20/?q", "/a%C2%85", "/a\x85 ", "/a?x\u2028"):
             canonical = normalize_uri(raw).canonical
             assert normalize_uri(canonical).canonical == canonical
 
@@ -115,11 +115,36 @@ class TestNormalizeUri:
         with pytest.raises(MalformedUri):
             normalize_uri("http://[")  # unbalanced IPv6 authority
 
-    @pytest.mark.parametrize("raw", ["/a%0Ab", "/a%7Fb", "http://h.example/a%00b", "/a%250Ab"])
+    @pytest.mark.parametrize("raw", [
+        "/a%0Ab", "/a%7Fb", "http://h.example/a%00b", "/a%250Ab",
+        # At either end of the path, where a strip once dropped them first.
+        "/a%0D", "a%0D", "/a%1F", "%0D/a", "/%0Aa", "/a%0D/", "/a%0D%20", "/a%0D?q",
+        "http://h.example/a%1F", "/a%250D"])
     def test_percent_decoded_control_character_rejected(self, raw):
         with pytest.raises(MalformedUri) as caught:
             normalize_uri(raw)
         assert str(caught.value) == f"percent-decoded path contains control characters: {raw!r}"
+
+    @pytest.mark.parametrize("raw,canonical", [
+        ("/a%C2%85", "/a\x85"), ("/a\x85", "/a\x85"), ("/a\u2028", "/a\u2028"),
+        ("/a%E2%80%A8", "/a\u2028"), ("/a%C2%A0", "/a\xa0"), ("/a\xa0", "/a\xa0"),
+        ("\u2028/a", "/\u2028/a"), ("/a?x\u2028", "/a?x\u2028")])
+    def test_non_ascii_space_at_an_end_is_part_of_the_uri(self, raw, canonical):
+        uri = normalize_uri(raw)
+        assert uri.canonical == canonical
+        assert uri != normalize_uri("/a")
+        assert normalize_uri(canonical).canonical == canonical
+
+    @pytest.mark.parametrize("raw,canonical", [
+        ("/a%20", "/a"), (" /a ", "/a"), ("%20a", "/a"), ("/a?x ", "/a?x"), ("/a? x", "/a?x"),
+        ("/a /", "/a"), ("/a%20/%20/", "/a"), ("/a /?q", "/a?q"), ("/a%20? ", "/a")])
+    def test_ascii_space_at_an_end_is_dropped(self, raw, canonical):
+        assert normalize_uri(raw).canonical == canonical
+
+    @pytest.mark.parametrize("raw", [" ", " \t", "\n", "\u2028", "\x85", "\xa0 ", "\x1c"])
+    def test_whitespace_only_rejected(self, raw):
+        with pytest.raises(MalformedUri, match="^URI is whitespace-only$"):
+            normalize_uri(raw)
 
 
 #: A path segment of the canonical shape, with its leading slash.
