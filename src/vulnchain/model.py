@@ -120,6 +120,10 @@ class NormalizedUri:
 _set_uri_raw, _set_uri_canonical = _slot_setters(NormalizedUri)
 
 _CONTROL_CHARS = re.compile(r"[\x00-\x1f\x7f]")
+#: The one character stripped from the ends of a URI, of its decoded path
+#: and of its query. Any other character there, U+0085, U+00A0 and U+2028
+#: among them, is part of the URI.
+_EDGE_SPACE = " "
 #: The root, or slash-led segments of unreserved characters, after an
 #: optional ``scheme://host[:port]`` of a plain host name or address: the
 #: general path gives such a URI's path group, unchanged, as its canonical.
@@ -156,10 +160,15 @@ def normalize_uri(raw: str) -> NormalizedUri:
     host only letters, digits, dots and hyphens and its port only digits,
     whose canonical is that path.
 
+    Only ASCII spaces are stripped: from the ends of the input, of the
+    percent-decoded path and of the query; trailing slashes go with the
+    path's trailing spaces.
+
     Raises :class:`MalformedUri` for whitespace-only input, control
-    characters, percent-escapes nested more than 16 levels deep, or paths
-    whose percent-decoded form cannot be re-parsed (decoded ``#`` or ``?``
-    inside the path).
+    characters, raw or percent-decoded anywhere in the path,
+    percent-escapes nested more than 16 levels deep, or paths whose
+    percent-decoded form cannot be re-parsed (decoded ``#`` or ``?`` inside
+    the path).
     """
     canonical = _CANONICAL_PATH.fullmatch(raw)
     if canonical:
@@ -167,11 +176,11 @@ def normalize_uri(raw: str) -> NormalizedUri:
     if raw == "":
         # Re-entrant form of the NULL sentinel's canonical.
         return NormalizedUri(raw="", canonical=URI_NULL)
-    stripped = raw.strip()
-    if not stripped:
+    if raw.isspace():
         raise MalformedUri("URI is whitespace-only")
     if _CONTROL_CHARS.search(raw):
         raise MalformedUri(f"URI contains control characters: {raw!r}")
+    stripped = raw.strip(_EDGE_SPACE)
 
     lowered = stripped.lower()
     if lowered == "all uri" or stripped == URI_ALL:
@@ -183,18 +192,18 @@ def normalize_uri(raw: str) -> NormalizedUri:
         parts = urlsplit(stripped)
     except ValueError as exc:
         raise MalformedUri(f"cannot split URI {raw!r}: {exc}") from exc
-    # Leading/trailing whitespace on the path or query would not survive a
-    # second normalization pass, so it is dropped; interior spaces stay.
-    path = _decode_path(parts.path, raw).strip()
-    query = parts.query.strip()
+    path = _decode_path(parts.path, raw)
     if _CONTROL_CHARS.search(path):
         raise MalformedUri(f"percent-decoded path contains control characters: {raw!r}")
     if "#" in path or "?" in path:
         raise MalformedUri(f"percent-decoded path cannot be re-split: {raw!r}")
+    # A space at either end of the path or query would not survive a second
+    # normalization pass, so it is dropped; interior spaces stay.
+    path = path.lstrip(_EDGE_SPACE)
     if not path.startswith("/"):
         path = "/" + path
-    while len(path) > 1 and path.endswith("/"):
-        path = path[:-1]
+    path = path.rstrip(_EDGE_SPACE + "/") or "/"
+    query = parts.query.strip(_EDGE_SPACE)
     canonical = f"{path}?{query}" if query else path
     return NormalizedUri(raw=raw, canonical=canonical)
 

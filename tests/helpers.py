@@ -299,6 +299,7 @@ def replay_witness(fsm: Fsm, path: AttackPath) -> bool:
 # through unchanged: every URI takes the general path here.
 
 _REFERENCE_CONTROL_CHARS = re.compile(r"[\x00-\x1f\x7f]")
+_REFERENCE_EDGE_SPACE = " "
 _REFERENCE_MAX_DECODES = 16
 
 
@@ -324,19 +325,24 @@ def reference_normalize_uri(raw: str) -> NormalizedUri:
     canonical. A scheme and authority, if present, are dropped; relative
     paths gain a leading slash; fragments are discarded.
 
+    Only ASCII spaces are stripped: from the ends of the input, of the
+    percent-decoded path and of the query; trailing slashes go with the
+    path's trailing spaces.
+
     Raises :class:`MalformedUri` for whitespace-only input, control
-    characters, percent-escapes nested more than 16 levels deep, or paths
-    whose percent-decoded form cannot be re-parsed (decoded ``#`` or ``?``
-    inside the path).
+    characters, raw or percent-decoded anywhere in the path,
+    percent-escapes nested more than 16 levels deep, or paths whose
+    percent-decoded form cannot be re-parsed (decoded ``#`` or ``?`` inside
+    the path).
     """
     if raw == "":
         # Re-entrant form of the NULL sentinel's canonical.
         return NormalizedUri(raw="", canonical=URI_NULL)
-    stripped = raw.strip()
-    if not stripped:
+    if raw.isspace():
         raise MalformedUri("URI is whitespace-only")
     if _REFERENCE_CONTROL_CHARS.search(raw):
         raise MalformedUri(f"URI contains control characters: {raw!r}")
+    stripped = raw.strip(_REFERENCE_EDGE_SPACE)
 
     lowered = stripped.lower()
     if lowered == "all uri" or stripped == URI_ALL:
@@ -348,18 +354,20 @@ def reference_normalize_uri(raw: str) -> NormalizedUri:
         parts = urlsplit(stripped)
     except ValueError as exc:
         raise MalformedUri(f"cannot split URI {raw!r}: {exc}") from exc
-    # Leading/trailing whitespace on the path or query would not survive a
-    # second normalization pass, so it is dropped; interior spaces stay.
-    path = _reference_decode_path(parts.path, raw).strip()
-    query = parts.query.strip()
+    path = _reference_decode_path(parts.path, raw)
     if _REFERENCE_CONTROL_CHARS.search(path):
         raise MalformedUri(f"percent-decoded path contains control characters: {raw!r}")
     if "#" in path or "?" in path:
         raise MalformedUri(f"percent-decoded path cannot be re-split: {raw!r}")
+    # Spaces at either end of the path or query would not survive a second
+    # normalization pass, so they are dropped; interior spaces stay. A
+    # trailing slash before a space would leave that space at the end.
+    path = path.strip(_REFERENCE_EDGE_SPACE)
     if not path.startswith("/"):
         path = "/" + path
-    while len(path) > 1 and path.endswith("/"):
+    while len(path) > 1 and path[-1] in "/" + _REFERENCE_EDGE_SPACE:
         path = path[:-1]
+    query = parts.query.strip(_REFERENCE_EDGE_SPACE)
     canonical = f"{path}?{query}" if query else path
     return NormalizedUri(raw=raw, canonical=canonical)
 
