@@ -18,8 +18,6 @@ from vulnchain import (  # noqa: E402
     AssumptionSet,
     ReachParams,
     build_fsm,
-    collect_goals,
-    extract_witness,
     fsm_to_json,
     parse_crawl_list,
     parse_findings,
@@ -50,9 +48,7 @@ def main() -> int:
 
         assumptions = AssumptionSet(frozenset(fsm.user_action_condition_ids))
         result = reach(fsm, ReachParams(assumptions=assumptions))
-        goals = collect_goals(result, fsm)
-        witnesses = {g: extract_witness(fsm, result, g) for g in sorted(goals)}
-        report = to_report(fsm, result, witnesses)
+        report = to_report(fsm, result)
 
         (out_dir / f"{name}.fsm.json").write_bytes(fsm_to_json(fsm).encode())
         (out_dir / f"{name}.report.json").write_bytes(report_to_json(report).encode())
@@ -64,10 +60,9 @@ def main() -> int:
         print(f"goals reached by chaining: {show(fsm, report.reachable_goals)}")
         print(f"goals reachable in isolation: {show(fsm, report.isolated_goals)}")
         print(f"chaining-only goals: {show(fsm, report.chained_only_goals)}")
-        for goal in sorted(witnesses):
-            path = witnesses[goal]
-            steps = " -> ".join(fsm.label_of(sid) for sid, _ in path.steps)
-            print(f"witness for {fsm.label_of(goal)}: {steps}")
+        for witness in report.witnesses:
+            steps = " -> ".join(fsm.label_of(step["state"]) for step in witness["steps"])
+            print(f"witness for {fsm.label_of(witness['goal'])}: {steps}")
         print()
     print(f"artifacts written to {out_dir}/")
     return 0

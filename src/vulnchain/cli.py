@@ -16,7 +16,7 @@ from typing import Sequence
 from .errors import InvalidAssumption, SchemaViolation, VulnchainError
 from .ingest import build_fsm, fsm_from_json, fsm_to_json, parse_crawl_list, parse_findings
 from .model import AssumptionSet, Fsm, ReachResult, normalize_condition
-from .reach import ReachParams, Semantics, collect_goals, extract_witness, isolated_goals, reach
+from .reach import ReachParams, Semantics, collect_goals, isolated_goals, reach
 from .report import AnalysisReport, report_from_json, report_to_json, to_dot, to_report
 
 
@@ -115,12 +115,9 @@ def _cmd_build(args) -> int:
 
 def _cmd_analyze(args) -> int:
     fsm = _in_file(args.fsm, fsm_from_json)
-    result = _reach(fsm, args.assume, "--assume", args.semantics)
-    reached = collect_goals(result, fsm)
-    witnesses = {goal: extract_witness(fsm, result, goal) for goal in sorted(reached)}
-    report = to_report(fsm, result, witnesses)
+    report = to_report(fsm, _reach(fsm, args.assume, "--assume", args.semantics))
     Path(args.out).write_bytes(report_to_json(report).encode("utf-8"))
-    print(f"goals reached: {len(reached)}/{len(fsm.goal_ids)}")
+    print(f"goals reached: {len(report.reachable_goals)}/{len(fsm.goal_ids)}")
     return 0
 
 

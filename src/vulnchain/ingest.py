@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
-from operator import attrgetter
 from typing import Any, Iterable
 
 from .errors import DuplicateState, EmptyCondition, MalformedUri, SchemaViolation, UnknownAssumptionFlag
@@ -43,8 +42,8 @@ class FindingSet:
 
     ``environment_facts`` are conditions true before any state fires (server
     versions and similar discoveries); they may coincide with postconditions.
-    Each finding is already the machine state it becomes, and ``findings``
-    is in id order.
+    Each finding is already the machine state it becomes. Both lists keep
+    the document's order; :class:`Fsm` sorts them and keeps one fact per id.
     """
 
     site: str
@@ -97,7 +96,7 @@ def parse_findings(document: str | bytes) -> FindingSet:
     offending path, :class:`DuplicateState` for a repeated (vulnerability,
     URI) pair, and :class:`UnknownAssumptionFlag` if a postcondition carries
     ``requires_user_action``. Omitted ref lists and flags default to empty
-    and ``false``, and ``label`` may be ``null``.
+    and ``false``, and ``label`` may be ``null``. Document order is kept.
     """
     doc = _decode_json_object(document, what="findings document")
     _reject_unknown(doc, {"site", "environment_facts", "findings"}, path="$")
@@ -107,22 +106,21 @@ def parse_findings(document: str | bytes) -> FindingSet:
     entries = [(path, _finding(item, path, shared, complete=False))
                for path, item in _objects(doc, "findings", _FINDING_KEYS, "$")]
     _reject_duplicate_states(entries)
-    findings = sorted((f for _, f in entries), key=attrgetter("id"))
-    return FindingSet(site=site, environment_facts=facts, findings=tuple(findings))
+    return FindingSet(site=site, environment_facts=facts, findings=tuple(f for _, f in entries))
 
 
-def build_fsm(findings: FindingSet, crawled: frozenset[str] | None = None) -> Fsm:
+def build_fsm(findings: FindingSet, crawled: frozenset[str]) -> Fsm:
     """The machine of validated inputs: one state per finding.
 
     Pure and deterministic: equal inputs yield machines that serialize
     identically. The machine's diagnostics warn about each finding URI that
     is not in ``crawled`` (see :func:`parse_crawl_list`): scanner and
     crawler disagree, but the finding is kept. The ``*`` sentinel never
-    warns, and ``crawled=None`` gives no warnings. The machine derives its
-    warnings about the findings' content itself, and :attr:`Fsm.warnings`
-    lists them ahead of these diagnostics.
+    warns. The machine derives its warnings about the findings' content
+    itself, and :attr:`Fsm.warnings` lists them ahead of these diagnostics.
+    A machine without a crawl list is the :class:`Fsm` constructor's.
     """
-    diagnostics = () if crawled is None else (
+    diagnostics = (
         f"no crawled resource matches finding URI {f.uri.display()!r}"
         for f in findings.findings
         if f.uri.canonical != URI_ALL and f.uri.canonical not in crawled
@@ -244,14 +242,12 @@ def fsm_from_json(document: str | bytes) -> Fsm:
 # ---------------------------------------------------------------------------
 
 def _environment_facts(doc: dict) -> tuple[Condition, ...]:
-    """``doc["environment_facts"]`` as conditions sorted by id, one per id
-    (the first label wins)."""
-    facts: dict[str, Condition] = {}
+    """``doc["environment_facts"]`` as conditions, in document order."""
+    facts = []
     for i, label in enumerate(_get(doc, "environment_facts", list, "$")):
         path = f"environment_facts[{i}]"
-        cond = _condition(_typed(label, str, path), path)
-        facts.setdefault(cond.id, cond)
-    return tuple(facts[cid] for cid in sorted(facts))
+        facts.append(_condition(_typed(label, str, path), path))
+    return tuple(facts)
 
 
 def _reject_duplicate_states(entries: Iterable[tuple[str, AttackState]]) -> None:

@@ -14,7 +14,8 @@ from typing import Any, Mapping
 from .errors import SchemaViolation
 from .ingest import _child, _decode_json_object, _get, _objects, _reject_unknown, _typed
 from .model import START_STATE_ID, AttackPath, AttackState, Fsm, ReachResult
-from .reach import Semantics, check_result_fsm, collect_goals, isolated_goals, unmet_conditions
+from .reach import (Semantics, check_result_fsm, collect_goals, extract_witness, isolated_goals,
+                    unmet_conditions)
 
 REPORT_FORMAT_VERSION = 1
 
@@ -86,9 +87,7 @@ def to_dot(fsm: Fsm, result: ReachResult | None = None) -> str:
 def _node_label(state: AttackState) -> str:
     if state.is_start:
         return START_STATE_ID
-    name = state.vulnerability_name
-    if state.label:
-        name = f"{state.label}: {name}"
+    name = f"{state.label}: {state.vulnerability_name}" if state.label else state.vulnerability_name
     return f"{name}\n{state.uri.display()}"
 
 
@@ -125,10 +124,10 @@ def to_report(
     result: ReachResult,
     witnesses: Mapping[str, AttackPath] | None = None,
 ) -> AnalysisReport:
-    """Assemble the report for one reach result.
-
-    ``witnesses`` maps reachable goal ids to extracted attack paths; pass
-    the output of :func:`vulnchain.reach.extract_witness` per goal.
+    """Assemble the report for one reach result, with the witness
+    :func:`vulnchain.reach.extract_witness` gives each reached goal, or the
+    path ``witnesses`` maps it to: a map naming any other set of goals
+    raises :class:`ValueError` naming the first, by id.
 
     The step entries are shared: a step that is one object in several
     paths, as ``extract_witness`` gives each state's step, becomes one
@@ -136,6 +135,12 @@ def to_report(
     holds, so changing one changes them all.
     """
     reached = collect_goals(result, fsm)
+    if witnesses is None:
+        witnesses = {goal: extract_witness(fsm, result, goal) for goal in sorted(reached)}
+    elif witnesses.keys() != reached:
+        goal = min(reached.symmetric_difference(witnesses))
+        raise ValueError(f"witnesses: goal {goal!r} is "
+                         f"{'missing' if goal in reached else 'not reached'}")
     isolated = isolated_goals(fsm, result)
     entries: dict[int, dict[str, Any]] = {}
 
@@ -167,7 +172,7 @@ def to_report(
             {"goal": goal, "label": fsm.by_id[goal].label,
              "assumptions_used": sorted(path.assumptions_used),
              "steps": [entry(step) for step in path.steps]}
-            for goal, path in sorted((witnesses or {}).items())
+            for goal, path in sorted(witnesses.items())
         ],
         labels={s.id: s.label for s in fsm.states if s.label is not None},
     )
@@ -182,14 +187,13 @@ def report_to_json(report: AnalysisReport) -> str:
     indent falls back to the pure-Python encoder.
     """
     doc = {"format_version": REPORT_FORMAT_VERSION, **vars(report)}
-    text = _json_text(doc, "\n")
+    text = _json_text(doc)
     text += "\n"  # in place, not a second copy of what can be many megabytes
     return text
 
 
-def _json_text(value: Any, newline: str) -> str:
-    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes
-    it, where ``newline`` is the line break and indent of its own level.
+def _json_text(value: Any) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it.
 
     The text is gathered as fragments by :func:`_write` and joined once.
     A list or dict that recurs at one indent, such as a report's shared
@@ -201,7 +205,7 @@ def _json_text(value: Any, newline: str) -> str:
     if not isinstance(value, (dict, list, tuple)) or not value:
         return _scalar_text(value)
     parts: list[str] = []
-    _write(value, newline, parts, {})
+    _write(value, "\n", parts, {})
     return "".join(parts)
 
 

@@ -39,7 +39,6 @@ from vulnchain import (
     parse_findings,
 )
 from vulnchain.ingest import FSM_FORMAT_VERSION
-from vulnchain.report import _esc, _node_label
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 _VULNWEB = FIXTURES / "vulnweb"
@@ -105,7 +104,8 @@ def random_finding_set(
     for some conditions, so near-miss warnings occur; without it the draws
     are the same as ever for a given ``rng`` state. With ``hostile_text``
     every condition text holds ``"`` and ``\\``, and every vulnerability
-    name and label also a newline; the draws stay the same.
+    name and label also a newline; the URIs take turns being ``ALL URI``,
+    ``NULL`` and a path holding ``"`` and ``\\``; the draws stay the same.
     """
     quirk = '"q\\' if hostile_text else ""
     n_conds = rng.randint(1, max_conditions)
@@ -126,7 +126,8 @@ def random_finding_set(
         )
         findings.append(AttackState(
             vulnerability_name=f"v{i:02d}{quirk}\nz" if hostile_text else f"v{i:02d}",
-            uri=normalize_uri(f"/r{i:02d}"),
+            uri=normalize_uri(("ALL URI", "NULL", f"/r{i:02d}{quirk}")[i % 3] if hostile_text
+                              else f"/r{i:02d}"),
             preconditions=pres,
             postconditions=posts,
             is_goal=rng.random() < 0.3,
@@ -134,14 +135,14 @@ def random_finding_set(
         ))
     facts = tuple(rng.sample(pool, k=rng.randint(0, min(2, len(pool)))))
     raw = FindingSet(site="random", environment_facts=facts, findings=tuple(findings))
-    # One parse pass canonicalizes ordering and keeps one fact per id.
+    # The set as the parser gives it, its condition objects shared.
     return parse_findings(serialize_findings(raw))
 
 
 def serialize_findings(finding_set: FindingSet) -> str:
-    """The findings document of ``finding_set``, every field spelled out.
-    ``parse_findings`` of the output reproduces a parsed set exactly; it
-    puts any other set's findings and facts in id order, one fact per id."""
+    """The findings document of ``finding_set``, every field spelled out,
+    in the set's order. ``parse_findings`` of the output reproduces the
+    set."""
     doc = {
         "site": finding_set.site,
         "environment_facts": [c.label for c in finding_set.environment_facts],
@@ -428,6 +429,24 @@ def reference_content_warnings(facts: tuple[Condition, ...], findings: tuple[Att
     return tuple(warnings)
 
 
+def _reference_dot_text(text: str) -> str:
+    """``text`` inside a DOT double-quoted string: each backslash, double
+    quote and newline written as ``\\\\``, ``\\"`` and ``\\n``."""
+    escapes = {"\\": "\\\\", '"': '\\"', "\n": "\\n"}
+    return "".join(escapes.get(char, char) for char in text)
+
+
+def _reference_node_label(state: AttackState) -> str:
+    """``start`` for the start state; otherwise ``label: vulnerability`` (the
+    vulnerability alone without a label), a newline, and the canonical URI,
+    the sentinels spelled ``ALL URI`` and ``NULL``."""
+    if state.is_start:
+        return "start"
+    head = f"{state.label}: {state.vulnerability_name}" if state.label else state.vulnerability_name
+    uri = {URI_ALL: "ALL URI", URI_NULL: "NULL"}.get(state.uri.canonical, state.uri.canonical)
+    return f"{head}\n{uri}"
+
+
 def reference_to_dot(fsm: Fsm, result: ReachResult | None = None) -> str:
     """Render the machine as a deterministic Graphviz digraph.
 
@@ -481,7 +500,7 @@ def reference_to_dot(fsm: Fsm, result: ReachResult | None = None) -> str:
 
     lines = ["digraph vulnerability_chains {", "  rankdir=LR;"]
     for state in [fsm.start] + list(fsm.non_start_states):
-        attrs = [f'label="{_esc(_node_label(state))}"']
+        attrs = [f'label="{_reference_dot_text(_reference_node_label(state))}"']
         if state.is_start:
             attrs.append("shape=doublecircle")
         else:
@@ -494,21 +513,21 @@ def reference_to_dot(fsm: Fsm, result: ReachResult | None = None) -> str:
             styles.append("bold")
         if styles:
             attrs.append(f'style="{",".join(styles)}"')
-        lines.append(f'  "{_esc(state.id)}" [{", ".join(attrs)}];')
+        lines.append(f'  "{_reference_dot_text(state.id)}" [{", ".join(attrs)}];')
     for node in point_nodes:
-        lines.append(f'  "{_esc(node)}" [shape=point];')
+        lines.append(f'  "{_reference_dot_text(node)}" [shape=point];')
 
     for src, dst, label, kind in sorted(edges):
         attrs = []
         if label:
-            attrs.append(f'label="{_esc(label)}"')
+            attrs.append(f'label="{_reference_dot_text(label)}"')
         if kind == "fp":
             attrs.append("style=dashed")
             attrs.append("color=red")
         elif kind == "dashed":
             attrs.append("style=dashed")
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f'  "{_esc(src)}" -> "{_esc(dst)}"{suffix};')
+        lines.append(f'  "{_reference_dot_text(src)}" -> "{_reference_dot_text(dst)}"{suffix};')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -544,7 +563,13 @@ def single_finding(vuln: str, uri: str, pres=(), posts=(), *, is_goal=False, lab
 
 
 def fsm_of(*findings: AttackState, facts: tuple[Condition, ...] = (), site: str = "test") -> Fsm:
-    return build_fsm(FindingSet(site=site, environment_facts=facts, findings=tuple(findings)))
+    return Fsm(site, findings, facts)
+
+
+def machine_of(finding_set: FindingSet) -> Fsm:
+    """The machine of ``finding_set`` without a crawl list, so without
+    crawl diagnostics."""
+    return Fsm(finding_set.site, finding_set.findings, finding_set.environment_facts)
 
 
 # ---------------------------------------------------------------------------

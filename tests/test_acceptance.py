@@ -18,7 +18,6 @@ from vulnchain import (
     extract_witness,
     isolated_goals,
     reach,
-    build_fsm,
 )
 from vulnchain.cli import cli_main
 
@@ -27,6 +26,7 @@ from tests.helpers import (
     closure_by_exhaustion,
     ids_for,
     labels_of,
+    machine_of,
     random_assumptions,
     random_finding_set,
     start_successors,
@@ -58,7 +58,7 @@ def _corpus():
     rng = random.Random(CORPUS_SEED)
     for _ in range(CORPUS_SIZE):
         finding_set = random_finding_set(rng, max_states=10, max_conditions=15)
-        fsm = build_fsm(finding_set)
+        fsm = machine_of(finding_set)
         yield finding_set, fsm, random_assumptions(rng, fsm)
 
 
@@ -164,11 +164,11 @@ def test_criterion_7_monotonicity():
                     environment_facts=finding_set.environment_facts
                     + (normalize_condition(fact_candidates[0]),),
                 )
-                assert base <= reach(build_fsm(mutated), params).visited
+                assert base <= reach(machine_of(mutated), params).visited
 
             cleared = _clear_first_false_positive(finding_set)
             if cleared is not None:
-                assert base <= reach(build_fsm(cleared), params).visited
+                assert base <= reach(machine_of(cleared), params).visited
 
 
 def _clear_first_false_positive(finding_set):

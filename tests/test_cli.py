@@ -715,6 +715,7 @@ class TestAnalyzeFixturesScript:
             for ext in ("fsm.json", "report.json", "dot"))
         assert "goals reached by chaining: S10 S4 S7" in proc.stdout
         assert "chaining-only goals: S7" in proc.stdout
+        assert "witness for S7: S2 -> S5 -> S6 -> S7\n" in proc.stdout
         # The script grants every user action, as the CLI golden runs do
         # with --assume, so each file equals the CLI's byte for byte.
         golden = Path(__file__).resolve().parent / "golden"

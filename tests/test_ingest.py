@@ -22,7 +22,8 @@ from vulnchain import (
 )
 from vulnchain.ingest import FSM_FORMAT_VERSION
 
-from tests.helpers import CLI_INPUTS, finding_entry, load_finding_set, load_tree, serialize_findings
+from tests.helpers import (CLI_INPUTS, FIXTURES, finding_entry, load_finding_set, load_tree,
+                           machine_of, serialize_findings)
 from tests.test_fuzz import RETYPED, _entries
 
 
@@ -102,7 +103,7 @@ class TestParseFindings:
             r for f in fs.findings for r in f.preconditions if r.requires_user_action
         ]
         assert len(user_action) == 3
-        assert build_fsm(fs).warnings == ()
+        assert machine_of(fs).warnings == ()
 
     def test_empty_findings_with_one_fact(self):
         fs = parse_findings(_doc(facts=["Server banner exposed"]))
@@ -154,12 +155,22 @@ class TestParseFindings:
             parse_findings(_doc([_row(label="\udc80")]))
 
     def test_findings_in_id_order(self):
+        # The finding set keeps the document's order; the machine orders it.
         fs = load_finding_set("vulnweb")
-        assert [f.id for f in fs.findings] == sorted(f.id for f in fs.findings)
+        doc = json.loads((FIXTURES / "vulnweb" / "findings.json").read_text())
+        assert [f.label for f in fs.findings] == [row["label"] for row in doc["findings"]]
+        assert [f.id for f in fs.findings] != sorted(f.id for f in fs.findings)
+        fsm = build_fsm(fs, load_tree("vulnweb"))
+        assert [s.id for s in fsm.non_start_states] == sorted(f.id for f in fs.findings)
 
     def test_environment_facts_one_per_id_first_label_wins(self):
+        # The finding set keeps every fact as written; the machine's start
+        # state keeps one per id, the first label, in id order.
         fs = parse_findings(_doc(facts=["Zeta", "alpha", "ZETA"]))
         assert [(c.id, c.label) for c in fs.environment_facts] == [
+            ("zeta", "Zeta"), ("alpha", "alpha"), ("zeta", "ZETA")]
+        start = build_fsm(fs, parse_crawl_list("")).start
+        assert [(r.condition.id, r.condition.label) for r in start.postconditions] == [
             ("alpha", "alpha"), ("zeta", "Zeta")]
 
     def test_user_action_flag_on_postcondition_rejected(self):
@@ -186,13 +197,13 @@ class TestParseFindings:
 
     def test_unsatisfiable_precondition_warning(self):
         fs = load_finding_set("minimal")
-        assert build_fsm(fs).warnings == (
+        assert machine_of(fs).warnings == (
             "precondition 'x2' has no producing finding and no matching environment fact",
         )
 
     def test_user_action_preconditions_do_not_warn(self):
         doc = _doc([_row(pres=[{"condition": "user clicks", "requires_user_action": True}])])
-        assert build_fsm(parse_findings(doc)).warnings == ()
+        assert machine_of(parse_findings(doc)).warnings == ()
 
     def test_near_miss_punctuation_warning(self):
         doc = _doc([
@@ -200,7 +211,7 @@ class TestParseFindings:
             _row(vuln="B", uri="/b", pres=[{"condition": "weak password"}]),
         ])
         fs = parse_findings(doc)
-        assert any("differ only in punctuation" in w for w in build_fsm(fs).warnings)
+        assert any("differ only in punctuation" in w for w in machine_of(fs).warnings)
 
     def test_environment_fact_may_coincide_with_postcondition(self):
         doc = _doc(

@@ -99,7 +99,8 @@ class TestNormalizeUri:
     def test_idempotent_on_canonical(self):
         nested_15 = "/a%" + "25" * 15 + "41"  # the deepest nesting accepted
         for raw in ("/a/b/", "/Flash/add%20fla", "ALL URI", "NULL", "/", "/x?q=%00", "/a%2520b",
-                    nested_15, "/a /", "/a%20/", "/a%20/%20/?q", "/a%C2%85", "/a\x85 ", "/a?x\u2028"):
+                    nested_15, "/a /", "/a%20/", "/a%20/%20/?q", "/a%C2%85", "/a\x85 ",
+                    "/a?x\u2028"):
             canonical = normalize_uri(raw).canonical
             assert normalize_uri(canonical).canonical == canonical
 

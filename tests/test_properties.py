@@ -14,7 +14,6 @@ from vulnchain import (
     PreconditionRef,
     ReachParams,
     Semantics,
-    build_fsm,
     collect_goals,
     extract_witness,
     fsm_from_json,
@@ -27,6 +26,7 @@ from vulnchain import (
 
 from tests.helpers import (
     closure_by_exhaustion,
+    machine_of,
     replay_witness,
     serialize_findings,
     true_conditions,
@@ -66,7 +66,7 @@ def machines(draw, max_states=8, max_conditions=12):
             label=f"S{i + 1}",
         ))
     facts = tuple(draw(st.lists(st.sampled_from(pool), max_size=2, unique_by=lambda c: c.id)))
-    fsm = build_fsm(FindingSet(site="gen", environment_facts=facts, findings=tuple(findings)))
+    fsm = machine_of(FindingSet(site="gen", environment_facts=facts, findings=tuple(findings)))
 
     ua = sorted(fsm.user_action_condition_ids)
     assumed = frozenset(c for c in ua if draw(st.booleans()))

@@ -13,7 +13,6 @@ from vulnchain import (
     ReachParams,
     ResultFsmMismatch,
     Semantics,
-    build_fsm,
     collect_goals,
     extract_witness,
     isolated_goals,
@@ -31,6 +30,7 @@ from tests.helpers import (
     isolated_goals_by_scan,
     labels_of,
     load_fsm,
+    machine_of,
     random_assumptions,
     random_finding_set,
     reference_extract_witness,
@@ -85,7 +85,7 @@ class TestFixedPoint:
         # visited set, so the order itself is checked on a random corpus.
         rng = random.Random(7)
         for _ in range(3000):
-            fsm = build_fsm(random_finding_set(rng, 12, 10))
+            fsm = machine_of(random_finding_set(rng, 12, 10))
             assumptions = random_assumptions(rng, fsm)
             result = reach(fsm, ReachParams(assumptions=assumptions))
             order, true = firing_order_by_restart_scan(fsm, assumptions.granted_user_actions)
@@ -303,7 +303,7 @@ class TestExtractWitness:
         rng = random.Random(17)
         assumed_seen = long_seen = 0
         for _ in range(1000):
-            fsm = build_fsm(random_finding_set(rng, 10, 15))
+            fsm = machine_of(random_finding_set(rng, 10, 15))
             assumptions = random_assumptions(rng, fsm)
             for semantics in Semantics:
                 result = reach(fsm, ReachParams(semantics=semantics, assumptions=assumptions))
@@ -419,7 +419,7 @@ class TestDiffIsolatedVsChained:
         rng = random.Random(16)
         isolated_seen = chained_only_seen = 0
         for _ in range(1000):
-            fsm = build_fsm(random_finding_set(rng, 10, 15))
+            fsm = machine_of(random_finding_set(rng, 10, 15))
             assumptions = random_assumptions(rng, fsm)
             for semantics in Semantics:
                 result = reach(fsm, ReachParams(semantics=semantics, assumptions=assumptions))

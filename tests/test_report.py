@@ -9,7 +9,7 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from vulnchain import (
     AnalysisReport,
@@ -42,6 +42,8 @@ from tests.helpers import (
     fsm_of,
     granted_by_visited,
     labels_of,
+    load_fsm,
+    machine_of,
     random_assumptions,
     random_finding_set,
     reference_build_warnings,
@@ -350,7 +352,7 @@ class TestToReport:
         rng = random.Random(29)
         assumed_but_missing = 0
         for _ in range(1000):
-            fsm = build_fsm(random_finding_set(rng))
+            fsm = machine_of(random_finding_set(rng))
             assumptions = random_assumptions(rng, fsm)
             assumed = assumptions.granted_user_actions
             closed, _ = closure_by_exhaustion(fsm, assumed)
@@ -393,6 +395,50 @@ class TestToReport:
         assert [w["goal"] for w in report.witnesses] == [goal]
         assert len(report.witnesses[0]["steps"]) >= 4
 
+    def test_witnesses_are_those_extracted_per_reached_goal(self):
+        """With no map, the report holds what ``extract_witness`` gives for
+        each reached goal, as a map of them gives it, on a fresh result."""
+        rng = random.Random(31)
+        cases = []
+        for name in ("minimal", "vulnweb", "teacher"):
+            fsm = load_fsm(name)
+            cases += [(fsm, AssumptionSet()), (fsm, AssumptionSet(fsm.user_action_condition_ids))]
+        for _ in range(1000):
+            fsm = machine_of(random_finding_set(rng))
+            cases.append((fsm, random_assumptions(rng, fsm)))
+        witnesses = 0
+        for fsm, assumptions in cases:
+            for semantics in Semantics:
+                params = ReachParams(semantics, assumptions)
+                result = reach(fsm, params)
+                extracted = {goal: extract_witness(fsm, result, goal)
+                             for goal in sorted(collect_goals(result, fsm))}
+                expected = report_to_json(to_report(fsm, result, extracted))
+                report = to_report(fsm, reach(fsm, params))
+                assert report_to_json(report) == expected
+                assert [w["goal"] for w in report.witnesses] == report.reachable_goals
+                witnesses += len(report.witnesses)
+        assert witnesses > 1000
+
+    def test_witness_map_must_name_exactly_the_reached_goals(self, vulnweb_fsm):
+        result = reach(vulnweb_fsm)
+        reached = sorted(collect_goals(result, vulnweb_fsm))
+        (unreached,) = vulnweb_fsm.goal_ids - set(reached)
+        paths = {goal: extract_witness(vulnweb_fsm, result, goal) for goal in reached}
+        assert len(reached) == 2
+        # With a goal missing and one not reached, the lower id is named.
+        first = min(reached[0], unreached)
+        for witnesses, goal, fault in [
+            ({}, reached[0], "missing"),
+            ({reached[0]: paths[reached[0]]}, reached[1], "missing"),
+            ({**paths, unreached: paths[reached[0]]}, unreached, "not reached"),
+            ({reached[1]: paths[reached[1]], unreached: paths[reached[1]]},
+             first, "missing" if first == reached[0] else "not reached"),
+        ]:
+            with pytest.raises(ValueError) as caught:
+                to_report(vulnweb_fsm, result, witnesses)
+            assert str(caught.value) == f"witnesses: goal {goal!r} is {fault}"
+
     def test_empty_machine_report(self):
         fsm = Fsm(site="", findings=(), facts=())
         report = to_report(fsm, reach(fsm))
@@ -409,7 +455,7 @@ class TestToReport:
     def test_edge_count_matches_the_edges_on_a_random_corpus(self):
         rng = random.Random(11)
         for _ in range(1000):
-            fsm = build_fsm(random_finding_set(rng))
+            fsm = machine_of(random_finding_set(rng))
             assert fsm.edge_count == len(fsm.edges) + len(fsm.unconditional_start_targets)
 
     @pytest.mark.parametrize("name", ["minimal", "vulnweb", "teacher"])
@@ -473,7 +519,7 @@ class TestConditionRelationOracle:
         rng = random.Random(20261020)
         sources = sinks = 0
         for _ in range(1000):
-            fsm = build_fsm(random_finding_set(rng, hostile_text=True))
+            fsm = machine_of(random_finding_set(rng, hostile_text=True))
             result = reach(fsm, ReachParams(assumptions=random_assumptions(rng, fsm)))
             dot = to_dot(fsm)
             assert dot == reference_to_dot(fsm)
@@ -502,7 +548,7 @@ class TestReportSerialization:
         """The console script turns the cyclic collector off, so the
         witnesses, the report and its text must be freed by reference
         counts alone."""
-        result = reach(vulnweb_fsm)
+        result, fresh = reach(vulnweb_fsm), reach(vulnweb_fsm)
         enabled = gc.isenabled()
         gc.collect()
         gc.disable()
@@ -511,6 +557,7 @@ class TestReportSerialization:
                          for g in collect_goals(result, vulnweb_fsm)}
             report_to_json(to_report(vulnweb_fsm, result, witnesses))
             del witnesses
+            report_to_json(to_report(vulnweb_fsm, fresh))
             assert gc.collect() == 0
         finally:
             if enabled:
@@ -530,9 +577,12 @@ class TestReportSerialization:
             report_from_json('{"format_version": 0}')
 
     @given(JSON_VALUES)
+    @example("plain ascii")
+    @example("caf\xe9 \u2028 \U0001f600")
+    @example('say "hi" \\ there\n')
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_writer_matches_indented_json_dumps(self, value):
-        assert _json_text(value, "\n") == json.dumps(value, indent=2, sort_keys=True)
+        assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
     @pytest.mark.parametrize("place", [
         lambda v: [v, v, "x", v],
@@ -546,23 +596,23 @@ class TestReportSerialization:
     ], ids=["step", "nested list", "empty dict", "empty list", "tuple"])
     def test_writer_matches_indented_json_dumps_on_a_repeated_object(self, place, shared):
         value = place(shared)
-        assert _json_text(value, "\n") == json.dumps(value, indent=2, sort_keys=True)
+        assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
     @given(JSON_VALUES)
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_writer_matches_indented_json_dumps_with_a_value_repeated(self, v):
         value = [v, v, {"k": v}]
-        assert _json_text(value, "\n") == json.dumps(value, indent=2, sort_keys=True)
+        assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
     @pytest.mark.parametrize("value", [1.5, {1: "a"}, {"a": {2, 3}}, [b"x"]], ids=repr)
     def test_writer_rejects_other_types(self, value):
         with pytest.raises(TypeError):
-            _json_text(value, "\n")
+            _json_text(value)
 
     def test_writer_matches_indented_json_dumps_on_a_random_corpus(self):
         rng = random.Random(13)
         for _ in range(1000):
-            fsm = build_fsm(random_finding_set(rng))
+            fsm = machine_of(random_finding_set(rng))
             result = reach(fsm, ReachParams(assumptions=random_assumptions(rng, fsm)))
             witnesses = {g: extract_witness(fsm, result, g) for g in collect_goals(result, fsm)}
             report = to_report(fsm, result, witnesses)

@@ -564,6 +564,22 @@ def test_each_witness_step_is_built_and_written_once_per_state(n, monkeypatch):
     report_module = importlib.import_module("vulnchain.report")
     quotes = Counter()
     monkeypatch.setattr(report_module, "_quote", _counting(report_module._quote, quotes))
-    report_to_json(report)
+    text = report_to_json(report)
     size = len(fsm.states) + fsm.edge_count
     assert quotes.n <= BOUND * size, f"{quotes.n} strings quoted for {size} states plus edges"
+
+    # With no map, to_report extracts the same witnesses itself, one step
+    # per visited state of a fresh result. Past the dicts counted above it
+    # builds the map of witnesses, an entry per goal, and the result's step
+    # record; the result's firing positions are read beforehand.
+    fresh = reach(fsm)
+    built_steps.n = 0
+    assert report_to_json(to_report(fsm, fresh)) == text
+    assert built_steps.n <= len(fresh.visited), (
+        f"{built_steps.n} steps built for {len(fresh.visited)} visited states")
+    monkeypatch.undo()
+    fresh = reach(fsm)
+    assert len(fresh.firing_position) == len(fresh.visited)
+    _, dicts = _count_dicts_built(lambda: to_report(fsm, fresh))
+    assert dicts <= len(distinct) + 2 * len(witnesses) + 6, (
+        f"{dicts} dicts built for {len(distinct)} distinct steps")
