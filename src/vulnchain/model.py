@@ -120,9 +120,8 @@ class NormalizedUri:
 _set_uri_raw, _set_uri_canonical = _slot_setters(NormalizedUri)
 
 _CONTROL_CHARS = re.compile(r"[\x00-\x1f\x7f]")
-#: The one character stripped from the ends of a URI, of its decoded path
-#: and of its query. Any other character there, U+0085, U+00A0 and U+2028
-#: among them, is part of the URI.
+#: The one character stripped from the ends of a URI, its decoded path and
+#: its query; any other there, such as U+0085 or U+00A0, is part of the URI.
 _EDGE_SPACE = " "
 #: The root, or slash-led segments of unreserved characters, after an
 #: optional ``scheme://host[:port]`` of a plain host name or address: the
@@ -165,7 +164,7 @@ def normalize_uri(raw: str) -> NormalizedUri:
     path's trailing spaces.
 
     Raises :class:`MalformedUri` for whitespace-only input, control
-    characters, raw or percent-decoded anywhere in the path,
+    characters anywhere in the input or its percent-decoded path,
     percent-escapes nested more than 16 levels deep, or paths whose
     percent-decoded form cannot be re-parsed (decoded ``#`` or ``?`` inside
     the path).
@@ -197,11 +196,9 @@ def normalize_uri(raw: str) -> NormalizedUri:
         raise MalformedUri(f"percent-decoded path contains control characters: {raw!r}")
     if "#" in path or "?" in path:
         raise MalformedUri(f"percent-decoded path cannot be re-split: {raw!r}")
-    # A space at either end of the path or query would not survive a second
-    # normalization pass, so it is dropped; interior spaces stay.
-    path = path.lstrip(_EDGE_SPACE)
-    if not path.startswith("/"):
-        path = "/" + path
+    # A space at either end of the path or query, or a trailing slash, would
+    # not survive a second normalization pass, so it is dropped.
+    path = "/" + path.lstrip(_EDGE_SPACE).removeprefix("/")
     path = path.rstrip(_EDGE_SPACE + "/") or "/"
     query = parts.query.strip(_EDGE_SPACE)
     canonical = f"{path}?{query}" if query else path

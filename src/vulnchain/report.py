@@ -87,7 +87,9 @@ def to_dot(fsm: Fsm, result: ReachResult | None = None) -> str:
 def _node_label(state: AttackState) -> str:
     if state.is_start:
         return START_STATE_ID
-    name = f"{state.label}: {state.vulnerability_name}" if state.label else state.vulnerability_name
+    name = state.vulnerability_name
+    if state.label:
+        name = f"{state.label}: {name}"
     return f"{name}\n{state.uri.display()}"
 
 

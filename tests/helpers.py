@@ -331,7 +331,7 @@ def reference_normalize_uri(raw: str) -> NormalizedUri:
     path's trailing spaces.
 
     Raises :class:`MalformedUri` for whitespace-only input, control
-    characters, raw or percent-decoded anywhere in the path,
+    characters anywhere in the input or its percent-decoded path,
     percent-escapes nested more than 16 levels deep, or paths whose
     percent-decoded form cannot be re-parsed (decoded ``#`` or ``?`` inside
     the path).
