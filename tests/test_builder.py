@@ -9,39 +9,40 @@ from vulnchain import (
     START_STATE_ID,
     Fsm,
     VulnchainError,
+    build_fsm,
     fsm_to_json,
     normalize_condition,
 )
 
-from tests.helpers import (fsm_of, ids_for, labels_of, load_finding_set, machine_of,
-                           random_finding_set,
-                           reference_condition_ids, reference_consumers, reference_edge_count,
-                           reference_edges, reference_producers, single_finding, start_successors)
+from tests.helpers import (fsm_of, ids_for, labels_of, load_finding_set, load_fsm, load_tree,
+                           machine_of, random_finding_set, reference_condition_ids,
+                           reference_consumers, reference_edge_count, reference_edges,
+                           reference_producers, single_finding, start_successors)
 
 
 class TestBuildStates:
-    """Each finding is the state it becomes: the machine adds only the start."""
+    """Each finding is the state it becomes: build_fsm adds only the start."""
 
     @pytest.mark.parametrize("name,count", [("minimal", 4), ("vulnweb", 10), ("teacher", 7)])
     def test_one_state_per_finding(self, name, count):
         finding_set = load_finding_set(name)
-        states = machine_of(finding_set).non_start_states
+        states = build_fsm(finding_set, load_tree(name)).non_start_states
         assert len(states) == count
         assert set(states) == set(finding_set.findings)
         assert not any(s.is_start for s in states)
 
     def test_empty_map(self):
-        assert machine_of(FindingSet(site="x")).non_start_states == ()
+        assert build_fsm(FindingSet(site="x"), frozenset({"/"})).non_start_states == ()
 
     def test_flags_carried_over(self):
-        by_label = {s.label: s for s in machine_of(load_finding_set("vulnweb")).non_start_states}
+        by_label = {s.label: s for s in load_fsm("vulnweb").non_start_states}
         assert by_label["S4"].is_goal
         assert any(r.requires_user_action for r in by_label["S6"].preconditions)
 
     def test_duplicate_defensive_check(self):
         f = single_finding("V", "/x")
         with pytest.raises(VulnchainError, match="duplicate state id"):
-            machine_of(FindingSet(site="x", findings=(f, f)))
+            Fsm("x", (f, f), ())
 
 
 class TestAttachStartState:
@@ -163,18 +164,17 @@ class TestBuildFsm:
         ("teacher", 7, {"S7"}),
     ])
     def test_counts_and_goals(self, name, count, goals):
-        fsm = machine_of(load_finding_set(name))
+        fsm = load_fsm(name)
         labels = labels_of(fsm)
         assert len(fsm.non_start_states) == count
         assert {labels[g] for g in fsm.goal_ids} == goals
 
     def test_deterministic_under_serialization(self):
-        fs = load_finding_set("vulnweb")
-        assert fsm_to_json(machine_of(fs)) == fsm_to_json(machine_of(fs))
+        assert fsm_to_json(load_fsm("vulnweb")) == fsm_to_json(load_fsm("vulnweb"))
 
     @pytest.mark.parametrize("name", ["minimal", "vulnweb", "teacher"])
     def test_no_edge_from_false_positive(self, name):
-        fsm = machine_of(load_finding_set(name))
+        fsm = load_fsm(name)
         fp_pairs = {
             (s.id, r.condition.id)
             for s in fsm.states for r in s.postconditions if r.false_positive

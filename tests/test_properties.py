@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from vulnchain import (
     AssumptionSet,
     AttackState,
-    FindingSet,
     Fsm,
     PostconditionRef,
     PreconditionRef,
@@ -26,7 +25,6 @@ from vulnchain import (
 
 from tests.helpers import (
     closure_by_exhaustion,
-    machine_of,
     replay_witness,
     serialize_findings,
     true_conditions,
@@ -66,7 +64,7 @@ def machines(draw, max_states=8, max_conditions=12):
             label=f"S{i + 1}",
         ))
     facts = tuple(draw(st.lists(st.sampled_from(pool), max_size=2, unique_by=lambda c: c.id)))
-    fsm = machine_of(FindingSet(site="gen", environment_facts=facts, findings=tuple(findings)))
+    fsm = Fsm("gen", findings, facts)
 
     ua = sorted(fsm.user_action_condition_ids)
     assumed = frozenset(c for c in ua if draw(st.booleans()))
