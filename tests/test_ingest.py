@@ -144,8 +144,8 @@ class TestParseFindings:
 
     def test_uri_ending_in_a_non_ascii_space_is_its_own_state(self):
         fs = parse_findings(_doc([_row(vuln="v", uri=uri)
-                                  for uri in ("/a", "/a\x85", "/a%C2%A0", "/a ")]))
-        assert {f.uri.canonical for f in fs.findings} == {"/a", "/a\x85", "/a\xa0", "/a "}
+                                  for uri in ("/a", "/a\x85", "/a%C2%A0", "/a\u2028 ")]))
+        assert {f.uri.canonical for f in fs.findings} == {"/a", "/a\x85", "/a\xa0", "/a\u2028"}
         assert len({f.id for f in fs.findings}) == 4
 
     def test_label_may_be_null_but_not_a_lone_surrogate(self):
