@@ -71,6 +71,12 @@ MALFORMED_FINDINGS = {
     "percent-decoded control character at the uri's end": (
         lambda doc: doc["findings"][1].update(uri="/a%0D"),
         "findings[1]: percent-decoded path contains control characters: '/a%0D'"),
+    "percent-decoded control character at a relative uri's end": (
+        lambda doc: doc["findings"][2].update(uri="a%0D"),
+        "findings[2]: percent-decoded path contains control characters: 'a%0D'"),
+    "percent-decoded unit separator at the uri's end": (
+        lambda doc: doc["findings"][3].update(uri="/a%1F"),
+        "findings[3]: percent-decoded path contains control characters: '/a%1F'"),
 }
 
 
