@@ -89,6 +89,12 @@ class TestParseCrawlList:
         assert str(caught.value) == (
             f"line 3: percent-decoded path contains control characters: {entry!r}")
 
+    def test_directories_are_the_canonical_path_s_own_prefixes(self):
+        # A doubled slash is kept inside the path, so the directory above
+        # ``/a//b/c`` is ``/a//b``; leading slashes after a host collapse.
+        assert parse_crawl_list("/a//b/c\n") == {"/", "/a", "/a//b", "/a//b/c"}
+        assert parse_crawl_list("http://h//ab/c\n") == {"/", "/ab", "/ab/c"}
+
     def test_unicode_line_boundary_at_a_line_end_is_kept(self):
         assert parse_crawl_list("/a\u2028\n/b%C2%85\n") == {"/", "/a\u2028", "/b\x85"}
 

@@ -100,9 +100,16 @@ class TestNormalizeUri:
         nested_15 = "/a%" + "25" * 15 + "41"  # the deepest nesting accepted
         for raw in ("/a/b/", "/Flash/add%20fla", "ALL URI", "NULL", "/", "/x?q=%00", "/a%2520b",
                     nested_15, "/a /", "/a%20/", "/a%20/%20/?q", "/a%C2%85", "/a\x85 ",
-                    "/a?x\u2028"):
+                    "/a?x\u2028", "http://h//ab", "/%2Fab", "%20//ab", "/%2F%2Fab"):
             canonical = normalize_uri(raw).canonical
             assert normalize_uri(canonical).canonical == canonical
+
+    @pytest.mark.parametrize("raw", ["http://h//ab", "/%2Fab", "%20//ab", "/%2F%2Fab"])
+    def test_leading_slashes_of_the_decoded_path_collapse(self, raw):
+        assert normalize_uri(raw).canonical == "/ab"
+
+    def test_raw_double_slash_names_a_host_and_no_path(self):
+        assert normalize_uri("//ab").canonical == "/"
 
     def test_malformed(self):
         with pytest.raises(MalformedUri):
@@ -186,6 +193,16 @@ def _normalized(normalize, raw):
     except MalformedUri as exc:
         return "MalformedUri", str(exc)
     return uri.raw, uri.canonical
+
+
+@given(URI_TEXT)
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+def test_canonical_normalizes_to_itself(raw):
+    try:
+        canonical = normalize_uri(raw).canonical
+    except MalformedUri:
+        return
+    assert normalize_uri(canonical).canonical == canonical
 
 
 class TestNormalizeUriMatchesReference:
