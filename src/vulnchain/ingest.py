@@ -57,7 +57,8 @@ class FindingSet:
 
 def parse_crawl_list(document: str | bytes) -> frozenset[str]:
     """Canonical URIs of the crawled resources plus every directory above
-    them; the root ``/`` is always a member.
+    them, each path's prefix before one of its later ``/``, trailing
+    slashes dropped; the root ``/`` is always a member.
 
     Lines end at CR LF, CR or LF alone, and only spaces and tabs are
     stripped from their ends, so a control character anywhere in a line is
@@ -80,8 +81,8 @@ def parse_crawl_list(document: str | bytes) -> frozenset[str]:
         except MalformedUri as exc:
             raise MalformedUri(f"line {lineno}: {exc}") from exc
         crawled.add(uri.canonical)
-        names = [seg for seg in uri.path.split("/") if seg]
-        crawled.update("/" + "/".join(names[:depth]) for depth in range(1, len(names)))
+        path = uri.path
+        crawled.update(path[:i].rstrip("/") for i in range(1, len(path)) if path[i] == "/")
     return frozenset(crawled)
 
 

@@ -151,8 +151,8 @@ def normalize_uri(raw: str) -> NormalizedUri:
     """Normalize a URI string; idempotent on its own canonical output.
 
     "ALL URI" maps to the reserved canonical ``*`` and "NULL" to the empty
-    canonical. A scheme and authority, if present, are dropped; relative
-    paths gain a leading slash; fragments are discarded. Two canonical
+    canonical. A scheme and authority, if present, are dropped; a path
+    gets exactly one leading slash; fragments are discarded. Two canonical
     forms skip these steps, since no step changes their path: the root or
     slash-led segments of letters, digits and ``._~-``, its own canonical,
     and the absolute form ``scheme://host[:port]`` before such a path, its
@@ -196,9 +196,10 @@ def normalize_uri(raw: str) -> NormalizedUri:
         raise MalformedUri(f"percent-decoded path contains control characters: {raw!r}")
     if "#" in path or "?" in path:
         raise MalformedUri(f"percent-decoded path cannot be re-split: {raw!r}")
-    # A space at either end of the path or query, or a trailing slash, would
-    # not survive a second normalization pass, so it is dropped.
-    path = "/" + path.lstrip(_EDGE_SPACE).removeprefix("/")
+    # A space at either end of the path or query, a trailing slash or a
+    # second leading one would not survive a second normalization pass
+    # (``//ab`` splits as a host), so it is dropped.
+    path = "/" + path.lstrip(_EDGE_SPACE).lstrip("/")
     path = path.rstrip(_EDGE_SPACE + "/") or "/"
     query = parts.query.strip(_EDGE_SPACE)
     canonical = f"{path}?{query}" if query else path

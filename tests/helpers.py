@@ -362,10 +362,10 @@ def reference_normalize_uri(raw: str) -> NormalizedUri:
         raise MalformedUri(f"percent-decoded path cannot be re-split: {raw!r}")
     # Spaces at either end of the path or query would not survive a second
     # normalization pass, so they are dropped; interior spaces stay. A
-    # trailing slash before a space would leave that space at the end.
-    path = path.strip(_REFERENCE_EDGE_SPACE)
-    if not path.startswith("/"):
-        path = "/" + path
+    # trailing slash before a space would leave that space at the end, and
+    # a path led by ``//`` would split as a host, so its leading slashes
+    # collapse to one.
+    path = "/" + path.strip(_REFERENCE_EDGE_SPACE).lstrip("/")
     while len(path) > 1 and path[-1] in "/" + _REFERENCE_EDGE_SPACE:
         path = path[:-1]
     query = parts.query.strip(_REFERENCE_EDGE_SPACE)
