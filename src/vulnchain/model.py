@@ -530,9 +530,6 @@ class ReachResult:
     stores it as the condition turns true, so under either semantics it
     names the visited producer earliest in ``firing_order``. Its keys are
     ``initial ∪ granted-by-visited``; false positives never appear.
-    ``witness_steps`` records each state's witness step the first time a
-    witness of this result needs it, so every path through the state
-    shares one tuple.
     """
 
     visited: frozenset[str]
@@ -547,22 +544,17 @@ class ReachResult:
         """Visited state id -> its index in ``firing_order``."""
         return {sid: i for i, sid in enumerate(self.firing_order)}
 
-    @cached_property
-    def witness_steps(self) -> dict[str, tuple[str, tuple[str, ...]]]:
-        """Visited state id -> its step ``(id, granted condition ids)``,
-        filled by :func:`vulnchain.reach.extract_witness` on first use."""
-        return {}
-
 
 @dataclass(frozen=True)
 class AttackPath:
     """Replayable witness for one goal.
 
-    ``steps`` is an ordered list of (state id, condition ids granted at that
-    step); replaying from ``initial ∪ assumptions_used`` satisfies each
-    step's preconditions before it fires, and the last step is the goal.
+    ``steps`` holds the ids of the states on the path in firing order, the
+    goal last. Firing them in that order from ``initial ∪ assumptions_used``,
+    each granting its own ``granted_condition_ids()``, satisfies every
+    state's preconditions before it fires.
     """
 
     goal: str
-    steps: tuple[tuple[str, tuple[str, ...]], ...]
+    steps: tuple[str, ...]
     assumptions_used: frozenset[str]

@@ -131,9 +131,9 @@ def to_report(
     path ``witnesses`` maps it to: a map naming any other set of goals
     raises :class:`ValueError` naming the first, by id.
 
-    The step entries are shared: a step that is one object in several
-    paths, as ``extract_witness`` gives each state's step, becomes one
-    ``{"state", "label", "grants"}`` dict that every witness listing it
+    The step entries are shared: each state on any path becomes one
+    ``{"state", "label", "grants"}`` dict, its grants the state's
+    ``granted_condition_ids()``, that every witness listing the state
     holds, so changing one changes them all.
     """
     reached = collect_goals(result, fsm)
@@ -144,14 +144,14 @@ def to_report(
         raise ValueError(f"witnesses: goal {goal!r} is "
                          f"{'missing' if goal in reached else 'not reached'}")
     isolated = isolated_goals(fsm, result)
-    entries: dict[int, dict[str, Any]] = {}
+    entries: dict[str, dict[str, Any]] = {}
 
-    def entry(step: tuple[str, tuple[str, ...]]) -> dict[str, Any]:
-        made = entries.get(id(step))
+    def entry(sid: str) -> dict[str, Any]:
+        made = entries.get(sid)
         if made is None:
-            sid, grants = step
-            made = entries[id(step)] = {
-                "state": sid, "label": fsm.by_id[sid].label, "grants": list(grants)}
+            state = fsm.by_id[sid]
+            made = entries[sid] = {"state": sid, "label": state.label,
+                                   "grants": list(state.granted_condition_ids())}
         return made
 
     return AnalysisReport(
@@ -173,7 +173,7 @@ def to_report(
         witnesses=[
             {"goal": goal, "label": fsm.by_id[goal].label,
              "assumptions_used": sorted(path.assumptions_used),
-             "steps": [entry(step) for step in path.steps]}
+             "steps": [entry(sid) for sid in path.steps]}
             for goal, path in sorted(witnesses.items())
         ],
         labels={s.id: s.label for s in fsm.states if s.label is not None},

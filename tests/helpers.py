@@ -281,16 +281,17 @@ def reference_missing_conditions(fsm: Fsm, goal: str, granted: set[str],
 
 def replay_witness(fsm: Fsm, path: AttackPath) -> bool:
     """Simulator for the witness invariant: grant only the initial conditions
-    plus the path's assumptions, fire steps in order, and demand that every
-    precondition is satisfied when its step fires."""
+    plus the path's assumptions, fire the path's states in order, each
+    granting its own non-false-positive postconditions, and demand that
+    every precondition is satisfied when its state fires."""
     true = set(fsm.initial_conditions) | set(path.assumptions_used)
-    for sid, grants in path.steps:
+    for sid in path.steps:
         state = fsm.by_id[sid]
         for ref in state.preconditions:
             if ref.condition.id not in true:
                 return False
-        true.update(grants)
-    return bool(path.steps) and path.steps[-1][0] == path.goal
+        true.update(state.granted_condition_ids())
+    return bool(path.steps) and path.steps[-1] == path.goal
 
 
 # ---------------------------------------------------------------------------
@@ -668,10 +669,7 @@ def reference_extract_witness(fsm: Fsm, result: ReachResult, goal: str) -> Attac
                 collected.add(producer)
                 frontier.append(producer)
 
-    ordered = sorted(collected, key=lambda sid: position[sid])
-    steps = tuple(
-        (sid, fsm.by_id[sid].granted_condition_ids()) for sid in ordered
-    )
+    steps = tuple(sorted(collected, key=lambda sid: position[sid]))
     return AttackPath(goal=goal, steps=steps, assumptions_used=frozenset(assumptions_used))
 
 

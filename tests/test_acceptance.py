@@ -97,7 +97,7 @@ def test_criterion_3_teacher_instance_fidelity(teacher_fsm):
         (goal,) = goals
         path = extract_witness(teacher_fsm, result, goal)
         labels = labels_of(teacher_fsm)
-        order = [labels[sid] for sid, _ in path.steps]
+        order = [labels[sid] for sid in path.steps]
         assert order.index("S3") < order.index("S5")
         assert order.index("S4") < order.index("S5")
         assert order.index("S5") < order.index("S7")

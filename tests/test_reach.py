@@ -241,7 +241,7 @@ class TestExtractWitness:
         (goal,) = collect_goals(result, teacher_fsm)
         path = extract_witness(teacher_fsm, result, goal)
         labels = labels_of(teacher_fsm)
-        order = [labels[sid] for sid, _ in path.steps]
+        order = [labels[sid] for sid in path.steps]
         assert "S1" in order and "S6" in order
         assert order.index("S3") < order.index("S5")
         assert order.index("S4") < order.index("S5")
@@ -255,7 +255,7 @@ class TestExtractWitness:
         (goal,) = collect_goals(result, fsm)
         path = extract_witness(fsm, result, goal)
         assert len(path.steps) == 1
-        assert path.steps[0][0] == goal
+        assert path.steps[0] == goal
         assert replay_witness(fsm, path)
 
     def test_vulnweb_goal_uses_all_three_producers(self, vulnweb_fsm):
@@ -263,7 +263,7 @@ class TestExtractWitness:
         labels = labels_of(vulnweb_fsm)
         (goal,) = [g for g in collect_goals(result, vulnweb_fsm) if labels[g] == "S4"]
         path = extract_witness(vulnweb_fsm, result, goal)
-        order = [labels[sid] for sid, _ in path.steps]
+        order = [labels[sid] for sid in path.steps]
         assert set(order) == {"S1", "S2", "S3", "S4"}
         assert order[-1] == "S4"
         assert replay_witness(vulnweb_fsm, path)
@@ -314,6 +314,23 @@ class TestExtractWitness:
                     assumed_seen += bool(path.assumptions_used)
                     long_seen += len(path.steps) >= 3
         assert assumed_seen and long_seen
+
+    def test_each_path_is_distinct_ids_in_firing_order_ending_at_its_goal(self):
+        rng = random.Random(17)
+        long_seen = 0
+        for _ in range(1000):
+            fsm = machine_of(random_finding_set(rng, 10, 15))
+            assumptions = random_assumptions(rng, fsm)
+            for semantics in Semantics:
+                result = reach(fsm, ReachParams(semantics=semantics, assumptions=assumptions))
+                for sid in sorted(result.visited):
+                    steps = extract_witness(fsm, result, sid).steps
+                    assert len(set(steps)) == len(steps)
+                    assert steps[-1] == sid
+                    fired = iter(result.firing_order)
+                    assert all(step in fired for step in steps), "not a subsequence"
+                    long_seen += len(steps) >= 3
+        assert long_seen
 
 
 RESULT_CONSUMERS = {

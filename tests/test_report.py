@@ -369,6 +369,25 @@ class TestToReport:
                     assumed_but_missing += bool(assumed.intersection(missing))
         assert assumed_but_missing
 
+    def test_step_grants_match_the_machine_on_a_random_corpus(self):
+        """Each step entry's grants are its state's non-false-positive
+        postconditions, by id, read here from the refs themselves."""
+        rng = random.Random(17)
+        entries = false_positives_left_out = 0
+        for _ in range(1000):
+            fsm = machine_of(random_finding_set(rng, 10, 15))
+            assumptions = random_assumptions(rng, fsm)
+            for semantics in Semantics:
+                report = to_report(fsm, reach(fsm, ReachParams(semantics, assumptions)))
+                for witness in report.witnesses:
+                    for step in witness["steps"]:
+                        refs = fsm.by_id[step["state"]].postconditions
+                        assert step["grants"] == sorted(
+                            r.condition.id for r in refs if not r.false_positive)
+                        entries += 1
+                        false_positives_left_out += any(r.false_positive for r in refs)
+        assert entries and false_positives_left_out
+
     def test_paper_dfs_goal_blocked_by_scan_order_misses_nothing(self):
         """The descent scans ``G`` before ``P`` grants what ``G`` needs, so
         ``G`` stays unreachable with every precondition met."""

@@ -540,22 +540,28 @@ def _goal_chain(n: int) -> Fsm:
 
 @pytest.mark.parametrize("n", SIZES[:2])
 def test_each_witness_step_is_built_and_written_once_per_state(n, monkeypatch):
-    """The witnesses build one step per visited state, the report one step
-    entry per distinct state, and the writer quotes a bounded number of
-    strings per state plus edge, however many goals' paths share a state."""
+    """The witnesses read no state's grants, the report reads them once and
+    builds one step entry per distinct state, and the writer quotes a
+    bounded number of strings per state plus edge, however many goals'
+    paths share a state."""
     fsm = _goal_chain(n)
     result = reach(fsm)
-    built_steps = Counter()
-    monkeypatch.setattr(AttackState, "granted_condition_ids",
-                        _counting(AttackState.granted_condition_ids, built_steps))
+    grants_read = Counter()
+    counted_grants = _counting(AttackState.granted_condition_ids, grants_read)
+    monkeypatch.setattr(AttackState, "granted_condition_ids", counted_grants)
     witnesses = {goal: extract_witness(fsm, result, goal)
                  for goal in collect_goals(result, fsm)}
     assert len(witnesses) == n // 100
-    assert built_steps.n <= len(result.visited), (
-        f"{built_steps.n} steps built for {len(result.visited)} visited states")
+    assert grants_read.n == 0, f"grants read {grants_read.n} times to extract the witnesses"
+    distinct = {sid for path in witnesses.values() for sid in path.steps}
+    to_report(fsm, result, witnesses)
+    assert grants_read.n <= len(distinct), (
+        f"grants read {grants_read.n} times for {len(distinct)} distinct steps")
 
+    # The counting wrapper's ``**kwargs`` is a dict of its own, so the
+    # report's dicts are counted with the original method back in place.
+    monkeypatch.undo()
     report, dicts = _count_dicts_built(lambda: to_report(fsm, result, witnesses))
-    distinct = {sid for path in witnesses.values() for sid, _ in path.steps}
     # One per distinct step and one per witness, plus the machine counts,
     # the step table and the labels, which hold the start state's label.
     assert dicts <= len(distinct) + len(witnesses) + 4, (
@@ -568,15 +574,16 @@ def test_each_witness_step_is_built_and_written_once_per_state(n, monkeypatch):
     size = len(fsm.states) + fsm.edge_count
     assert quotes.n <= BOUND * size, f"{quotes.n} strings quoted for {size} states plus edges"
 
-    # With no map, to_report extracts the same witnesses itself, one step
-    # per visited state of a fresh result. Past the dicts counted above it
-    # builds the map of witnesses, an entry per goal, and the result's step
-    # record; the result's firing positions are read beforehand.
+    # With no map, to_report extracts the same witnesses itself and reads
+    # each distinct state's grants once. Past the dicts counted above it
+    # builds the map of witnesses and an entry per goal; the result's
+    # firing positions are read beforehand.
     fresh = reach(fsm)
-    built_steps.n = 0
+    grants_read.n = 0
+    monkeypatch.setattr(AttackState, "granted_condition_ids", counted_grants)
     assert report_to_json(to_report(fsm, fresh)) == text
-    assert built_steps.n <= len(fresh.visited), (
-        f"{built_steps.n} steps built for {len(fresh.visited)} visited states")
+    assert grants_read.n <= len(distinct), (
+        f"grants read {grants_read.n} times for {len(distinct)} distinct steps")
     monkeypatch.undo()
     fresh = reach(fsm)
     assert len(fresh.firing_position) == len(fresh.visited)
