@@ -190,6 +190,7 @@ def extract_witness(fsm: Fsm, result: ReachResult, goal: str) -> AttackPath:
             if producer not in collected:
                 collected.add(producer)
                 frontier.append(producer)
+
     steps = tuple(sorted(collected, key=result.firing_position.__getitem__))
     return AttackPath(goal=goal, steps=steps, assumptions_used=frozenset(assumptions_used))
 
