@@ -81,8 +81,8 @@ def parse_crawl_list(document: str | bytes) -> frozenset[str]:
         except MalformedUri as exc:
             raise MalformedUri(f"line {lineno}: {exc}") from exc
         crawled.add(uri.canonical)
-        path = uri.path
-        crawled.update(path[:i].rstrip("/") for i in range(1, len(path)) if path[i] == "/")
+        names = uri.path.split("/")
+        crawled.update("/".join(names[:depth]).rstrip("/") for depth in range(2, len(names)))
     return frozenset(crawled)
 
 
