@@ -22,7 +22,6 @@ def test_benchmark_selftest_passes():
     assert proc.stdout.splitlines()[-1] == "selftest passed"
 
 
-
 #: One analysis of each in-process workload at the self-test's sizes: its
 #: per-layer counts and the number of step entries in its report file,
 #: printed with the benchmark's list of per-layer metric names.
