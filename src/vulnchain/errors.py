@@ -38,7 +38,7 @@ class InvalidAssumption(VulnchainError):
 
 
 class ResultFsmMismatch(VulnchainError):
-    """A reach result is used with a machine unequal to the one it was computed on."""
+    """A reach result is used with a machine object other than ``ReachResult.fsm``."""
 
 
 class GoalNotReached(VulnchainError):

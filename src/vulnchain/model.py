@@ -529,7 +529,8 @@ class ReachResult:
     made it true, the start state for each initial condition. The closure
     stores it as the condition turns true, so under either semantics it
     names the visited producer earliest in ``firing_order``. Its keys are
-    ``initial ∪ granted-by-visited``; false positives never appear.
+    ``initial ∪ granted-by-visited``; false positives never appear. The
+    consumers take it with ``fsm`` itself only, never with an equal copy.
     """
 
     visited: frozenset[str]

@@ -63,12 +63,10 @@ def unmet_conditions(state: AttackState, true: Container[str], assumed: Containe
 
 
 def check_result_fsm(result: ReachResult, fsm: Fsm) -> None:
-    """Raise :class:`ResultFsmMismatch` unless ``result`` is of ``fsm`` or an
-    equal machine, which is compared once and then remembered on the result."""
-    if result.fsm is not fsm and getattr(result, "_equal_fsm", None) is not fsm:
-        if result.fsm != fsm:
-            raise ResultFsmMismatch("the result was computed on another machine")
-        object.__setattr__(result, "_equal_fsm", fsm)
+    """Raise :class:`ResultFsmMismatch` unless ``fsm`` is ``result.fsm``
+    itself; any other machine object, equal or not, is refused."""
+    if result.fsm is not fsm:
+        raise ResultFsmMismatch("the result was computed on another machine object; pass result.fsm")
 
 
 def reach(fsm: Fsm, params: ReachParams | None = None) -> ReachResult:

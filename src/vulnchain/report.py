@@ -44,8 +44,8 @@ def to_dot(fsm: Fsm, result: ReachResult | None = None) -> str:
     and a postcondition nobody consumes gets a point sink, so every state
     shows its full in/out degree. State ids (12 hex digits or ``start``) are
     written as they are; point names and labels are escaped. When a reach
-    result is given, visited states get bold outlines, and one of another
-    machine raises :class:`ResultFsmMismatch`.
+    result is given, visited states get bold outlines, and a result whose
+    ``fsm`` is not ``fsm`` itself raises :class:`ResultFsmMismatch`.
     """
     if result is not None:
         check_result_fsm(result, fsm)

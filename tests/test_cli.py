@@ -571,6 +571,25 @@ class TestExportDot:
                          "--reach", str(report_path), "--out", str(dot_path)]) == 0
         assert "bold" in dot_path.read_text()
 
+    @pytest.mark.parametrize("semantics, reachable", [("paper-dfs", 4), ("fixed-point", 8)])
+    def test_reach_report_bolds_exactly_its_reachable_states(self, built, tmp_path,
+                                                             semantics, reachable):
+        """``--reach`` replays the report's own semantics: under ``paper-dfs``
+        the teacher machine reaches four states and not its goal S7."""
+        report_path = tmp_path / "t.report.json"
+        assert cli_main(["analyze", "--fsm", str(built["teacher"]), "--semantics", semantics,
+                         "--out", str(report_path)]) == 0
+        dot_path = tmp_path / "t.reach.dot"
+        assert cli_main(["export-dot", "--fsm", str(built["teacher"]),
+                         "--reach", str(report_path), "--out", str(dot_path)]) == 0
+        report = json.loads(report_path.read_text())
+        nodes = dict(re.findall(r'^  "([^"]+)" \[(.*shape=.*)\];$', dot_path.read_text(), re.M))
+        bold = {sid for sid, attrs in nodes.items() if "bold" in attrs}
+        assert bold == set(report["reachable_states"]) and len(bold) == reachable
+        (goal,) = [sid for sid, label in report["labels"].items() if label == "S7"]
+        assert "fillcolor=red" in nodes[goal]
+        assert ("bold" in nodes[goal]) == (semantics == "fixed-point")
+
     def test_report_from_other_machine_rejected(self, built, tmp_path, capsys):
         report_path = tmp_path / "t.report.json"
         assert cli_main(["analyze", "--fsm", str(built["teacher"]),

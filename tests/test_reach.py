@@ -1,5 +1,6 @@
 """Reachability semantics, goal collection, witnesses, and the isolated goals."""
 
+import dataclasses
 import importlib
 import random
 
@@ -7,6 +8,7 @@ import pytest
 
 from vulnchain import (
     AssumptionSet,
+    AttackState,
     Fsm,
     GoalNotReached,
     InvalidAssumption,
@@ -226,14 +228,6 @@ class TestCollectGoals:
         result = reach(vulnweb_fsm, ReachParams(assumptions=_all_assumptions(vulnweb_fsm)))
         assert collect_goals(result, vulnweb_fsm) == ids_for(vulnweb_fsm, "S4", "S7", "S10")
 
-    def test_mismatched_result_rejected(self, minimal_fsm, teacher_fsm):
-        from vulnchain import ResultFsmMismatch
-        result = reach(teacher_fsm)
-        with pytest.raises(ResultFsmMismatch):
-            collect_goals(result, minimal_fsm)
-        with pytest.raises(ResultFsmMismatch):
-            to_report(minimal_fsm, result)
-
 
 class TestExtractWitness:
     def test_teacher_partial_order(self, teacher_fsm):
@@ -289,16 +283,6 @@ class TestExtractWitness:
         with pytest.raises(GoalNotReached):
             extract_witness(vulnweb_fsm, reach(vulnweb_fsm), "bogus")
 
-    def test_result_of_a_machine_with_another_producer_rejected(self):
-        """The result's machine has the goal's producer, the given machine
-        only the goal or another producer: the machines differ."""
-        producer = single_finding("P", "/p", posts=("c",), label="S1")
-        goal = single_finding("G", "/g", pres=("c",), is_goal=True, label="S2")
-        result = reach(fsm_of(producer, goal))
-        for fsm in (fsm_of(goal), fsm_of(single_finding("Q", "/q", posts=("c",)), goal)):
-            with pytest.raises(ResultFsmMismatch):
-                extract_witness(fsm, result, goal.id)
-
     def test_witnesses_match_the_reference_on_a_random_corpus(self):
         rng = random.Random(17)
         assumed_seen = long_seen = 0
@@ -342,33 +326,59 @@ RESULT_CONSUMERS = {
 }
 
 
+_PRODUCER = single_finding("P", "/p", posts=("c",), label="S1")
+_GOAL = single_finding("G", "/g", pres=("c",), is_goal=True, label="S2")
+
+
+def _same_ids_other_grants():
+    """``P`` grants ``c`` in the result's machine and ``d`` in the other, so
+    ``G``, which needs ``c``, is reached only in the first."""
+    theirs = fsm_of(single_finding("P", "/p", posts=("d",), label="S1"), _GOAL)
+    ours = fsm_of(_PRODUCER, _GOAL)
+    assert set(ours.by_id) == set(theirs.by_id)
+    return ours, theirs
+
+
+def _equal_copy():
+    teacher = load_fsm("teacher")
+    equal = Fsm(teacher.site, teacher.non_start_states,
+                [r.condition for r in teacher.start.postconditions], teacher.diagnostics)
+    assert equal == teacher and equal is not teacher
+    return teacher, equal
+
+
+#: Builders of (the result's machine, another machine object).
+OTHER_MACHINES = {
+    "another_fixture": lambda: (load_fsm("teacher"), load_fsm("minimal")),
+    "same_ids_other_grants": _same_ids_other_grants,
+    "goal_without_its_producer": lambda: (fsm_of(_PRODUCER, _GOAL), fsm_of(_GOAL)),
+    "another_producer": lambda: (
+        fsm_of(_PRODUCER, _GOAL), fsm_of(single_finding("Q", "/q", posts=("c",)), _GOAL)),
+    "equal_copy": _equal_copy,
+}
+
+
 class TestResultOfAnotherMachine:
-    """A result belongs to the machine it was computed on: state ids alone
-    do not tie it to a machine."""
+    """A result is used with the machine object it was computed on: neither
+    state ids nor equality tie it to another one."""
 
+    @pytest.mark.parametrize("other", OTHER_MACHINES.values(), ids=OTHER_MACHINES)
     @pytest.mark.parametrize("consumer", RESULT_CONSUMERS.values(), ids=RESULT_CONSUMERS)
-    def test_same_ids_other_grants_rejected(self, consumer):
-        """``P`` grants ``c`` in the result's machine and ``d`` in the given
-        one, so ``G``, which needs ``c``, is reached only in the first."""
-        goal = single_finding("G", "/g", pres=("c",), is_goal=True, label="S2")
-        ours = fsm_of(single_finding("P", "/p", posts=("c",), label="S1"), goal)
-        theirs = fsm_of(single_finding("P", "/p", posts=("d",), label="S1"), goal)
-        assert set(ours.by_id) == set(theirs.by_id)
+    def test_only_the_result_s_own_machine_is_accepted(self, consumer, other, monkeypatch):
+        """No machine or state is compared, and nothing is written to the result."""
+        ours, theirs = other()
         result = reach(ours)
-        assert goal.id in result.visited
-        consumer(ours, result, goal.id)
-        with pytest.raises(ResultFsmMismatch):
-            consumer(theirs, result, goal.id)
+        (goal,) = collect_goals(result, ours)
 
-    @pytest.mark.parametrize("consumer", RESULT_CONSUMERS.values(), ids=RESULT_CONSUMERS)
-    def test_equal_machine_accepted(self, consumer, teacher_fsm):
-        result = reach(teacher_fsm)
-        (goal,) = collect_goals(result, teacher_fsm)
-        equal = Fsm(teacher_fsm.site, teacher_fsm.non_start_states,
-                    [r.condition for r in teacher_fsm.start.postconditions],
-                    teacher_fsm.diagnostics)
-        assert equal is not teacher_fsm and result.fsm is teacher_fsm
-        assert consumer(equal, result, goal) == consumer(teacher_fsm, result, goal)
+        def refuse(self, other):
+            raise AssertionError(f"compared a {type(self).__name__}")
+
+        monkeypatch.setattr(Fsm, "__eq__", refuse)
+        monkeypatch.setattr(AttackState, "__eq__", refuse)
+        consumer(result.fsm, result, goal)
+        with pytest.raises(ResultFsmMismatch, match="another machine object; pass result.fsm"):
+            consumer(theirs, result, goal)
+        assert set(vars(result)) - {"firing_position"} == {f.name for f in dataclasses.fields(result)}
 
 
 class TestDiffIsolatedVsChained:

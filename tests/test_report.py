@@ -21,6 +21,7 @@ from vulnchain import (
     PostconditionRef,
     PreconditionRef,
     ReachParams,
+    ResultFsmMismatch,
     SchemaViolation,
     Semantics,
     build_fsm,
@@ -490,19 +491,26 @@ class TestToReport:
 
     @pytest.mark.parametrize("fixture", ["minimal_fsm", "vulnweb_fsm", "teacher_fsm"])
     def test_result_used_with_the_reloaded_machine(self, fixture, request):
-        """A result is accepted with an equal machine, here the one its
-        machine file loads, and gives the same report and DOT bytes."""
+        """The machine its file loads gives, from its own result, the same
+        report and DOT bytes as the original; a result of one used with the
+        other raises."""
         fsm = request.getfixturevalue(fixture)
-        result = reach(fsm, ReachParams(assumptions=AssumptionSet(fsm.user_action_condition_ids)))
         reloaded = fsm_from_json(fsm_to_json(fsm))
         assert reloaded is not fsm
+        params = ReachParams(assumptions=AssumptionSet(fsm.user_action_condition_ids))
+        result, reloaded_result = reach(fsm, params), reach(reloaded, params)
 
-        def outputs(machine):
+        def outputs(machine, result):
             witnesses = {goal: extract_witness(machine, result, goal)
                          for goal in sorted(collect_goals(result, machine))}
             return report_to_json(to_report(machine, result, witnesses)), to_dot(machine, result)
 
-        assert outputs(reloaded) == outputs(fsm)
+        assert outputs(reloaded, reloaded_result) == outputs(fsm, result)
+        for machine, other_result in ((fsm, reloaded_result), (reloaded, result)):
+            with pytest.raises(ResultFsmMismatch):
+                to_report(machine, other_result)
+            with pytest.raises(ResultFsmMismatch):
+                to_dot(machine, other_result)
 
     def test_assumptions_echoed(self, vulnweb_fsm):
         assumed = frozenset(vulnweb_fsm.user_action_condition_ids)

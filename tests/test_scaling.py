@@ -13,18 +13,17 @@ already at the smallest size.
 One walk over the refs derives the condition indexes, reading each ref
 once. The witnesses of one result read its firing order once in all and
 never the machine's producers, and a result used with the machine it was
-computed on is checked by identity alone; with an equal machine, the
-consumers of one result compare the two machines once in all. However
-many goals' paths pass through a state, the witnesses build its step
-once, the report builds one entry for it and the report writer quotes at
-most four strings per state plus edge. Loading a machine file or a
-findings document normalizes each distinct condition text and builds
-each distinct ref once, type-checks through the loader's helpers only the
-document-level fields and the distinct texts, and splits no URI that is
-already canonical, absolute or not. Loading a machine file derives each
-state's id once and sorts no ref list that the file stores in ascending
-order, and writing one builds no dict per state or per ref. Each record
-stores each of its fields once.
+computed on is checked by identity alone. However many goals' paths pass
+through a state, the witnesses build its step once, the report builds
+one entry for it and the report writer quotes at most four strings per
+state plus edge. Loading a machine file or a findings document
+normalizes each distinct condition text and builds each distinct ref
+once, type-checks through the loader's helpers only the document-level
+fields and the distinct texts, and splits no URI that is already
+canonical, absolute or not. Loading a machine file derives each state's
+id once and sorts no ref list that the file stores in ascending order,
+and writing one builds no dict per state or per ref. Each record stores
+each of its fields once.
 """
 
 import dataclasses
@@ -255,27 +254,6 @@ def test_a_result_of_the_same_machine_is_checked_by_identity(monkeypatch):
     assert isolated_goals(fsm, result) == isolated
     fsm.__dict__["by_id"] = Refusing()
     assert collect_goals(result, fsm) == expected and len(expected) == 40
-
-
-def test_an_equal_machine_is_compared_once_per_result(monkeypatch):
-    """With a machine reloaded from its file, equal to the result's but not
-    the same object, ``collect_goals``, ``isolated_goals``, every
-    ``extract_witness`` and ``to_report`` run ``Fsm.__eq__`` once in all."""
-    states = [_state(i, pres=(f"c{i}",), posts=(f"c{i + 1}",), is_goal=i % 100 == 99)
-              for i in range(1_000)]
-    fsm = Fsm(site="", findings=states, facts=[_cond("c0")])
-    _cond.cache_clear()
-    reloaded = fsm_from_json(fsm_to_json(fsm))
-    result = reach(fsm)
-    assert reloaded is not fsm
-    compared = Counter()
-    monkeypatch.setattr(Fsm, "__eq__", _counting(Fsm.__eq__, compared))
-    goals = sorted(collect_goals(result, reloaded))
-    isolated_goals(reloaded, result)
-    witnesses = {goal: extract_witness(reloaded, result, goal) for goal in goals}
-    to_report(reloaded, result, witnesses)
-    assert len(goals) == 10
-    assert compared.n <= 1, f"{compared.n} machine comparisons for one result"
 
 
 def test_witnesses_read_the_firing_order_once():
