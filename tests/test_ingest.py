@@ -564,6 +564,33 @@ class TestOneReaderForFindingsAndMachineStates:
         assert disagreements == []
 
 
+def _unknown_key_after_bad_flag(entries):
+    entries[1]["is_goal"] = 1
+    entries[4]["bogus"] = True
+
+
+def _bad_flag_after_repeat(entries):
+    entries[3] = json.loads(json.dumps(entries[2]))
+    entries[6]["is_goal"] = "x"
+
+
+class TestErrorPrecedenceOfTwoFaults:
+    """A document with two faults reports the one the reader meets first:
+    every entry's type and fields are checked before any entry is read,
+    and a repeated state is rejected only after every entry is read."""
+
+    @pytest.mark.parametrize("kind,key", [("machine", "states"), ("findings", "findings")])
+    @pytest.mark.parametrize("mutate,index,message", [
+        (_unknown_key_after_bad_flag, 4, "unknown fields: bogus"),
+        (_bad_flag_after_repeat, 6, "field 'is_goal' must be bool"),
+    ], ids=["unknown key after a bad flag", "bad flag after a repeated state"])
+    def test_the_first_fault_met_is_reported(self, kind, key, mutate, index, message):
+        load = {"findings": parse_findings, "machine": fsm_from_json}[kind]
+        doc = json.loads(CLI_INPUTS[kind][0].read_bytes())
+        mutate(doc[key])
+        assert _raised(load, json.dumps(doc)) == (f"{key}[{index}]", message)
+
+
 #: What a finding object reads for a field it omits.
 ABSENT_READS_AS = {"preconditions": [], "postconditions": [], "is_goal": False, "source": "",
                    "label": None, "requires_user_action": False, "false_positive": False}
