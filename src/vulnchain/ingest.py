@@ -179,12 +179,16 @@ def _state_text(state: AttackState) -> str:
 def fsm_from_json(document: str | bytes) -> Fsm:
     """Load a machine written by :func:`fsm_to_json`.
 
-    Every field is read and type-checked by :func:`_get`, and errors name
-    the JSON path. Each state is read by :func:`_finding`, the reader of a
-    finding object, which here demands both ref lists, ``is_goal`` and
-    every flag and never a ``null`` label; its stored ``id`` must be the
-    derived one, and a repeated vulnerability and URI is rejected by the
-    same check as a repeated finding. The machine is then assembled by the
+    Errors name the JSON path. Every state entry is first checked to be an
+    object with no unknown field; then each is read once, its ``is_start``
+    and ``id`` and then its finding object, by :func:`_finding`, which
+    here demands both ref lists, ``is_goal`` and every flag and never a
+    ``null`` label. An object whose fields all have their exact types and
+    ASCII text, and whose ref entries each hold exactly their two keys, is
+    read in one pass; any other is read by the checked steps (:func:`_get`,
+    :func:`_refs`, :func:`_typed`), with the same messages and paths. A stored ``id`` must be the derived one, and once every
+    entry is read a repeated vulnerability and URI is rejected by the same
+    check as a repeated finding. The machine is then assembled by the
     :class:`Fsm` constructor, like a freshly built one. The start entry is
     not read as a finding: re-dumped in the file's own compact sorted form,
     it must be exactly :func:`_state_text` of the assembled start state,
@@ -194,7 +198,7 @@ def fsm_from_json(document: str | bytes) -> Fsm:
 
     Condition texts recur across states, so each distinct text is
     normalized once per call and the immutable refs are shared; a ref
-    entry equal to one already checked is accepted by that equality, and a
+    entry equal to one already read is accepted by that equality, and a
     text's label is kept as written. A ref list in ascending id order, as
     the writer stores it, is kept as it is. Any JSON layout loads.
     """
@@ -216,17 +220,23 @@ def fsm_from_json(document: str | bytes) -> Fsm:
     start_entries = []
     shared: dict = {}
     for path, entry in _objects(doc, "states", _FINDING_KEYS | {"id", "is_start"}, "$"):
-        if _get(entry, "is_start", bool, path):
+        is_start = entry.get("is_start")
+        if type(is_start) is not bool:
+            is_start = _get(entry, "is_start", bool, path)
+        if is_start:
             start_entries.append((path, entry))
             continue
-        stored_id = _get(entry, "id", str, path)
+        stored_id = entry.get("id")
+        if type(stored_id) is not str or not stored_id.isascii():
+            stored_id = _get(entry, "id", str, path)
         state = _finding(entry, path, shared, complete=True)
         if stored_id != state.id:
             raise SchemaViolation(
                 f"id {stored_id!r} differs from {state.id!r}, the id of its vulnerability and URI",
                 path=f"{path}.id")
         states.append((path, state))
-    _reject_duplicate_states(states)
+    if len({state.id for _, state in states}) < len(states):
+        _reject_duplicate_states(states)
     if len(start_entries) != 1:
         raise SchemaViolation(f"expected exactly one start state, found {len(start_entries)}",
                               path="states")
@@ -268,21 +278,19 @@ def _finding(item: dict, path: str, shared: dict, *, complete: bool) -> AttackSt
     A ``complete`` object (a machine state) must spell out both ref lists,
     ``is_goal`` and every flag, and its ``label`` is a string if present.
     Otherwise these default to empty, ``false`` and ``false``, and a
-    ``null`` label is no label. ``shared`` is passed on to :func:`_refs`.
+    ``null`` label is no label.
 
-    Every field is read by :func:`_get`, in the order vulnerability, URI,
-    ref lists, ``is_goal``, ``source``, ``label``: an error names the first.
+    An object whose fields all have their exact types and ASCII text, and
+    whose ref entries each hold exactly their two keys, is read in one
+    pass by :func:`_read_at_once`. Any other object is read by the checked
+    steps of :func:`_read_checked`, with the same messages and paths; they
+    are the only steps that raise for its fields. ``shared`` holds the
+    conditions and refs of the document for both.
     """
-    vuln = _get(item, "vulnerability", str, path)
-    uri_text = _get(item, "uri", str, path)
-    pres = _refs(item, "preconditions", PreconditionRef, "requires_user_action",
-                 path, shared, complete)
-    posts = _refs(item, "postconditions", PostconditionRef, "false_positive",
-                  path, shared, complete)
-    is_goal = _get(item, "is_goal", bool, path, _REQUIRED if complete else False)
-    source = _get(item, "source", str, path, "")
-    label = (None if not complete and item.get("label") is None
-             else _get(item, "label", str, path, None))
+    fields = _read_at_once(item, shared, complete)
+    if fields is None:
+        fields = _read_checked(item, path, shared, complete)
+    vuln, uri_text, pres, posts, is_goal, source, label = fields
     try:
         return AttackState(vuln, normalize_uri(uri_text), pres, posts, is_goal, False, source,
                            label)
@@ -290,42 +298,58 @@ def _finding(item: dict, path: str, shared: dict, *, complete: bool) -> AttackSt
         raise SchemaViolation(str(exc), path=path) from exc
 
 
-def _refs(item: dict, key: str, make: type, flag: str, path: str, shared: dict,
-          complete: bool) -> tuple:
-    """Pre- or postconditions of one finding object, built as
-    ``make(condition, item[flag])``.
+def _read_at_once(item: dict, shared: dict, complete: bool) -> tuple | None:
+    """The fields of a finding object in the order :func:`_finding` unpacks
+    them, each read by one ``dict.get``, or ``None`` unless each has its
+    exact type, each str is ASCII and each ref list passes
+    :func:`_shared_refs`, whose condition texts need not be ASCII."""
+    get = item.get
+    vuln, uri_text = get("vulnerability"), get("uri")
+    source, label = get("source", ""), get("label")
+    if complete:
+        pres, posts, is_goal = get("preconditions"), get("postconditions"), get("is_goal")
+    else:
+        pres, posts = get("preconditions", []), get("postconditions", [])
+        is_goal = get("is_goal", False)
+    if not (type(vuln) is str and type(uri_text) is str and type(source) is str
+            and type(pres) is list and type(posts) is list and type(is_goal) is bool
+            and vuln.isascii() and uri_text.isascii() and source.isascii()):
+        return None
+    if label is None:
+        if complete and "label" in item:
+            return None
+    elif type(label) is not str or not label.isascii():
+        return None
+    pres = _shared_refs(pres, "requires_user_action", PreconditionRef, shared)
+    if pres is None:
+        return None
+    posts = _shared_refs(posts, "false_positive", PostconditionRef, shared)
+    if posts is None:
+        return None
+    return vuln, uri_text, pres, posts, is_goal, source, label
+
+
+def _shared_refs(entries: list, flag: str, make: type, shared: dict) -> tuple | None:
+    """The refs ``make(condition, entry[flag])`` of a ref list whose every
+    entry is an object of exactly its two keys, a str ``condition`` and a
+    bool ``flag``, or ``None`` if one is not.
 
     ``shared`` maps each raw condition text to its condition and ``make``
     to two tables, for the flag values ``false`` and ``true``, of the refs
     built by text, so within one document a repeated text is normalized
-    once and a repeated ref built once and found by one lookup. An
-    entry of exactly its two keys, a str text and a bool flag, is looked up
-    in ``shared``; if its text is new, only the text is checked, for a lone
-    surrogate and then a blank. Any other entry is checked in order: its
-    type, a ``requires_user_action`` flag on a postcondition, its keys, the
-    condition's type, its text, then the flag. An entry's JSON path is
-    built only when the entry is checked in full or its new text fails.
-    """
-    entries = _get(item, key, list, path, _REQUIRED if complete else ())
+    once and a repeated ref built once and found by one lookup. A text new
+    to the document is checked for a lone surrogate and then a blank; one
+    that fails gives ``None`` too, and nothing is stored for it."""
     built = shared.get(make)
     if built is None:
         built = shared[make] = ({}, {})
     refs = []
-    for j, ref in enumerate(entries):
-        text = value = None
-        if type(ref) is dict and len(ref) == 2:
-            text, value = ref.get("condition"), ref.get(flag)
+    for ref in entries:
+        if type(ref) is not dict or len(ref) != 2:
+            return None
+        text, value = ref.get("condition"), ref.get(flag)
         if type(text) is not str or type(value) is not bool:
-            ref_path = f"{_child(path, key)}[{j}]"
-            _typed(ref, dict, ref_path)
-            if flag != "requires_user_action" and "requires_user_action" in ref:
-                raise UnknownAssumptionFlag(
-                    "requires_user_action is only valid on preconditions", path=ref_path)
-            _reject_unknown(ref, {"condition", flag}, path=ref_path)
-            text = _get(ref, "condition", str, ref_path)
-            if text not in shared:
-                shared[text] = _condition(text, ref_path)
-            value = _get(ref, flag, bool, ref_path, _REQUIRED if complete else False)
+            return None
         made = built[value].get(text)
         if made is None:
             condition = shared.get(text)
@@ -335,11 +359,53 @@ def _refs(item: dict, key: str, make: type, flag: str, path: str, shared: dict,
                         text.encode("utf-8")
                     condition = shared[text] = normalize_condition(text)
                 except (UnicodeEncodeError, EmptyCondition):
-                    # Check the text again, now naming its JSON path.
-                    ref_path = f"{_child(path, key)}[{j}]"
-                    _condition(_typed(text, str, ref_path, what="field 'condition'"), ref_path)
-                    raise
+                    return None
             made = built[value][text] = make(condition, value)
+        refs.append(made)
+    return tuple(refs)
+
+
+def _read_checked(item: dict, path: str, shared: dict, complete: bool) -> tuple:
+    """The fields of a finding object as :func:`_read_at_once` gives them,
+    each read by :func:`_get` in the order vulnerability, URI, ref lists,
+    ``is_goal``, ``source``, ``label``: an error names the first."""
+    return (
+        _get(item, "vulnerability", str, path),
+        _get(item, "uri", str, path),
+        _refs(item, "preconditions", PreconditionRef, "requires_user_action", path, shared,
+              complete),
+        _refs(item, "postconditions", PostconditionRef, "false_positive", path, shared,
+              complete),
+        _get(item, "is_goal", bool, path, _REQUIRED if complete else False),
+        _get(item, "source", str, path, ""),
+        (None if not complete and item.get("label") is None
+         else _get(item, "label", str, path, None)))
+
+
+def _refs(item: dict, key: str, make: type, flag: str, path: str, shared: dict,
+          complete: bool) -> tuple:
+    """Pre- or postconditions of one finding object, built as
+    ``make(condition, item[flag])`` and kept in the tables ``shared`` holds
+    (see :func:`_shared_refs`). Each entry is checked in order: its type, a
+    ``requires_user_action`` flag on a postcondition, its keys, the
+    condition's type, a text new to the document, then the flag."""
+    entries = _get(item, key, list, path, _REQUIRED if complete else ())
+    built = shared.setdefault(make, ({}, {}))
+    refs = []
+    for j, ref in enumerate(entries):
+        ref_path = f"{_child(path, key)}[{j}]"
+        _typed(ref, dict, ref_path)
+        if flag != "requires_user_action" and "requires_user_action" in ref:
+            raise UnknownAssumptionFlag(
+                "requires_user_action is only valid on preconditions", path=ref_path)
+        _reject_unknown(ref, {"condition", flag}, path=ref_path)
+        text = _get(ref, "condition", str, ref_path)
+        if text not in shared:
+            shared[text] = _condition(text, ref_path)
+        value = _get(ref, flag, bool, ref_path, _REQUIRED if complete else False)
+        made = built[value].get(text)
+        if made is None:
+            made = built[value][text] = make(shared[text], value)
         refs.append(made)
     return tuple(refs)
 
@@ -403,8 +469,8 @@ _REQUIRED = object()
 
 
 def _get(obj: dict, key: str, kind: type, path: str, default: Any = _REQUIRED) -> Any:
-    """``obj[key]``, the one reader of a JSON field, or ``default`` if the
-    key is absent; a field without a default is required. A value of type
+    """``obj[key]``, the checked reader of a JSON field, or ``default`` if
+    the key is absent; a field without a default is required. A value of type
     ``kind``, a str only if ASCII, returns at once; any other goes through
     :func:`_typed`, so a non-ASCII str is checked for a lone surrogate."""
     value = obj.get(key, _REQUIRED)

@@ -118,17 +118,18 @@ def _closure_fixed_point(fsm: Fsm, assumed: frozenset[str]):
         else:
             ready.append(state.id)
     # The states come sorted by id, so ``ready`` is already a min-heap.
-    consumers = fsm.consumers
+    by_id, consumers, waiting_for = fsm.by_id, fsm.consumers, waiting.get
     firing_order = [START_STATE_ID]
     while ready:
         sid = heapq.heappop(ready)
         firing_order.append(sid)
-        for cid in fsm.by_id[sid].granted_condition_ids():
-            if cid in true:
+        for ref in by_id[sid].postconditions:
+            cid = ref.condition.id
+            if ref.false_positive or cid in true:
                 continue
             true[cid] = sid
             for consumer in consumers[cid]:
-                needed = waiting.get(consumer)
+                needed = waiting_for(consumer)
                 if needed and cid in needed:
                     needed.remove(cid)
                     if not needed:
@@ -144,8 +145,9 @@ def _closure_single_descent(fsm: Fsm, assumed: frozenset[str]):
     for state in fsm.non_start_states:
         if not unmet_conditions(state, true, assumed):
             firing_order.append(state.id)
-            for cid in state.granted_condition_ids():
-                true.setdefault(cid, state.id)
+            for ref in state.postconditions:
+                if not ref.false_positive:
+                    true.setdefault(ref.condition.id, state.id)
     return firing_order, true
 
 

@@ -1,4 +1,5 @@
-"""Every input file of the CLI, fuzzed through ``cli_main``.
+"""Every input file of the CLI, fuzzed through ``cli_main``, and the
+one-pass read of a finding object against the checked steps.
 
 Each example is one input (the findings JSON, the crawl list, the machine
 file or the report), given either as arbitrary bytes or as a golden input
@@ -6,20 +7,29 @@ with one mutation: an entry deleted, a value retyped, a list entry
 repeated, the file truncated, or a UTF-8 byte-order mark put before it.
 Every command that reads the input must exit 0, or exit 1 with an error
 that names the file. Exit 2 is a bug.
+
+A findings document or machine file, mutated so or one of the random
+corpus, must load to the same bytes, or fail with the same error type,
+path and message, as when every finding object goes through the checked
+steps.
 """
 
 import contextlib
 import io
 import json
+import random
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from vulnchain import Fsm, SchemaViolation, fsm_from_json, fsm_to_json, ingest, parse_findings
 from vulnchain.cli import cli_main
 
 from tests.helpers import CLI_INPUTS as INPUTS
+from tests.helpers import machine_of, random_finding_set, serialize_findings
 
 #: Replacement values of a retyped entry; a lone surrogate is valid JSON
 #: but cannot be written as UTF-8.
@@ -35,11 +45,12 @@ def _entries(value):
 
 
 @st.composite
-def inputs(draw):
+def inputs(draw, kinds=tuple(sorted(INPUTS)),
+           hows=("retype", "delete", "repeat", "truncate", "bom", "bytes")):
     """An input kind and the bytes of a fuzzed file of that kind."""
-    kind = draw(st.sampled_from(sorted(INPUTS)))
+    kind = draw(st.sampled_from(kinds))
     golden = INPUTS[kind][0].read_bytes()
-    how = draw(st.sampled_from(["retype", "delete", "repeat", "truncate", "bom", "bytes"]))
+    how = draw(st.sampled_from(hows))
     if how == "bytes":
         return kind, draw(st.binary(max_size=64))
     if how == "bom":
@@ -76,3 +87,34 @@ def test_every_input_exits_0_or_1_naming_the_file(case):
                 code = cli_main([a.format(input=path, out=Path(work) / "out") for a in argv])
             ok = code == 0 or (code == 1 and err.getvalue().startswith(f"error: {path}: "))
             assert ok, (argv[0], code, err.getvalue())
+
+
+@st.composite
+def corpus_inputs(draw):
+    """A machine file or findings document of one random corpus machine."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    finding_set = random_finding_set(rng, punctuation_variants=draw(st.booleans()),
+                                     hostile_text=draw(st.booleans()))
+    if draw(st.booleans()):
+        return "machine", fsm_to_json(machine_of(finding_set)).encode()
+    return "findings", serialize_findings(finding_set).encode()
+
+
+def _outcome(kind, data):
+    """The loaded document written back, or the error's type, path and
+    message."""
+    try:
+        loaded = {"findings": parse_findings, "machine": fsm_from_json}[kind](data)
+    except SchemaViolation as exc:
+        return type(exc), exc.path, str(exc)
+    return fsm_to_json(loaded) if isinstance(loaded, Fsm) else serialize_findings(loaded)
+
+
+@given(st.one_of(inputs(kinds=("findings", "machine"), hows=("retype", "delete", "repeat")),
+                 corpus_inputs()))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_one_pass_read_matches_the_checked_steps(case):
+    kind, data = case
+    with mock.patch.object(ingest, "_read_at_once", lambda *args: None):
+        checked = _outcome(kind, data)
+    assert _outcome(kind, data) == checked

@@ -4,6 +4,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
@@ -20,6 +21,7 @@ from vulnchain import (
     parse_findings,
     report_from_json,
 )
+from vulnchain import ingest
 from vulnchain.ingest import FSM_FORMAT_VERSION
 
 from tests.helpers import (CLI_INPUTS, FIXTURES, finding_entry, load_finding_set, load_tree,
@@ -277,7 +279,8 @@ DELETED = "deleted"
 def _variants(obj: dict):
     """``(case, mutated copy, whether only the machine file rejects it)``:
     every nested entry retyped to each ``RETYPED`` value or deleted, and
-    every ref's flag spelled as the other list's flag."""
+    every ref's flag spelled as the other list's flag or joined by an
+    unknown field."""
     for i, (_, key) in enumerate(_entries(obj)):
         for value in [*RETYPED, DELETED]:
             copy = json.loads(json.dumps(obj))
@@ -296,6 +299,9 @@ def _variants(obj: dict):
             copy = json.loads(json.dumps(obj))
             copy[key][j][other] = copy[key][j].pop(flag)
             yield f"{key}[{j}] flag spelled {other!r}", copy, False
+            copy = json.loads(json.dumps(obj))
+            copy[key][j]["bogus"] = True
+            yield f"{key}[{j}] with a field 'bogus'", copy, False
 
 
 def _load(load):
@@ -536,7 +542,9 @@ class TestOneReaderForFindingsAndMachineStates:
     """A finding object reads the same in a findings document and as a
     machine state: the same state, or the same error apart from the
     ``findings[0]``/``states[0]`` prefix. Only the machine file's extra
-    rules (every field spelled out, no ``null`` label) tell them apart."""
+    rules (every field spelled out, no ``null`` label) tell them apart.
+    Each loader reads every mutation as the checked steps alone read it,
+    to the last label and raw URI."""
 
     @pytest.mark.parametrize("obj", [_vulnweb_object("S6"),
                                      _vulnweb_object("S10", false_positive=True)],
@@ -544,14 +552,22 @@ class TestOneReaderForFindingsAndMachineStates:
     def test_both_loaders_agree_on_every_mutation(self, obj):
         start = json.loads(fsm_to_json(Fsm(site="", findings=(), facts=())))["states"][0]
         original_id = parse_findings(_doc([obj])).findings[0].id
-        disagreements = []
-        for case, variant, machine_only in _variants(obj):
-            found, found_error = _load(lambda: parse_findings(_doc([variant])).findings[0])
-            entry = dict(variant, id=found.id if found else original_id, is_start=False)
+
+        def read(variant):
+            found = _load(lambda: parse_findings(_doc([variant])).findings[0])
+            entry = dict(variant, id=found[0].id if found[0] else original_id, is_start=False)
             machine = {"format_version": FSM_FORMAT_VERSION, "site": "test",
                        "environment_facts": [], "diagnostics": [], "states": [entry, start]}
-            loaded, loaded_error = _load(
-                lambda: fsm_from_json(json.dumps(machine)).non_start_states[0])
+            return found, _load(lambda: fsm_from_json(json.dumps(machine)).non_start_states[0])
+
+        disagreements = []
+        for case, variant, machine_only in _variants(obj):
+            both = read(variant)
+            with mock.patch.object(ingest, "_read_at_once", lambda *args: None):
+                checked = read(variant)
+            if repr(both) != repr(checked):
+                disagreements.append(f"{case}: {both} / checked steps {checked}")
+            (found, found_error), (loaded, loaded_error) = both
             if found_error is not None:
                 kind, message = found_error
                 found_error = kind, message.replace("findings[0]", "states[0]", 1)

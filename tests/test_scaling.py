@@ -18,8 +18,9 @@ through a state, the witnesses build its step once, the report builds
 one entry for it and the report writer quotes at most four strings per
 state plus edge. Loading a machine file or a findings document
 normalizes each distinct condition text and builds each distinct ref
-once, type-checks through the loader's helpers only the document-level
-fields and the distinct texts, and splits no URI that is already
+once, reads through the loader's field reader only the document-level
+fields, type-checks through its helpers only those fields and the
+distinct texts, and splits no URI that is already
 canonical, absolute or not. Loading a machine file derives each state's
 id once and sorts no ref list that the file stores in ascending order,
 and writing one builds no dict per state or per ref. Each record stores
@@ -308,13 +309,15 @@ def _findings_document(doc: dict) -> str:
                      for entry in doc["states"] if not entry["is_start"]]})
 
 
-def _count_checks(monkeypatch) -> Counter:
+def _count_checks(monkeypatch) -> tuple[Counter, Counter]:
     """Count the calls of ``_typed``, the loaders' type check, which ``_get``
-    calls too; the machine and findings loaders both live in ``ingest``."""
+    calls too, and of ``_get``, their field reader; the machine and findings
+    loaders both live in ``ingest``."""
     ingest_module = importlib.import_module("vulnchain.ingest")
-    checks = Counter()
+    checks, fields = Counter(), Counter()
     monkeypatch.setattr(ingest_module, "_typed", _counting(ingest_module._typed, checks))
-    return checks
+    monkeypatch.setattr(ingest_module, "_get", _counting(ingest_module._get, fields))
+    return checks, fields
 
 
 def _count_reads(monkeypatch) -> tuple[Counter, Counter]:
@@ -343,9 +346,9 @@ def test_machine_load_work_scales_with_distinct_refs(monkeypatch):
 
 @pytest.mark.parametrize("name", ["repeated", "minimal", "vulnweb", "teacher"])
 def test_machine_load_checks_scale_with_fields_and_texts(name, monkeypatch):
-    """Each state's fields pass ``_get``'s exact-type test; only the
-    document-level fields, each fact and note, and each distinct condition
-    text go through ``_typed``."""
+    """Each state is read in one pass; only the document-level fields go
+    through ``_get``, and only they, each fact and note, and each distinct
+    condition text through ``_typed``."""
     if name == "repeated":
         text, doc, _, texts = _repeated_ref_machine()
     else:
@@ -353,13 +356,16 @@ def test_machine_load_checks_scale_with_fields_and_texts(name, monkeypatch):
         doc = json.loads(text)
         texts = {ref["condition"] for entry in doc["states"] if not entry["is_start"]
                  for key in ("preconditions", "postconditions") for ref in entry[key]}
-    checks = _count_checks(monkeypatch)
+    checks, fields = _count_checks(monkeypatch)
     loaded = fsm_from_json(text)
 
     assert fsm_to_json(loaded) == text
     bound = len(doc) + len(doc["environment_facts"]) + len(doc["diagnostics"]) + len(texts)
     assert checks.n <= bound, (
         f"{checks.n} type checks for {len(doc['states'])} states, bound {bound}")
+    assert fields.n <= len(doc), (
+        f"{fields.n} field reads for {len(doc['states'])} states and {len(doc)} "
+        "document-level fields")
 
 
 def test_findings_parse_work_scales_with_distinct_refs(monkeypatch):
@@ -368,11 +374,12 @@ def test_findings_parse_work_scales_with_distinct_refs(monkeypatch):
     findings = _findings_document(doc)
     expected = fsm_from_json(text).non_start_states
     normalized, constructed = _count_reads(monkeypatch)
-    checks = _count_checks(monkeypatch)
+    checks, fields = _count_checks(monkeypatch)
     parsed = parse_findings(findings)
 
     assert checks.n <= 3 + len(doc["environment_facts"]) + len(texts), (
         f"{checks.n} type checks for {len(texts)} distinct texts")
+    assert fields.n <= 3, f"{fields.n} field reads for 3 document-level fields"
     assert normalized.n <= len(texts) + len(doc["environment_facts"]), (
         f"{normalized.n} normalizations for {len(texts)} distinct texts")
     assert constructed.n <= len(triples), (
