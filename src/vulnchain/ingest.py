@@ -186,15 +186,16 @@ def fsm_from_json(document: str | bytes) -> Fsm:
     ``null`` label. An object whose fields all have their exact types and
     ASCII text, and whose ref entries each hold exactly their two keys, is
     read in one pass; any other is read by the checked steps (:func:`_get`,
-    :func:`_refs`, :func:`_typed`), with the same messages and paths. A stored ``id`` must be the derived one, and once every
-    entry is read a repeated vulnerability and URI is rejected by the same
-    check as a repeated finding. The machine is then assembled by the
-    :class:`Fsm` constructor, like a freshly built one. The start entry is
-    not read as a finding: re-dumped in the file's own compact sorted form,
-    it must be exactly :func:`_state_text` of the assembled start state,
-    the text the writer gives it. A file without a ``format_version`` is
-    rejected as missing a required field, and one of another version at
-    the path ``format_version``.
+    :func:`_refs`, :func:`_typed`), with the same messages and paths. A
+    stored ``id`` must be the derived one, and once every entry is read a
+    repeated vulnerability and URI is rejected by the same check as a
+    repeated finding. The machine is then assembled by the :class:`Fsm`
+    constructor, like a freshly built one. The start entry is not read as
+    a finding: re-dumped in the file's own compact sorted form, it must be
+    exactly :func:`_state_text` of the assembled start state, the text the
+    writer gives it. A file without a ``format_version`` is rejected as
+    missing a required field, and one of another version at the path
+    ``format_version``.
 
     Condition texts recur across states, so each distinct text is
     normalized once per call and the immutable refs are shared; a ref

@@ -20,11 +20,11 @@ state plus edge. Loading a machine file or a findings document
 normalizes each distinct condition text and builds each distinct ref
 once, reads through the loader's field reader only the document-level
 fields, type-checks through its helpers only those fields and the
-distinct texts, and splits no URI that is already
-canonical, absolute or not. Loading a machine file derives each state's
-id once and sorts no ref list that the file stores in ascending order,
-and writing one builds no dict per state or per ref. Each record stores
-each of its fields once.
+distinct texts, and splits no URI that is already canonical, absolute or
+not. Loading a machine file derives each state's id once and sorts no
+ref list that the file stores in ascending order, and writing one builds
+no dict per state or per ref. Each record stores each of its fields
+once.
 """
 
 import dataclasses
